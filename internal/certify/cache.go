@@ -1,7 +1,5 @@
 package certify
 
-import "strings"
-
 // evalKey canonically identifies one failure-set evaluation: the sorted
 // failure set plus the detection regime. The zero key is the failure-free
 // transient baseline.
@@ -17,15 +15,22 @@ type outcome struct {
 	resp      float64
 }
 
-// canonKey renders a failure set canonically (sorted, unit-separated), so
-// the same set reached through different orders shares one cache entry.
-func canonKey(failed map[string]bool) string {
-	return strings.Join(sortedKeys(failed), "\x1f")
+// canonKey renders a failure set canonically, four bytes per pid, so the
+// same set reached through different probes shares one cache entry. Failure
+// sets are kept in ascending pid order — the enumeration order, which the
+// shrinker's removals preserve — so the rendering needs no sort. The empty
+// set renders as the zero key.
+func canonKey(failed []int32) string {
+	b := make([]byte, 0, 4*len(failed))
+	for _, p := range failed {
+		b = append(b, byte(p>>24), byte(p>>16), byte(p>>8), byte(p))
+	}
+	return string(b)
 }
 
 // eval dispatches one failure-set evaluation: the incremental cone engine
 // once armed, the reference full fixpoint otherwise.
-func (m *model) eval(failed map[string]bool, detect bool) *run {
+func (m *model) eval(failed []int32, detect bool) *run {
 	if m.ff != nil {
 		return m.evalIncr(failed, detect)
 	}
@@ -37,7 +42,7 @@ func (m *model) eval(failed map[string]bool, detect bool) *run {
 // probes hit the same entries; pool workers share the cache under a mutex
 // (two workers may race to compute the same key, in which case both store
 // the identical value — the engine is deterministic per key).
-func (m *model) evalOutcome(failed map[string]bool, detect bool) outcome {
+func (m *model) evalOutcome(failed []int32, detect bool) outcome {
 	key := evalKey{canon: canonKey(failed), detect: detect}
 	m.cacheMu.Lock()
 	o, hit := m.cache[key]

@@ -147,7 +147,12 @@ func CertifyWith(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *sp
 	}
 	sink := opts.Obs
 	indexSpan := sink.StartSpan("certify", "index")
-	m := newModel(s, g, a, sp)
+	c, err := sched.Compile(s, g, a, sp)
+	if err != nil {
+		indexSpan.End()
+		return nil, fmt.Errorf("certify: %w", err)
+	}
+	m := newModel(c)
 	m.ins.resolve(sink)
 	m.obs = sink
 	indexSpan.End()
@@ -155,7 +160,7 @@ func CertifyWith(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *sp
 		Mode:      s.Mode,
 		ScheduleK: s.K,
 		K:         k,
-		Procs:     len(m.procs),
+		Procs:     len(c.ProcNames),
 	}
 
 	// Failure-free baseline, plus a consistency check: the recomputed dates
@@ -171,10 +176,9 @@ func CertifyWith(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *sp
 		if !ff.executed[sid] {
 			continue
 		}
-		if end > m.slotSEnd[sid]+1e-6 {
-			name := m.slotName[sid]
+		if in := c.Insts[sid]; end > in.End+1e-6 {
 			return nil, fmt.Errorf("certify: internal inconsistency: recomputed completion %.4g of %s on %s exceeds static date %.4g",
-				end, name.op, name.proc, m.slotSEnd[sid])
+				end, c.OpNames[in.Op], c.ProcNames[in.Proc], in.End)
 		}
 	}
 	v.FailureFreeBound = ff.resp
@@ -216,7 +220,7 @@ func CertifyWith(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *sp
 // the evaluator (possibly a pool worker) to the deterministic merge.
 type patternResult struct {
 	idx       int
-	sub       []string
+	sub       []int32 // failed pids, ascending
 	completed bool
 	resp      float64 // transient worst-case response bound
 	steady    float64 // steady-state bound (failures detected)
@@ -224,15 +228,11 @@ type patternResult struct {
 
 // checkPattern evaluates one frontier pattern: the transient bound, and for
 // FT1 the steady-state bound with the failures detected.
-func (m *model) checkPattern(idx int, sub []string) patternResult {
-	failed := make(map[string]bool, len(sub))
-	for _, p := range sub {
-		failed[p] = true
-	}
-	o := m.evalOutcome(failed, false)
+func (m *model) checkPattern(idx int, sub []int32) patternResult {
+	o := m.evalOutcome(sub, false)
 	pr := patternResult{idx: idx, sub: sub, completed: o.completed, resp: o.resp, steady: o.resp}
-	if o.completed && m.s.Mode == sched.ModeFT1 {
-		pr.steady = m.evalOutcome(failed, true).resp
+	if o.completed && m.c.Mode == sched.ModeFT1 {
+		pr.steady = m.evalOutcome(sub, true).resp
 	}
 	return pr
 }
@@ -248,7 +248,7 @@ func (v *Verdict) consume(m *model, pr patternResult) bool {
 	}
 	if pr.resp > v.WorstBound {
 		v.WorstBound = pr.resp
-		v.WorstPattern = append([]string(nil), pr.sub...)
+		v.WorstPattern = m.names(pr.sub)
 	}
 	if pr.steady > v.WorstSteadyBound {
 		v.WorstSteadyBound = pr.steady
@@ -258,20 +258,17 @@ func (v *Verdict) consume(m *model, pr patternResult) bool {
 
 // frontier evaluates every size-`size` failure pattern in lexicographic
 // order and merges the results into v. It returns the first failing pattern
-// (as a set), or nil when every pattern tolerates the failures, or
+// (as pids), or nil when every pattern tolerates the failures, or
 // ErrCanceled if opts.Cancel was raised before the enumeration finished.
-func (m *model) frontier(v *Verdict, size int, opts Options) (map[string]bool, error) {
+func (m *model) frontier(v *Verdict, size int, opts Options) ([]int32, error) {
 	if opts.Workers > 1 {
 		pr, err := m.frontierParallel(v, size, opts.Workers, opts.Cancel)
-		if err != nil {
+		if err != nil || pr == nil {
 			return nil, err
 		}
-		if pr != nil {
-			return setOf(pr.sub), nil
-		}
-		return nil, nil
+		return pr.sub, nil
 	}
-	enum := newPatternEnum(m.procs, size)
+	enum := newPatternEnum(v.Procs, size)
 	for idx := 0; ; idx++ {
 		if opts.canceled() {
 			return nil, ErrCanceled
@@ -281,41 +278,50 @@ func (m *model) frontier(v *Verdict, size int, opts Options) (map[string]bool, e
 			return nil, nil
 		}
 		if pr := m.checkPattern(idx, sub); v.consume(m, pr) {
-			return setOf(pr.sub), nil
+			return pr.sub, nil
 		}
 	}
-}
-
-// setOf builds the failure set of a pattern.
-func setOf(sub []string) map[string]bool {
-	failed := make(map[string]bool, len(sub))
-	for _, p := range sub {
-		failed[p] = true
-	}
-	return failed
 }
 
 // shrink greedily reduces a failing pattern to a minimal one: it keeps
 // removing any processor whose removal still loses an output, until every
-// remaining processor is necessary. The heavily overlapping subsets it
-// probes mostly hit the canonical eval cache.
-func (m *model) shrink(failed map[string]bool) map[string]bool {
-	set := make(map[string]bool, len(failed))
-	for p := range failed {
-		set[p] = true
-	}
+// remaining processor is necessary. Each round tries the members in name
+// order. The heavily overlapping subsets it probes mostly hit the canonical
+// eval cache.
+func (m *model) shrink(failed []int32) []int32 {
+	set := append([]int32(nil), failed...)
 	for changed := true; changed; { //ftlint:allow-nopoll bounded: every round that continues removes a processor from the set, so rounds <= |pattern|+1
 		changed = false
-		for _, p := range sortedKeys(set) {
-			delete(set, p)
-			if !m.evalOutcome(set, false).completed {
-				changed = true
-				continue
+		for _, p := range m.byName(set) {
+			without := make([]int32, 0, len(set))
+			for _, q := range set {
+				if q != p {
+					without = append(without, q)
+				}
 			}
-			set[p] = true
+			if !m.evalOutcome(without, false).completed {
+				set = without
+				changed = true
+			}
 		}
 	}
 	return set
+}
+
+// names returns the processor names of pids, in the given order.
+func (m *model) names(pids []int32) []string {
+	var out []string
+	for _, p := range pids {
+		out = append(out, m.c.ProcNames[p])
+	}
+	return out
+}
+
+// byName returns a copy of pids sorted by processor name.
+func (m *model) byName(pids []int32) []int32 {
+	out := append([]int32(nil), pids...)
+	sort.Slice(out, func(i, j int) bool { return m.c.ProcNames[out[i]] < m.c.ProcNames[out[j]] })
+	return out
 }
 
 // binomial returns C(n, k), saturating at the integer maximum instead of
@@ -344,15 +350,6 @@ func addSat(a, b int) int {
 		return math.MaxInt
 	}
 	return a + b
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // fmtTime renders a schedule date compactly, with infinities spelled out.

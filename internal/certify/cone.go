@@ -22,14 +22,15 @@ type cone struct {
 // newCleanCone returns the all-clean cone for the model.
 func (m *model) newCleanCone() *cone {
 	c := &cone{
-		procFrom: make([]int32, len(m.procs)),
-		linkFrom: make([]int32, len(m.cqueues)),
+		procFrom: make([]int32, len(m.allPids)),
+		linkFrom: make([]int32, len(m.allLids)),
 	}
 	for pid := range c.procFrom {
-		c.procFrom[pid] = int32(len(m.seq[pid]))
+		c.procFrom[pid] = m.seqLen(int32(pid))
 	}
 	for lid := range c.linkFrom {
-		c.linkFrom[lid] = int32(len(m.cqueues[lid]))
+		lo, hi := m.queue(int32(lid))
+		c.linkFrom[lid] = hi - lo
 	}
 	return c
 }
@@ -63,9 +64,9 @@ func (m *model) buildCone(pid int) *cone {
 			return
 		}
 		c.procFrom[pid] = idx
-		seq := m.seq[pid]
+		lo := m.c.SeqStart[pid]
 		for i := idx; i < prev; i++ {
-			for _, xid := range m.slotXfers[seq[i]] {
+			for _, xid := range m.slotXfers[lo+i] {
 				markXfer(xid)
 			}
 		}
@@ -76,10 +77,12 @@ func (m *model) buildCone(pid int) *cone {
 		}
 		seen[xid] = true
 		for _, hid := range m.cxfers[xid].hops {
-			markLink(m.hopLid[hid], m.hopQPos[hid])
+			lid := m.hopLid[hid]
+			markLink(lid, hid-m.c.QueueStart[lid])
 		}
-		for _, sid := range m.consSids[m.cxfers[xid].did] {
-			markProc(m.slotProc[sid], m.slotPos[sid])
+		for _, sid := range m.consSids[m.c.Senders[xid].Delivery] {
+			pid := m.c.Insts[sid].Proc
+			markProc(pid, sid-m.c.SeqStart[pid])
 		}
 	}
 	markLink = func(lid int32, pos int32) {
@@ -88,9 +91,9 @@ func (m *model) buildCone(pid int) *cone {
 			return
 		}
 		c.linkFrom[lid] = pos
-		q := m.cqueues[lid]
+		lo := m.c.QueueStart[lid]
 		for j := pos; j < prev; j++ {
-			markXfer(m.hopXfer[q[j]])
+			markXfer(m.c.Queue[lo+j].Sender)
 		}
 	}
 
@@ -136,7 +139,7 @@ func (r *run) unionCone() *cone {
 // cloned (final) failure-free values, so the result is bit-identical to the
 // reference engine (see DESIGN.md §11 for the argument, the differential
 // tests for the enforcement).
-func (m *model) evalIncr(failed map[string]bool, detect bool) *run {
+func (m *model) evalIncr(failed []int32, detect bool) *run {
 	m.ins.evals.Inc()
 	m.ins.evalsIncr.Inc()
 	r := m.newRun(failed, detect)
@@ -147,15 +150,15 @@ func (m *model) evalIncr(failed map[string]bool, detect bool) *run {
 	copy(r.hopEnd, ff.hopEnd)
 
 	u := r.unionCone()
-	conePids := make([]int32, 0, len(m.procs))
-	coneLids := make([]int32, 0, len(m.cqueues))
+	conePids := make([]int32, 0, len(m.allPids))
+	coneLids := make([]int32, 0, len(m.allLids))
 	dirtySlots, dirtyHops := 0, 0
-	for pid := range m.procs {
+	for _, pid := range m.allPids {
 		from := u.procFrom[pid]
-		if int(from) >= len(m.seq[pid]) {
+		if from >= m.seqLen(pid) {
 			continue
 		}
-		conePids = append(conePids, int32(pid))
+		conePids = append(conePids, pid)
 		// Invalidate the dirty executed suffix and reseed the cursor: a
 		// processor that stalled before its cone even begins cannot get
 		// further under more failures (availability only shrinks), so the
@@ -165,17 +168,18 @@ func (m *model) evalIncr(failed map[string]bool, detect bool) *run {
 			seed = c
 		}
 		for i := from; i < ff.cursor[pid]; i++ {
-			r.executed[m.seq[pid][i]] = false
+			r.executed[m.c.SeqStart[pid]+i] = false
 		}
 		dirtySlots += int(ff.cursor[pid] - seed)
 		r.cursor[pid] = seed
 	}
-	for lid := range m.cqueues {
-		if int(u.linkFrom[lid]) >= len(m.cqueues[lid]) {
+	for _, lid := range m.allLids {
+		lo, hi := m.queue(lid)
+		if u.linkFrom[lid] >= hi-lo {
 			continue
 		}
-		coneLids = append(coneLids, int32(lid))
-		dirtyHops += len(m.cqueues[lid]) - int(u.linkFrom[lid])
+		coneLids = append(coneLids, lid)
+		dirtyHops += int(hi - lo - u.linkFrom[lid])
 	}
 	m.ins.coneSlots.Add(int64(dirtySlots))
 	m.ins.coneHops.Add(int64(dirtyHops))

@@ -1,24 +1,19 @@
 package certify
 
-import (
-	"math"
-
-	"ftsched/internal/graph"
-)
+import "math"
 
 // run is the outcome of evaluating one failure set: which replicas execute,
 // the worst-case completion dates of the executed prefixes, and whether
 // every output is still delivered. All state is dense (indexed by the
-// model's compiled identifiers). A full evaluation derives everything from
+// compiled identifiers). A full evaluation derives everything from
 // scratch; an incremental one clones the failure-free fixpoint and
 // re-derives only the dirty region of the failure set's impact cone — both
 // drive the same chaining and relaxation code, restricted to different
 // scopes, so the derived values are bit-identical (DESIGN.md §11).
 type run struct {
 	m      *model
-	failed map[string]bool // original failure set (witness, canonical key)
-	byPid  []bool          // pid -> failed
-	detect bool            // failures already detected (FT1 skips their timeouts)
+	byPid  []bool // pid -> failed
+	detect bool   // failures already detected (FT1 skips their timeouts)
 
 	cursor   []int32   // pid -> executed prefix length of the static sequence
 	executed []bool    // sid -> replica executes under the failure set
@@ -26,27 +21,22 @@ type run struct {
 	hopEnd   []float64 // hid -> worst-case hop end (valid iff the sender delivers)
 
 	completed bool
-	missing   []string // undelivered outputs, in graph order
-	resp      float64  // worst-case response-time bound (max over outputs)
+	missing   []int32 // undelivered output ops, in graph order
+	resp      float64 // worst-case response-time bound (max over outputs)
 }
 
-// newRun allocates a zeroed run for a failure set.
-func (m *model) newRun(failed map[string]bool, detect bool) *run {
-	if failed == nil {
-		failed = map[string]bool{} //ftlint:hotalloc-ok cold: failed is nil only for the failure-free baseline run, once per certification
-	}
+// newRun allocates a zeroed run for a failure set of processor IDs.
+func (m *model) newRun(failed []int32, detect bool) *run {
 	r := &run{
-		m: m, failed: failed, detect: detect,
-		byPid:    make([]bool, len(m.procs)),
-		cursor:   make([]int32, len(m.procs)),
-		executed: make([]bool, len(m.slotName)),
-		end:      make([]float64, len(m.slotName)),
-		hopEnd:   make([]float64, len(m.hopXfer)),
+		m: m, detect: detect,
+		byPid:    make([]bool, len(m.allPids)),
+		cursor:   make([]int32, len(m.allPids)),
+		executed: make([]bool, len(m.c.Insts)),
+		end:      make([]float64, len(m.c.Insts)),
+		hopEnd:   make([]float64, len(m.c.Queue)),
 	}
-	for _, p := range sortedKeys(failed) {
-		if pid, ok := m.pidOf[p]; ok {
-			r.byPid[pid] = true
-		}
+	for _, pid := range failed {
+		r.byPid[pid] = true
 	}
 	return r
 }
@@ -60,7 +50,7 @@ func (m *model) newRun(failed map[string]bool, detect bool) *run {
 // otherwise). When every output survives, worst-case dates are then
 // propagated over the executed instances. This is the reference engine;
 // evalIncr must match it bit-for-bit (enforced by the differential tests).
-func (m *model) evalFull(failed map[string]bool, detect bool) *run {
+func (m *model) evalFull(failed []int32, detect bool) *run {
 	m.ins.evals.Inc()
 	m.ins.evalsFull.Inc()
 	r := m.newRun(failed, detect)
@@ -85,9 +75,9 @@ func (r *run) chain(pids []int32) {
 			if r.byPid[pid] {
 				continue
 			}
-			seq := r.m.seq[pid]
-			for int(r.cursor[pid]) < len(seq) { //ftlint:allow-nopoll bounded: the cursor strictly advances, so trips <= len(seq)
-				sid := seq[r.cursor[pid]]
+			lo, n := r.m.c.SeqStart[pid], r.m.c.SeqStart[pid+1]-r.m.c.SeqStart[pid]
+			for r.cursor[pid] < n { //ftlint:allow-nopoll bounded: the cursor strictly advances, so trips <= the sequence length
+				sid := lo + r.cursor[pid]
 				if !r.inputsAvailable(sid) {
 					break
 				}
@@ -101,10 +91,11 @@ func (r *run) chain(pids []int32) {
 
 // finish runs the output check closing phase 1.
 func (r *run) finish() {
+	c := r.m.c
 	r.completed = true
-	for _, out := range r.m.outs {
+	for _, op := range c.Outputs {
 		alive := false
-		for _, sid := range out.sids {
+		for _, sid := range c.OpInsts[c.OpInstStart[op]:c.OpInstStart[op+1]] {
 			if r.executed[sid] {
 				alive = true
 				break
@@ -112,7 +103,7 @@ func (r *run) finish() {
 		}
 		if !alive {
 			r.completed = false
-			r.missing = append(r.missing, out.op)
+			r.missing = append(r.missing, op)
 		}
 	}
 }
@@ -121,23 +112,27 @@ func (r *run) finish() {
 // available on its processor under the failure set, given the currently
 // executed instances.
 func (r *run) inputsAvailable(sid int32) bool {
-	for i := range r.m.slotIn[sid] {
-		in := &r.m.slotIn[sid][i]
-		if in.localSid >= 0 && r.executed[in.localSid] {
-			continue
-		}
-		if !r.anySenderDelivers(in.delivs) {
+	for k := r.m.c.PredStart[sid]; k < r.m.c.PredStart[sid+1]; k++ {
+		if !r.available(&r.m.slotIn[k]) {
 			return false
 		}
 	}
 	return true
 }
 
+// available reports whether an input's value reaches its processor: the
+// local replica of the producer executes, or some delivery has a sender
+// that gets the value through.
+func (r *run) available(in *cinput) bool {
+	return (in.localSid >= 0 && r.executed[in.localSid]) || r.anySenderDelivers(in.delivs)
+}
+
 // anySenderDelivers reports whether any sender of any of the deliveries
 // gets its value through.
 func (r *run) anySenderDelivers(dids []int32) bool {
 	for _, did := range dids {
-		for _, xid := range r.m.cdelivs[did].senders {
+		d := &r.m.c.Deliveries[did]
+		for xid := d.SendLo; xid < d.SendHi; xid++ {
 			if r.delivers(xid) {
 				return true
 			}
@@ -150,11 +145,11 @@ func (r *run) anySenderDelivers(dids []int32) bool {
 // every store-and-forward processor on its route survive, and its producing
 // replica executes.
 func (r *run) delivers(xid int32) bool {
-	x := &r.m.cxfers[xid]
-	if x.prodSid < 0 || r.byPid[x.srcPid] || !r.executed[x.prodSid] {
+	sd := &r.m.c.Senders[xid]
+	if sd.SrcInst < 0 || r.byPid[sd.Proc] || !r.executed[sd.SrcInst] {
 		return false
 	}
-	for _, f := range x.fwd {
+	for _, f := range r.m.cxfers[xid].fwd {
 		if r.byPid[f] {
 			return false
 		}
@@ -181,17 +176,17 @@ func (r *run) propagate(pids []int32, fromP []int32, lids []int32, fromL []int32
 		if r.byPid[pid] {
 			continue
 		}
-		seq := m.seq[pid]
+		lo := m.c.SeqStart[pid]
 		for i := fromP[pid]; i < r.cursor[pid]; i++ {
-			r.end[seq[i]] = math.Inf(1)
+			r.end[lo+i] = math.Inf(1)
 			n++
 		}
 	}
 	nq := 0
 	for _, lid := range lids {
-		q := m.cqueues[lid]
-		for _, hid := range q[fromL[lid]:] {
-			if r.delivers(m.hopXfer[hid]) {
+		lo, hi := m.queue(lid)
+		for hid := lo + fromL[lid]; hid < hi; hid++ {
+			if r.delivers(m.c.Queue[hid].Sender) {
 				r.hopEnd[hid] = math.Inf(1)
 			}
 			nq++
@@ -223,7 +218,7 @@ func (r *run) propagate(pids []int32, fromP []int32, lids []int32, fromL []int32
 			if from > 0 {
 				// The preceding slot is clean and, since the cursor got past
 				// it, executed; its failure-free date is final.
-				t = r.end[m.seq[pid][from-1]]
+				t = r.end[m.c.SeqStart[pid]+from-1]
 			}
 			if r.relaxProc(pid, from, t) {
 				changed = true
@@ -244,8 +239,9 @@ func (r *run) propagate(pids []int32, fromP []int32, lids []int32, fromL []int32
 func (r *run) relaxLink(lid int32, from int32, free float64) bool {
 	m := r.m
 	changed := false
-	for _, hid := range m.cqueues[lid][from:] {
-		xid := m.hopXfer[hid]
+	lo, hi := m.queue(lid)
+	for hid := lo + from; hid < hi; hid++ {
+		xid := m.c.Queue[hid].Sender
 		if !r.delivers(xid) {
 			continue // never transmits: the queue skips it
 		}
@@ -253,7 +249,7 @@ func (r *run) relaxLink(lid int32, from int32, free float64) bool {
 		switch prev := m.hopPrev[hid]; prev {
 		case -1:
 			ready = 0
-			if sid := m.cxfers[xid].prodSid; r.executed[sid] {
+			if sid := m.c.Senders[xid].SrcInst; r.executed[sid] {
 				ready = r.end[sid]
 			}
 		case -2:
@@ -279,16 +275,16 @@ func (r *run) relaxLink(lid int32, from int32, free float64) bool {
 func (r *run) relaxProc(pid int32, from int32, t float64) bool {
 	m := r.m
 	changed := false
-	seq := m.seq[pid]
-	for i := from; i < r.cursor[pid]; i++ {
-		sid := seq[i]
+	lo := m.c.SeqStart[pid]
+	for sid := lo + from; sid < lo+r.cursor[pid]; sid++ {
 		start := t
-		for j := range m.slotIn[sid] {
-			if at := r.availDate(&m.slotIn[sid][j]); at > start {
+		for k := m.c.PredStart[sid]; k < m.c.PredStart[sid+1]; k++ {
+			if at := r.availDate(&m.slotIn[k]); at > start {
 				start = at
 			}
 		}
-		end := start + m.slotDur[sid]
+		in := &m.c.Insts[sid]
+		end := start + (in.End - in.Start)
 		if !dateEq(end, r.end[sid]) {
 			r.end[sid] = end
 			changed = true
@@ -320,37 +316,37 @@ func (r *run) availDate(in *cinput) float64 {
 // in the other modes the earliest surviving sender wins.
 func (r *run) deliveryDate(did int32) float64 {
 	m := r.m
-	d := &m.cdelivs[did]
-	if d.chain {
+	d := &m.c.Deliveries[did]
+	if d.Chain {
 		eff := 0.0
-		for _, xid := range d.senders {
-			x := &m.cxfers[xid]
+		for xid := d.SendLo; xid < d.SendHi; xid++ {
+			x := &m.c.Senders[xid]
 			if !r.delivers(xid) {
 				if !r.detect {
-					eff = math.Max(eff, x.deadline)
+					eff = math.Max(eff, x.Deadline)
 				}
 				continue
 			}
-			if x.passive {
+			if x.Passive {
 				// Failover activation at the statically computed deadline
 				// (or once the backup has the value, whichever is later),
 				// then the hops run back to back.
 				prod := 0.0
-				if r.executed[x.prodSid] {
-					prod = r.end[x.prodSid]
+				if r.executed[x.SrcInst] {
+					prod = r.end[x.SrcInst]
 				}
-				return math.Max(eff, prod) + x.dur
+				return math.Max(eff, prod) + m.cxfers[xid].dur
 			}
-			return r.arrival(x)
+			return r.arrival(xid)
 		}
 		return math.Inf(1)
 	}
 	best := math.Inf(1)
-	for _, xid := range d.senders {
+	for xid := d.SendLo; xid < d.SendHi; xid++ {
 		if !r.delivers(xid) {
 			continue
 		}
-		if at := r.arrival(&m.cxfers[xid]); at < best {
+		if at := r.arrival(xid); at < best {
 			best = at
 		}
 	}
@@ -359,20 +355,22 @@ func (r *run) deliveryDate(did int32) float64 {
 
 // arrival returns the worst-case final-hop arrival of a delivering active
 // sender under the link serialization (+Inf while upstream dates settle).
-func (r *run) arrival(x *cxfer) float64 {
-	if x.last < 0 {
+func (r *run) arrival(xid int32) float64 {
+	last := r.m.cxfers[xid].last
+	if last < 0 {
 		return math.Inf(1)
 	}
-	return r.hopEnd[x.last]
+	return r.hopEnd[last]
 }
 
 // computeResp derives the worst-case response-time bound: the max over
 // outputs of the best surviving replica's completion date.
 func (r *run) computeResp() {
+	c := r.m.c
 	r.resp = 0
-	for _, out := range r.m.outs {
+	for _, op := range c.Outputs {
 		best := math.Inf(1)
-		for _, sid := range out.sids {
+		for _, sid := range c.OpInsts[c.OpInstStart[op]:c.OpInstStart[op+1]] {
 			if r.executed[sid] && r.end[sid] < best {
 				best = r.end[sid]
 			}
@@ -381,39 +379,4 @@ func (r *run) computeResp() {
 			r.resp = best
 		}
 	}
-}
-
-// Name-keyed views used by the witness builder and the consistency check.
-
-// isExecutedName reports whether op's replica on proc executed.
-func (r *run) isExecutedName(op, proc string) bool {
-	if sid, ok := r.m.slotSid[opProc{op, proc}]; ok {
-		return r.executed[sid]
-	}
-	return false
-}
-
-// cursorName returns proc's executed prefix length.
-func (r *run) cursorName(proc string) int {
-	if pid, ok := r.m.pidOf[proc]; ok {
-		return int(r.cursor[pid])
-	}
-	return 0
-}
-
-// edgeAvailableName reports whether e's value reaches proc: a local replica
-// of the producer executes, or some delivery targeting proc has a surviving
-// sender whose producer executes.
-func (r *run) edgeAvailableName(e graph.EdgeKey, proc string) bool {
-	if r.isExecutedName(e.Src, proc) {
-		return true
-	}
-	for _, d := range r.m.byDst[edgeProc{edge: e, proc: proc}] {
-		for _, x := range d.senders {
-			if r.delivers(x.id) {
-				return true
-			}
-		}
-	}
-	return false
 }

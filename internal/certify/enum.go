@@ -1,21 +1,21 @@
 package certify
 
-// patternEnum streams the size-k subsets of procs in deterministic
-// lexicographic order without materializing the C(P, k) patterns up front.
-// For k == 0 it yields a single empty subset.
+// patternEnum streams the size-k subsets of the processor IDs 0..n-1 in
+// deterministic lexicographic order without materializing the C(n, k)
+// patterns up front. For k == 0 it yields a single empty subset.
 type patternEnum struct {
-	procs   []string
-	idx     []int // current combination as indices into procs
+	n       int
+	idx     []int32 // current combination
 	k       int
 	started bool
 	done    bool
 }
 
-// newPatternEnum returns an enumerator over the size-k subsets of procs.
-// k larger than len(procs) enumerates nothing.
-func newPatternEnum(procs []string, k int) *patternEnum {
-	e := &patternEnum{procs: procs, k: k}
-	if k < 0 || k > len(procs) {
+// newPatternEnum returns an enumerator over the size-k subsets of 0..n-1.
+// k larger than n enumerates nothing.
+func newPatternEnum(n, k int) *patternEnum {
+	e := &patternEnum{n: n, k: k}
+	if k < 0 || k > n {
 		e.done = true
 	}
 	return e
@@ -23,22 +23,22 @@ func newPatternEnum(procs []string, k int) *patternEnum {
 
 // next returns the next subset as a fresh slice, or nil when the enumeration
 // is exhausted.
-func (e *patternEnum) next() []string {
+func (e *patternEnum) next() []int32 {
 	if e.done {
 		return nil
 	}
 	if !e.started {
 		e.started = true
-		e.idx = make([]int, e.k)
+		e.idx = make([]int32, e.k)
 		for i := range e.idx {
-			e.idx[i] = i
+			e.idx[i] = int32(i)
 		}
 	} else {
 		// Advance the rightmost index that still has room, then reset the
 		// tail to the run immediately after it — the textbook successor in
 		// lexicographic combination order.
 		i := e.k - 1
-		for i >= 0 && e.idx[i] == len(e.procs)-(e.k-i) {
+		for i >= 0 && int(e.idx[i]) == e.n-(e.k-i) {
 			i--
 		}
 		if i < 0 {
@@ -50,10 +50,7 @@ func (e *patternEnum) next() []string {
 			e.idx[j] = e.idx[j-1] + 1
 		}
 	}
-	out := make([]string, e.k)
-	for i, ix := range e.idx {
-		out[i] = e.procs[ix]
-	}
+	out := append(make([]int32, 0, e.k), e.idx...)
 	if e.k == 0 {
 		e.done = true
 	}

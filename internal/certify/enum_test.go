@@ -41,10 +41,14 @@ func TestPatternEnumMatchesMaterialized(t *testing.T) {
 		}
 		for k := 0; k <= n+1; k++ {
 			want := materializedSubsets(procs, k)
-			enum := newPatternEnum(procs, k)
+			enum := newPatternEnum(n, k)
 			var got [][]string
 			for sub := enum.next(); sub != nil; sub = enum.next() {
-				got = append(got, sub)
+				names := make([]string, len(sub))
+				for i, p := range sub {
+					names[i] = procs[p]
+				}
+				got = append(got, names)
 			}
 			if k > n {
 				if len(got) != 0 {
@@ -70,9 +74,9 @@ func TestPatternEnumMatchesMaterialized(t *testing.T) {
 // TestPatternEnumReturnsFreshSlices pins that next() never aliases its
 // internal state: the pool hands subsets to concurrent workers.
 func TestPatternEnumReturnsFreshSlices(t *testing.T) {
-	enum := newPatternEnum([]string{"a", "b", "c"}, 2)
+	enum := newPatternEnum(3, 2)
 	first := enum.next()
-	snapshot := append([]string(nil), first...)
+	snapshot := append([]int32(nil), first...)
 	enum.next()
 	enum.next()
 	if !reflect.DeepEqual(first, snapshot) {

@@ -2,14 +2,10 @@ package certify
 
 import (
 	"math"
-	"sort"
 	"sync"
 
-	"ftsched/internal/arch"
-	"ftsched/internal/graph"
 	"ftsched/internal/obs"
 	"ftsched/internal/sched"
-	"ftsched/internal/spec"
 )
 
 // instruments holds the certifier's pre-resolved counters; the zero value is
@@ -46,47 +42,12 @@ func (in *instruments) resolve(s *obs.Sink) {
 	in.workers = s.Counter("certify.pool.workers")
 }
 
-type opProc struct{ op, proc string }
-
-type edgeProc struct {
-	edge graph.EdgeKey
-	proc string
-}
-
-// xfer is one sender of a delivery, keeping the descriptive (name-level)
-// facts the witness and cone builders need and the compiled id the
-// evaluator runs on.
-type xfer struct {
-	sd         *sched.Sender
-	d          *delivery // owning delivery
-	forwarders []string
-	id         int32 // index into model.cxfers
-}
-
-// delivery wraps a sched.Delivery for the analysis.
-type delivery struct {
-	edge    graph.EdgeKey
-	chain   bool
-	senders []*xfer  // rank order
-	rcvs    []string // receiving processors, deterministic order
-	id      int32    // index into model.cdelivs
-}
-
-// qent is one active hop in a link's static communication order, the order
-// the communication units execute their transfers in.
-type qent struct {
-	x   *xfer
-	hop int // original hop index on the sender's route
-	dur float64
-}
-
-// The c* tables below are the compiled form of the schedule the evaluator
-// runs on: every operation instance, transfer, and queue entry is a dense
-// integer, so a failure-set evaluation is pure array arithmetic (the
-// map-keyed predecessor spent ~85% of its time hashing composite keys).
-// Identifiers: pid = processor, sid = slot (operation instance),
-// xid = transfer sender, did = delivery, hid = active hop (queue entry),
-// lid = link.
+// The evaluator runs on the schedule's compiled form (sched.Compiled) plus
+// the engine tables below, so a failure-set evaluation is pure array
+// arithmetic. Identifiers are the compiled ones: pid = processor, sid =
+// instance (operation replica), xid = sender, did = delivery, lid = link,
+// hid = queue entry (an active hop; the queue of link lid is
+// Queue[QueueStart[lid]:QueueStart[lid+1]]).
 
 // cinput is one strict input of a slot: the producer's local replica (if
 // co-located) and the deliveries that can provide the value remotely.
@@ -95,75 +56,30 @@ type cinput struct {
 	delivs   []int32
 }
 
-// cxfer is a compiled sender.
+// cxfer is a sender's evaluation view.
 type cxfer struct {
-	srcPid   int32
-	prodSid  int32   // producing replica on the source processor, -1 if unscheduled
-	fwd      []int32 // store-and-forward pids that must survive
-	passive  bool
-	deadline float64
-	dur      float64 // end-to-end route duration (failover activation)
-	hops     []int32 // active hop ids, route order
-	last     int32   // final active hop, -1 if none
-	did      int32   // owning delivery
-}
-
-// cdeliv is a compiled delivery.
-type cdeliv struct {
-	chain   bool
-	senders []int32 // xids, rank order
-}
-
-// coutput is one external output with its replica slots.
-type coutput struct {
-	op   string
-	sids []int32 // in s.Replicas order
+	fwd  []int32 // store-and-forward pids that must survive
+	dur  float64 // end-to-end route duration (failover activation)
+	hops []int32 // active hop ids, route order
+	last int32   // final active hop, -1 if none
 }
 
 // model caches the schedule structure shared by every failure-set
-// evaluation: the descriptive (name-keyed) indexes used for cone
-// construction, witnesses, and reports, plus the compiled dense tables the
-// evaluator runs on. After prepareIncremental it also carries the
-// failure-free fixpoint, the per-processor impact cones, and the
-// failure-free link-drain dates the incremental engine seeds from; all of
-// that is read-only during the frontier, so pool workers share it without
-// locks (the eval cache has its own mutex).
+// evaluation. After prepareIncremental it also carries the failure-free
+// fixpoint, the per-processor impact cones, and the failure-free link-drain
+// dates the incremental engine seeds from; all of that is read-only during
+// the frontier, so pool workers share it without locks (the eval cache has
+// its own mutex).
 type model struct {
-	s  *sched.Schedule
-	g  *graph.Graph
-	a  *arch.Architecture
-	sp *spec.Spec
+	c *sched.Compiled
 
-	procs   []string // all architecture processors (failure domain)
-	slots   map[string][]*sched.OpSlot
-	slotIdx map[opProc]int // position of a replica in its processor sequence
-	preds   map[string][]graph.EdgeKey
-	outputs []string
-	byDst   map[edgeProc][]*delivery // deliveries observed by (edge, receiver)
-	links   []string                 // links with active hops, sorted
-	queues  map[string][]*qent       // per link, active hops in static order
-
-	// Compiled tables (see the c* types above).
-	pidOf     map[string]int
-	seq       [][]int32 // pid -> sids in static-sequence order
-	slotName  []opProc  // sid -> (op, proc)
-	slotSid   map[opProc]int32
-	slotDur   []float64
-	slotSEnd  []float64  // sid -> static completion date (consistency check)
-	slotPos   []int32    // sid -> index in its processor's sequence
-	slotProc  []int32    // sid -> pid
-	slotIn    [][]cinput // sid -> strict inputs
-	slotXfers [][]int32  // sid -> xids the slot's value feeds
-	consSids  [][]int32  // did -> consuming slots on the receiving processors
-	outs      []coutput
+	slotIn    []cinput  // Preds index -> strict input
+	slotXfers [][]int32 // sid -> xids the slot's value feeds
+	consSids  [][]int32 // did -> consuming slots on the receiving processors
 	cxfers    []cxfer
-	cdelivs   []cdeliv
-	hopXfer   []int32 // hid -> xid
-	hopDur    []float64
 	hopPrev   []int32   // hid -> data source: prev active hid, -1 producer, -2 never queue-fed
 	hopLid    []int32   // hid -> lid
-	hopQPos   []int32   // hid -> position in its link's queue
-	cqueues   [][]int32 // lid -> hids in static communication order
+	hopDur    []float64 // hid -> hop duration
 	viaXfers  [][]int32 // pid -> xids that die with the processor (src or forwarder)
 	zerosP    []int32   // all-zero per-pid boundaries (full-scope propagation)
 	zerosL    []int32
@@ -181,238 +97,113 @@ type model struct {
 	ins instruments
 }
 
-func newModel(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) *model {
-	m := &model{
-		s: s, g: g, a: a, sp: sp,
-		procs:   a.ProcessorNames(),
-		slots:   make(map[string][]*sched.OpSlot),
-		slotIdx: make(map[opProc]int),
-		preds:   make(map[string][]graph.EdgeKey),
-		byDst:   make(map[edgeProc][]*delivery),
-		cache:   make(map[evalKey]outcome),
-	}
-	for _, p := range s.Procs() {
-		m.slots[p] = s.ProcSlots(p)
-		for i, sl := range m.slots[p] {
-			m.slotIdx[opProc{sl.Op, p}] = i
-		}
-	}
-	for _, op := range g.OpNames() {
-		for _, pred := range g.StrictPreds(op) {
-			m.preds[op] = append(m.preds[op], graph.EdgeKey{Src: pred, Dst: op})
-		}
-	}
-	// Outputs follow the simulator's delivery criterion: the output extios,
-	// or the graph's sinks for headless workloads.
-	m.outputs = g.Outputs()
-	if len(m.outputs) == 0 {
-		m.outputs = g.Sinks()
-	}
-	type staticHop struct {
-		ent   *qent
-		start float64
-		id    int
-		hop   int
-	}
-	perLink := map[string][]staticHop{}
-	var deliveries []*delivery
-	for _, d := range s.Deliveries() {
-		cd := &delivery{edge: d.Edge, chain: d.Chain, rcvs: d.Receivers(a), id: int32(len(deliveries))}
-		deliveries = append(deliveries, cd)
-		for _, sd := range d.Senders {
-			x := &xfer{sd: sd, d: cd, forwarders: sd.ForwardProcs()}
-			cd.senders = append(cd.senders, x)
-			for i, h := range sd.Hops {
-				if h.Passive {
-					continue
-				}
-				perLink[h.Link] = append(perLink[h.Link], staticHop{
-					ent:   &qent{x: x, hop: i, dur: h.Duration()},
-					start: h.Start,
-					id:    h.TransferID,
-					hop:   i,
-				})
-			}
-		}
-		for _, rcv := range cd.rcvs {
-			key := edgeProc{edge: d.Edge, proc: rcv}
-			m.byDst[key] = append(m.byDst[key], cd)
-		}
-	}
-	// Per-link static communication order, the simulator's queue discipline.
-	m.queues = make(map[string][]*qent, len(perLink))
-	for link, hops := range perLink { //ftlint:order-insensitive each iteration writes only m.queues[link] for its own ranged key
-		sort.SliceStable(hops, func(i, j int) bool {
-			if math.Abs(hops[i].start-hops[j].start) > 1e-9 {
-				return hops[i].start < hops[j].start
-			}
-			if hops[i].id != hops[j].id {
-				return hops[i].id < hops[j].id
-			}
-			return hops[i].hop < hops[j].hop
-		})
-		q := make([]*qent, len(hops))
-		for i, h := range hops {
-			q[i] = h.ent
-		}
-		m.queues[link] = q
-		m.links = append(m.links, link)
-	}
-	sort.Strings(m.links)
-	m.compile(deliveries)
-	return m
-}
+// newModel builds the engine tables over the compiled schedule. All
+// identifier orders are the compiled ones, so the tables — and every
+// evaluation over them — are reproducible.
+func newModel(c *sched.Compiled) *model {
+	P, L := len(c.ProcNames), len(c.LinkNames)
+	m := &model{c: c, cache: make(map[evalKey]outcome)}
 
-// compile lowers the name-keyed indexes into the dense tables the evaluator
-// runs on. All identifier assignment follows deterministic orders (processor
-// list, sequence order, sorted links, delivery order), so the tables — and
-// every evaluation over them — are reproducible.
-func (m *model) compile(deliveries []*delivery) {
-	P := len(m.procs)
-	m.pidOf = make(map[string]int, P)
-	for i, p := range m.procs {
-		m.pidOf[p] = i
-	}
-	// Slots.
-	m.seq = make([][]int32, P)
-	m.slotSid = make(map[opProc]int32)
-	for pid, p := range m.procs {
-		for i, sl := range m.slots[p] {
-			sid := int32(len(m.slotName))
-			m.seq[pid] = append(m.seq[pid], sid)
-			m.slotName = append(m.slotName, opProc{sl.Op, p})
-			m.slotSid[opProc{sl.Op, p}] = sid
-			m.slotDur = append(m.slotDur, sl.Duration())
-			m.slotSEnd = append(m.slotSEnd, sl.End)
-			m.slotPos = append(m.slotPos, int32(i))
-			m.slotProc = append(m.slotProc, int32(pid))
+	// Deliveries observed by each (edge, receiver), in delivery order.
+	byDst := make([][]int32, len(c.Edges)*P)
+	m.consSids = make([][]int32, len(c.Deliveries))
+	for did, d := range c.Deliveries {
+		for _, rcv := range c.Receivers[d.RcvLo:d.RcvHi] {
+			k := int(d.Edge)*P + int(rcv)
+			byDst[k] = append(byDst[k], int32(did))
+			if sid := c.InstAt[int(d.DstOp)*P+int(rcv)]; sid >= 0 {
+				m.consSids[did] = append(m.consSids[did], sid)
+			}
 		}
 	}
-	// Transfers and deliveries.
+	m.slotIn = make([]cinput, len(c.Preds))
+	for sid, in := range c.Insts {
+		for k := c.PredStart[sid]; k < c.PredStart[sid+1]; k++ {
+			pr := c.Preds[k]
+			m.slotIn[k] = cinput{
+				localSid: c.InstAt[int(pr.Op)*P+int(in.Proc)],
+				delivs:   byDst[int(pr.Edge)*P+int(in.Proc)],
+			}
+		}
+	}
+
+	// Senders. A route's hop identity preserves the original (possibly
+	// passive-interleaved) indexing through hopPrev: the previous active
+	// hop feeds the next, the producing replica feeds an initial hop, and
+	// a hop behind a passive one is never queue-fed (matching the reference
+	// date equations).
+	hopQ := make([]int32, len(c.Hops)) // hop -> hid, -1 if passive
+	for i := range hopQ {
+		hopQ[i] = -1
+	}
+	m.hopLid = make([]int32, len(c.Queue))
+	m.hopDur = make([]float64, len(c.Queue))
+	for lid := 0; lid < L; lid++ {
+		for hid := c.QueueStart[lid]; hid < c.QueueStart[lid+1]; hid++ {
+			en := c.Queue[hid]
+			h := c.Senders[en.Sender].HopLo + en.Hop
+			hopQ[h] = hid
+			m.hopLid[hid] = int32(lid)
+			m.hopDur[hid] = c.Hops[h].Dur
+		}
+	}
+	m.hopPrev = make([]int32, len(c.Queue))
+	m.cxfers = make([]cxfer, len(c.Senders))
+	m.slotXfers = make([][]int32, len(c.Insts))
 	m.viaXfers = make([][]int32, P)
-	m.slotXfers = make([][]int32, len(m.slotName))
-	for _, d := range deliveries {
-		cd := cdeliv{chain: d.chain}
-		var cons []int32
-		for _, rcv := range d.rcvs {
-			if sid, ok := m.slotSid[opProc{d.edge.Dst, rcv}]; ok {
-				cons = append(cons, sid)
+	for xid, sd := range c.Senders {
+		x := &m.cxfers[xid]
+		x.last = -1
+		m.viaXfers[sd.Proc] = append(m.viaXfers[sd.Proc], int32(xid))
+		for h := sd.HopLo; h < sd.HopHi; h++ {
+			x.dur += c.Hops[h].Dur
+			if h > sd.HopLo {
+				f := c.Hops[h].From
+				x.fwd = append(x.fwd, f)
+				m.viaXfers[f] = append(m.viaXfers[f], int32(xid))
 			}
-		}
-		m.consSids = append(m.consSids, cons)
-		for _, x := range d.senders {
-			xid := int32(len(m.cxfers))
-			x.id = xid
-			cd.senders = append(cd.senders, xid)
-			srcPid := int32(m.pidOf[x.sd.Proc])
-			cx := cxfer{
-				srcPid:   srcPid,
-				prodSid:  -1,
-				passive:  x.sd.Passive,
-				deadline: x.sd.Deadline,
-				dur:      x.sd.Duration(),
-				last:     -1,
-				did:      d.id,
+			hid := hopQ[h]
+			if hid < 0 {
+				continue
 			}
-			if sid, ok := m.slotSid[opProc{x.sd.Hops[0].Edge.Src, x.sd.Proc}]; ok {
-				cx.prodSid = sid
-			}
-			for _, f := range x.forwarders {
-				cx.fwd = append(cx.fwd, int32(m.pidOf[f]))
-			}
-			m.viaXfers[srcPid] = append(m.viaXfers[srcPid], xid)
-			for _, f := range cx.fwd {
-				m.viaXfers[f] = append(m.viaXfers[f], xid)
-			}
-			if cx.prodSid >= 0 {
-				m.slotXfers[cx.prodSid] = append(m.slotXfers[cx.prodSid], xid)
-			}
-			m.cxfers = append(m.cxfers, cx)
-		}
-		m.cdelivs = append(m.cdelivs, cd)
-	}
-	// Hops, in the sorted-link queue orders. Hop identity within a route
-	// preserves the original (possibly passive-interleaved) indexing through
-	// hopPrev: the previous active hop feeds the next, the producing replica
-	// feeds an initial hop, and a hop behind a passive one is never
-	// queue-fed (matching the reference date equations).
-	type xh struct {
-		hid int32
-		hop int
-	}
-	perXfer := make([][]xh, len(m.cxfers))
-	m.cqueues = make([][]int32, len(m.links))
-	for lid, link := range m.links {
-		for pos, ent := range m.queues[link] {
-			hid := int32(len(m.hopXfer))
-			m.hopXfer = append(m.hopXfer, ent.x.id)
-			m.hopDur = append(m.hopDur, ent.dur)
-			m.hopLid = append(m.hopLid, int32(lid))
-			m.hopQPos = append(m.hopQPos, int32(pos))
-			m.cqueues[lid] = append(m.cqueues[lid], hid)
-			perXfer[ent.x.id] = append(perXfer[ent.x.id], xh{hid: hid, hop: ent.hop})
-		}
-	}
-	m.hopPrev = make([]int32, len(m.hopXfer))
-	for xid := range m.cxfers {
-		hs := perXfer[xid]
-		sort.Slice(hs, func(i, j int) bool { return hs[i].hop < hs[j].hop })
-		for i, h := range hs {
-			m.cxfers[xid].hops = append(m.cxfers[xid].hops, h.hid)
+			x.hops = append(x.hops, hid)
+			x.last = hid
 			switch {
-			case h.hop == 0:
-				m.hopPrev[h.hid] = -1 // fed by the producing replica
-			case i > 0 && hs[i-1].hop == h.hop-1:
-				m.hopPrev[h.hid] = hs[i-1].hid
+			case h == sd.HopLo:
+				m.hopPrev[hid] = -1 // fed by the producing replica
+			case hopQ[h-1] >= 0:
+				m.hopPrev[hid] = hopQ[h-1]
 			default:
-				m.hopPrev[h.hid] = -2 // behind a passive hop: never queue-fed
+				m.hopPrev[hid] = -2 // behind a passive hop: never queue-fed
 			}
 		}
-		if n := len(hs); n > 0 {
-			m.cxfers[xid].last = hs[n-1].hid
+		if sd.SrcInst >= 0 {
+			m.slotXfers[sd.SrcInst] = append(m.slotXfers[sd.SrcInst], int32(xid))
 		}
 	}
-	// Outputs.
-	for _, out := range m.outputs {
-		co := coutput{op: out}
-		for _, sl := range m.s.Replicas(out) {
-			co.sids = append(co.sids, m.slotSid[opProc{out, sl.Proc}])
-		}
-		m.outs = append(m.outs, co)
-	}
-	// Per-slot strict inputs.
-	m.slotIn = make([][]cinput, len(m.slotName))
-	for sid, name := range m.slotName {
-		for _, e := range m.preds[name.op] {
-			in := cinput{localSid: -1}
-			if lsid, ok := m.slotSid[opProc{e.Src, name.proc}]; ok {
-				in.localSid = lsid
-			}
-			for _, d := range m.byDst[edgeProc{edge: e, proc: name.proc}] {
-				in.delivs = append(in.delivs, d.id)
-			}
-			m.slotIn[sid] = append(m.slotIn[sid], in)
-		}
-	}
+
 	// Full-scope iteration lists and zero boundaries.
 	m.allPids = make([]int32, P)
 	m.zerosP = make([]int32, P)
 	for i := range m.allPids {
 		m.allPids[i] = int32(i)
 	}
-	m.allLids = make([]int32, len(m.links))
-	m.zerosL = make([]int32, len(m.links))
+	m.allLids = make([]int32, L)
+	m.zerosL = make([]int32, L)
 	for i := range m.allLids {
 		m.allLids[i] = int32(i)
 	}
+	return m
 }
 
-// slotOn returns op's replica slot on proc, or nil.
-func (m *model) slotOn(op, proc string) *sched.OpSlot {
-	if i, ok := m.slotIdx[opProc{op, proc}]; ok {
-		return m.slots[proc][i]
-	}
-	return nil
+// seqLen returns the length of processor pid's static sequence.
+func (m *model) seqLen(pid int32) int32 {
+	return m.c.SeqStart[pid+1] - m.c.SeqStart[pid]
+}
+
+// queue returns the hids of link lid in static communication order.
+func (m *model) queue(lid int32) (lo, hi int32) {
+	return m.c.QueueStart[lid], m.c.QueueStart[lid+1]
 }
 
 // prepareIncremental arms the incremental engine: it caches the failure-free
@@ -421,21 +212,22 @@ func (m *model) slotOn(op, proc string) *sched.OpSlot {
 // and builds the per-processor impact cones.
 func (m *model) prepareIncremental(ff *run) {
 	m.ff = ff
-	m.freeAfter = make([][]float64, len(m.cqueues))
-	for lid, q := range m.cqueues {
-		fa := make([]float64, len(q)+1)
+	m.freeAfter = make([][]float64, len(m.allLids))
+	for _, lid := range m.allLids {
+		lo, hi := m.queue(lid)
+		fa := make([]float64, hi-lo+1)
 		free := 0.0
-		for j, hid := range q {
-			fa[j] = free
-			if ff.delivers(m.hopXfer[hid]) {
+		for hid := lo; hid < hi; hid++ {
+			fa[hid-lo] = free
+			if ff.delivers(m.c.Queue[hid].Sender) {
 				free = ff.hopEnd[hid]
 			}
 		}
-		fa[len(q)] = free
+		fa[hi-lo] = free
 		m.freeAfter[lid] = fa
 	}
-	m.cones = make([]*cone, len(m.procs))
-	for pid := range m.procs {
+	m.cones = make([]*cone, len(m.allPids))
+	for pid := range m.cones {
 		m.cones[pid] = m.buildCone(pid)
 	}
 	// The empty failure set is the baseline itself; seed the cache so the

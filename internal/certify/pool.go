@@ -28,7 +28,7 @@ import (
 func (m *model) frontierParallel(v *Verdict, size, workers int, cancel *atomic.Bool) (*patternResult, error) {
 	type job struct {
 		idx int
-		sub []string
+		sub []int32
 	}
 	var stop, interrupted atomic.Bool
 	jobs := make(chan job, workers)
@@ -56,7 +56,7 @@ func (m *model) frontierParallel(v *Verdict, size, workers int, cancel *atomic.B
 		}(w)
 	}
 	go func() {
-		enum := newPatternEnum(m.procs, size)
+		enum := newPatternEnum(len(m.allPids), size)
 		for idx := 0; ; idx++ {
 			if cancel != nil && cancel.Load() {
 				interrupted.Store(true)

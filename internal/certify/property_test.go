@@ -2,6 +2,7 @@ package certify_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -86,6 +87,51 @@ func TestCertifyAgreesWithSimulator(t *testing.T) {
 	}
 	if certified == 0 || rejected == 0 {
 		t.Errorf("property test exercised only one side: %d certified, %d rejected", certified, rejected)
+	}
+}
+
+// TestFailureFreeBoundMatchesSimulator is a cross-engine oracle: without
+// failures nothing waits on a timeout or a reroute, so the certifier's
+// failure-free bound must equal the simulator's failure-free response time.
+// Both engines read the same compiled schedule but evaluate it
+// independently (a static fixpoint against a discrete-event run).
+func TestFailureFreeBoundMatchesSimulator(t *testing.T) {
+	checked := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		for k := 1; k <= 2; k++ {
+			for _, bus := range []bool{true, false} {
+				h := core.FT2
+				if bus {
+					h = core.FT1
+				}
+				r := rand.New(rand.NewSource(seed*10 + int64(k)))
+				in, err := workload.RandomInstance(r, 20+r.Intn(21), 4+r.Intn(3), bus, 0.8)
+				if err != nil {
+					t.Fatalf("seed %d: RandomInstance: %v", seed, err)
+				}
+				res, err := core.Schedule(h, in.Graph, in.Arch, in.Spec, k, core.Options{})
+				if err != nil {
+					continue // infeasible draw
+				}
+				v, err := certify.Certify(res.Schedule, in.Graph, in.Arch, in.Spec, k)
+				if err != nil {
+					t.Fatalf("seed %d %v K=%d: Certify: %v", seed, h, k, err)
+				}
+				sr, err := sim.Simulate(res.Schedule, in.Graph, in.Arch, in.Spec, sim.Scenario{}, sim.Config{})
+				if err != nil {
+					t.Fatalf("seed %d %v K=%d: Simulate: %v", seed, h, k, err)
+				}
+				ir := sr.Iterations[0]
+				if !ir.Completed || math.Abs(v.FailureFreeBound-ir.ResponseTime) > 1e-6 {
+					t.Errorf("seed %d %v K=%d bus=%v: certify failure-free bound %g, simulator response %g (completed %v)",
+						seed, h, k, bus, v.FailureFreeBound, ir.ResponseTime, ir.Completed)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 12 {
+		t.Errorf("only %d instances were schedulable; the oracle needs a wider draw", checked)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -562,8 +563,56 @@ func (s *Server) scheduleFor(ctx context.Context, req *ScheduleRequest, p *probl
 
 // certifyResponse is the /v1/certify envelope.
 type certifyResponse struct {
-	Hash    string           `json:"hash"`
-	Verdict *certify.Verdict `json:"verdict"`
+	Hash    string       `json:"hash"`
+	Verdict *wireVerdict `json:"verdict"`
+}
+
+// wireVerdict is certify.Verdict as /v1/certify encodes it: the same fields
+// in the same order, except that the response-time bounds spell +Inf as
+// "inf" (the convention of the spec format), since JSON has no infinity. A
+// certified verdict can carry an infinite bound; finite verdicts encode
+// exactly as a plain certify.Verdict does.
+type wireVerdict struct {
+	Certified        bool
+	Mode             sched.Mode
+	ScheduleK        int
+	K                int
+	Procs            int
+	PatternsChecked  int
+	PatternsImplied  int
+	FailureFreeBound wireBound
+	WorstBound       wireBound
+	WorstPattern     []string
+	WorstSteadyBound wireBound
+	Counterexample   *certify.Counterexample
+}
+
+func newWireVerdict(v *certify.Verdict) *wireVerdict {
+	return &wireVerdict{
+		Certified:        v.Certified,
+		Mode:             v.Mode,
+		ScheduleK:        v.ScheduleK,
+		K:                v.K,
+		Procs:            v.Procs,
+		PatternsChecked:  v.PatternsChecked,
+		PatternsImplied:  v.PatternsImplied,
+		FailureFreeBound: wireBound(v.FailureFreeBound),
+		WorstBound:       wireBound(v.WorstBound),
+		WorstPattern:     v.WorstPattern,
+		WorstSteadyBound: wireBound(v.WorstSteadyBound),
+		Counterexample:   v.Counterexample,
+	}
+}
+
+// wireBound is a response-time bound encoding +Inf as "inf".
+type wireBound float64
+
+// MarshalJSON implements json.Marshaler.
+func (b wireBound) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(b), 1) {
+		return []byte(`"inf"`), nil
+	}
+	return json.Marshal(float64(b))
 }
 
 // handleCertify computes /v1/certify: schedule (through the schedule
@@ -617,7 +666,7 @@ func (s *Server) handleCertify(ctx context.Context, body []byte, _ string) (*out
 		if err != nil {
 			return nil, err
 		}
-		env, err := json.MarshalIndent(certifyResponse{Hash: key, Verdict: v}, "", "  ")
+		env, err := json.MarshalIndent(certifyResponse{Hash: key, Verdict: newWireVerdict(v)}, "", "  ")
 		if err != nil {
 			return nil, err
 		}

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"ftsched/internal/certify"
 	"ftsched/internal/core"
 	"ftsched/internal/paperex"
+	"ftsched/internal/sched"
+	"ftsched/internal/workload"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -388,5 +392,82 @@ func TestBodyTooLarge(t *testing.T) {
 	resp, _ := post(t, ts.URL+"/v1/schedule", bytes.Repeat([]byte("x"), 4096))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+}
+
+// infBoundRequest is a certify request whose FT2 schedule certifies with an
+// infinite worst-case bound: under one failure the certifier's date
+// propagation never settles, although every output survives.
+func infBoundRequest(t *testing.T) []byte {
+	t.Helper()
+	r := rand.New(rand.NewSource(15486194))
+	inst, err := workload.RandomInstance(r, 20+r.Intn(41), 4, false, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := inst.Graph.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := inst.Arch.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := inst.Spec.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(CertifyRequest{ScheduleRequest: ScheduleRequest{Graph: g, Arch: a, Spec: sp, Heuristic: "ft2", K: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestCertifyInfiniteBound is the regression test for a certified verdict
+// with a +Inf bound, which JSON cannot represent: /v1/certify answered 500
+// "json: unsupported value: +Inf". The bound must come back as "inf".
+func TestCertifyInfiniteBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, out := post(t, ts.URL+"/v1/certify", infBoundRequest(t))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("certify: %d %s", resp.StatusCode, out)
+	}
+	var env struct {
+		Verdict struct {
+			Certified        bool
+			FailureFreeBound float64
+			WorstBound       string
+			WorstSteadyBound string
+		} `json:"verdict"`
+	}
+	if err := json.Unmarshal(out, &env); err != nil {
+		t.Fatalf("certify envelope does not parse: %v\n%s", err, out)
+	}
+	v := env.Verdict
+	if !v.Certified || v.WorstBound != "inf" || v.WorstSteadyBound != "inf" {
+		t.Errorf("verdict = %+v, want certified with worst bounds \"inf\"", v)
+	}
+}
+
+// TestWireVerdictMatchesVerdict pins that a finite verdict encodes exactly
+// like a plain certify.Verdict, so wireVerdict cannot drift from it.
+func TestWireVerdictMatchesVerdict(t *testing.T) {
+	v := &certify.Verdict{
+		Certified: true, Mode: sched.ModeFT1, ScheduleK: 1, K: 1, Procs: 3,
+		PatternsChecked: 3, PatternsImplied: 1,
+		FailureFreeBound: 8, WorstBound: 10.5, WorstPattern: []string{"P2"}, WorstSteadyBound: 9.25,
+		Counterexample: &certify.Counterexample{FailureSet: []string{"P1"}, Output: "O", Path: []string{"x"}},
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(newWireVerdict(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("wire verdict encoding drifted:\n got %s\nwant %s", got, want)
 	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
 	"ftsched/internal/arch"
@@ -11,314 +9,86 @@ import (
 	"ftsched/internal/spec"
 )
 
-// Model is the dense-compiled form of one (schedule, graph, architecture,
-// spec) quadruple: every name is interned to an int32 index and every
-// structure the legacy engine re-derived per Simulate call — per-processor
-// sequences, delivery groups with their failover chains, route hops, and
-// per-link static communication orders — is flattened into immutable
-// prefix-indexed arrays. A Model is read-only after Compile and safe to
-// share across any number of concurrent Runners; one compiled model plus a
-// per-worker Runner is the intended shape for Monte-Carlo fault campaigns
-// (internal/campaign).
+// Model is the compiled form of one (schedule, graph, architecture, spec)
+// quadruple: the schedule's sched.Compiled tables plus the two things only
+// the simulator needs — each instance's execution time from the spec, and
+// the processors and links in sorted-name order. A Model is read-only after
+// Compile and safe to share across any number of concurrent Runners; one
+// compiled model plus a per-worker Runner is the intended shape for
+// Monte-Carlo fault campaigns (internal/campaign).
 //
-// Interning orders (all deterministic):
-//
-//   - processors: architecture processor names, sorted;
-//   - links: architecture link names, sorted;
-//   - operations: graph declaration order (OpNames);
-//   - edges: graph edge order (Edges);
-//   - instances: schedule processors in sorted-name order, each processor's
-//     slots in start order (ProcSlots);
-//   - groups/senders/hops: sched.Deliveries order;
-//   - queue entries: per link, by (start, transfer ID, hop) — the same
-//     static order the legacy engine rebuilds each iteration.
+// IDs are the sched.Compiled ones (declaration order). The engine's scans
+// whose order breaks ties — processors, links — and the sorted name lists
+// the Result reports run through procByName and linkByName, so they visit
+// names in sorted order like the legacy engine.
 type Model struct {
-	s  *sched.Schedule
-	g  *graph.Graph
+	c  sched.Compiled
 	a  *arch.Architecture
-	sp *spec.Spec
+	nP int32
 
-	procs   []string
-	procIdx map[string]int32
-	links   []string
-	linkIdx map[string]int32
-	ops     []string
-	opIdx   map[string]int32
-	edges   []graph.EdgeKey
-	edgeStr []string
-
-	// schedProcs are the processor IDs carrying op slots, ascending; the
+	instExec   []float64 // instance -> spec execution time
+	procByName []int32   // all processor IDs, sorted by name
+	linkByName []int32   // all link IDs, sorted by name
+	// schedProcs are the processor IDs carrying op slots, by name; the
 	// engine's processor scans range over exactly this set, mirroring the
 	// legacy scan of sched.Procs().
 	schedProcs []int32
 
-	// Per-processor operation sequences: instances of processor p are
-	// insts[seqStart[p]:seqStart[p+1]], in static start order.
-	seqStart []int32
-	instOp   []int32
-	instExec []float64
-	// Strict-predecessor inputs of instance i: predOp/predEdge pairs in
-	// preds[predStart[i]:predStart[i+1]] (predOp is the producing op, the
-	// local-result lookup; predEdge the dependency, the transfer lookup).
-	predStart []int32
-	predOp    []int32
-	predEdge  []int32
-	// instAt[op*numProcs+proc] is the instance index of op on proc, or -1.
-	instAt []int32
-
-	// Delivery groups, their senders, and the senders' route hops, all in
-	// prefix-array form.
-	groups    []mGroup
-	senders   []mSender
-	hops      []mHop
-	receivers []int32
-
-	// Per-link static communication orders: link l executes
-	// queueEntries[queueStart[l]:queueStart[l+1]].
-	queueStart   []int32
-	queueEntries []mQueueEntry
-
-	// Outputs (falling back to graph sinks, like the legacy report).
-	outOps   []int32
-	outNames []string
-
 	makespan float64
 }
 
-// mGroup is one delivery: the senders able to provide one edge's value to
-// its receivers.
-type mGroup struct {
-	edge           int32
-	chain          bool // FT1 failover semantics
-	sendLo, sendHi int32
-	rcvLo, rcvHi   int32
-}
-
-// mSender is one replica's transfer within a delivery group.
-type mSender struct {
-	proc     int32
-	srcOp    int32
-	srcInst  int32 // instance of srcOp on proc, or -1
-	deadline float64
-	passive  bool
-	hopLo    int32
-	hopHi    int32
-}
-
-// mHop is one link traversal of a transfer.
-type mHop struct {
-	link int32
-	from int32 // forwarding processor
-	dur  float64
-}
-
-// mQueueEntry is one active hop in a link's static communication order.
-type mQueueEntry struct {
-	sender int32
-	group  int32
-	hop    int32 // hop ordinal within the sender's route
-}
-
-// Compile interns and flattens the schedule into an immutable Model. The
-// graph, architecture, and constraints must be the ones the schedule was
-// produced from; inconsistencies the legacy engine would only hit mid-run
-// (unknown names, missing WCETs) are front-loaded into compile errors.
+// Compile compiles the schedule (sched.Compile) and adds the simulator's
+// tables. The graph, architecture, and constraints must be the ones the
+// schedule was produced from; inconsistencies the legacy engine would only
+// hit mid-run (unknown names, missing WCETs) are compile errors.
 func Compile(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) (*Model, error) {
-	m := &Model{s: s, g: g, a: a, sp: sp}
-
-	m.procs = append([]string(nil), a.ProcessorNames()...)
-	sort.Strings(m.procs)
-	m.procIdx = make(map[string]int32, len(m.procs))
-	for i, p := range m.procs {
-		m.procIdx[p] = int32(i)
+	c, err := sched.Compile(s, g, a, sp)
+	if err != nil {
+		return nil, err
 	}
-	m.links = append([]string(nil), a.LinkNames()...)
-	sort.Strings(m.links)
-	m.linkIdx = make(map[string]int32, len(m.links))
-	for i, l := range m.links {
-		m.linkIdx[l] = int32(i)
+	m := &Model{c: *c, a: a, nP: int32(len(c.ProcNames)), makespan: s.Makespan()}
+	// Finite: sched.Compile rejects placements without a WCET.
+	m.instExec = make([]float64, len(c.Insts))
+	for i, in := range c.Insts {
+		m.instExec[i] = sp.Exec(c.OpNames[in.Op], c.ProcNames[in.Proc])
 	}
-	m.ops = g.OpNames()
-	m.opIdx = make(map[string]int32, len(m.ops))
-	for i, op := range m.ops {
-		m.opIdx[op] = int32(i)
-	}
-	edgeIdx := make(map[graph.EdgeKey]int32, g.NumEdges())
-	for _, e := range g.Edges() {
-		edgeIdx[e.Key()] = int32(len(m.edges))
-		m.edges = append(m.edges, e.Key())
-		m.edgeStr = append(m.edgeStr, e.Key().String())
-	}
-
-	nP := int32(len(m.procs))
-	m.instAt = make([]int32, len(m.ops)*len(m.procs))
-	for i := range m.instAt {
-		m.instAt[i] = -1
-	}
-	m.seqStart = make([]int32, len(m.procs)+1)
-	inSched := make([]bool, len(m.procs))
-	for _, p := range s.Procs() {
-		pid, ok := m.procIdx[p]
-		if !ok {
-			return nil, fmt.Errorf("sim: schedule uses unknown processor %q", p)
-		}
-		inSched[pid] = true
-	}
-	for pid, p := range m.procs {
-		m.seqStart[pid] = int32(len(m.instOp))
-		if !inSched[pid] {
-			continue
-		}
-		m.schedProcs = append(m.schedProcs, int32(pid))
-		for _, sl := range s.ProcSlots(p) {
-			oid, ok := m.opIdx[sl.Op]
-			if !ok {
-				return nil, fmt.Errorf("sim: schedule places unknown operation %q", sl.Op)
-			}
-			exec := sp.Exec(sl.Op, p)
-			if math.IsInf(exec, 1) {
-				return nil, fmt.Errorf("sim: operation %q has no WCET on processor %q", sl.Op, p)
-			}
-			m.instAt[int(oid)*int(nP)+pid] = int32(len(m.instOp))
-			m.predStart = append(m.predStart, int32(len(m.predOp)))
-			for _, pred := range g.StrictPreds(sl.Op) {
-				key := graph.EdgeKey{Src: pred, Dst: sl.Op}
-				eid, ok := edgeIdx[key]
-				if !ok {
-					return nil, fmt.Errorf("sim: dependency %s is not a graph edge", key)
-				}
-				m.predOp = append(m.predOp, m.opIdx[pred])
-				m.predEdge = append(m.predEdge, eid)
-			}
-			m.instOp = append(m.instOp, oid)
-			m.instExec = append(m.instExec, exec)
+	m.procByName = sortedIDs(c.ProcNames)
+	m.linkByName = sortedIDs(c.LinkNames)
+	for _, p := range m.procByName {
+		if c.SeqStart[p] < c.SeqStart[p+1] {
+			m.schedProcs = append(m.schedProcs, p)
 		}
 	}
-	m.seqStart[len(m.procs)] = int32(len(m.instOp))
-	m.predStart = append(m.predStart, int32(len(m.predOp)))
-
-	// Delivery groups in sched.Deliveries order; the per-link static orders
-	// are compiled once here with the exact sort the legacy engine rebuilds
-	// per iteration.
-	type staticHop struct {
-		entry mQueueEntry
-		start float64
-		id    int
-		hop   int
-	}
-	perLink := make([][]staticHop, len(m.links))
-	for _, d := range s.Deliveries() {
-		gi := int32(len(m.groups))
-		eid, ok := edgeIdx[d.Edge]
-		if !ok {
-			return nil, fmt.Errorf("sim: delivery of %s is not a graph edge", d.Edge)
-		}
-		gr := mGroup{edge: eid, chain: d.Chain, sendLo: int32(len(m.senders))}
-		for _, dsd := range d.Senders {
-			pid, ok := m.procIdx[dsd.Proc]
-			if !ok {
-				return nil, fmt.Errorf("sim: sender on unknown processor %q", dsd.Proc)
-			}
-			oid, ok := m.opIdx[d.Edge.Src]
-			if !ok {
-				return nil, fmt.Errorf("sim: sender of unknown operation %q", d.Edge.Src)
-			}
-			si := int32(len(m.senders))
-			sd := mSender{
-				proc:     pid,
-				srcOp:    oid,
-				srcInst:  m.instAt[int(oid)*int(nP)+int(pid)],
-				deadline: dsd.Deadline,
-				passive:  dsd.Passive,
-				hopLo:    int32(len(m.hops)),
-			}
-			for i, h := range dsd.Hops {
-				lid, ok := m.linkIdx[h.Link]
-				if !ok {
-					return nil, fmt.Errorf("sim: hop over unknown link %q", h.Link)
-				}
-				fid, ok := m.procIdx[h.From]
-				if !ok {
-					return nil, fmt.Errorf("sim: hop from unknown processor %q", h.From)
-				}
-				m.hops = append(m.hops, mHop{link: lid, from: fid, dur: h.End - h.Start})
-				if !h.Passive {
-					perLink[lid] = append(perLink[lid], staticHop{
-						entry: mQueueEntry{sender: si, group: gi, hop: int32(i)},
-						start: h.Start,
-						id:    h.TransferID,
-						hop:   i,
-					})
-				}
-			}
-			sd.hopHi = int32(len(m.hops))
-			m.senders = append(m.senders, sd)
-		}
-		gr.sendHi = int32(len(m.senders))
-		gr.rcvLo = int32(len(m.receivers))
-		if d.Broadcast {
-			for _, p := range a.Link(d.Link).Endpoints() {
-				pid, ok := m.procIdx[p]
-				if !ok {
-					return nil, fmt.Errorf("sim: bus endpoint %q is not a processor", p)
-				}
-				m.receivers = append(m.receivers, pid)
-			}
-		} else {
-			pid, ok := m.procIdx[d.Dst]
-			if !ok {
-				return nil, fmt.Errorf("sim: delivery to unknown processor %q", d.Dst)
-			}
-			m.receivers = append(m.receivers, pid)
-		}
-		gr.rcvHi = int32(len(m.receivers))
-		m.groups = append(m.groups, gr)
-	}
-	m.queueStart = make([]int32, len(m.links)+1)
-	for lid, hops := range perLink {
-		m.queueStart[lid] = int32(len(m.queueEntries))
-		sort.SliceStable(hops, func(i, j int) bool {
-			if math.Abs(hops[i].start-hops[j].start) > eps {
-				return hops[i].start < hops[j].start
-			}
-			if hops[i].id != hops[j].id {
-				return hops[i].id < hops[j].id
-			}
-			return hops[i].hop < hops[j].hop
-		})
-		for _, h := range hops {
-			m.queueEntries = append(m.queueEntries, h.entry)
-		}
-	}
-	m.queueStart[len(m.links)] = int32(len(m.queueEntries))
-
-	outs := g.Outputs()
-	if len(outs) == 0 {
-		outs = g.Sinks()
-	}
-	for _, out := range outs {
-		oid, ok := m.opIdx[out]
-		if !ok {
-			return nil, fmt.Errorf("sim: output %q is not a graph operation", out)
-		}
-		m.outOps = append(m.outOps, oid)
-		m.outNames = append(m.outNames, out)
-	}
-
-	m.makespan = s.Makespan()
 	return m, nil
+}
+
+// sortedIDs returns the indices of names in sorted-name order.
+func sortedIDs(names []string) []int32 {
+	ids := make([]int32, len(names))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	sort.Slice(ids, func(i, j int) bool { return names[ids[i]] < names[ids[j]] })
+	return ids
+}
+
+// names maps IDs to names, in the given order.
+func names(ids []int32, all []string) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = all[id]
+	}
+	return out
 }
 
 // Makespan returns the schedule's failure-free completion date.
 func (m *Model) Makespan() float64 { return m.makespan }
 
-// Procs returns the architecture's processor names, sorted. The slice is
-// owned by the model; callers must not mutate it.
-func (m *Model) Procs() []string { return m.procs }
+// Procs returns the architecture's processor names, sorted.
+func (m *Model) Procs() []string { return names(m.procByName, m.c.ProcNames) }
 
-// Links returns the architecture's link names, sorted. The slice is owned
-// by the model; callers must not mutate it.
-func (m *Model) Links() []string { return m.links }
+// Links returns the architecture's link names, sorted.
+func (m *Model) Links() []string { return names(m.linkByName, m.c.LinkNames) }
 
 // Validate checks the scenario against the model's architecture without
 // running it, with the same errors Simulate would report.

@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"ftsched/internal/sched"
+)
 
 // This file is the compiled engine: a statement-for-statement mirror of the
 // legacy engine (engine.go) over the Model's int32-indexed arrays instead of
@@ -122,12 +126,12 @@ func (r *Runner) resolve() {
 				changed = true
 			}
 		}
-		for si := range m.senders {
+		for si := range m.c.Senders {
 			if r.sendState[si] != sendUnknown {
 				continue
 			}
-			sd := &m.senders[si]
-			if sd.srcInst < 0 || r.instState[sd.srcInst] == opCancelled {
+			sd := &m.c.Senders[si]
+			if sd.SrcInst < 0 || r.instState[sd.SrcInst] == opCancelled {
 				r.sendState[si] = sendNever
 				changed = true
 			}
@@ -137,7 +141,7 @@ func (r *Runner) resolve() {
 
 // killProc cancels every remaining operation of a dead processor.
 func (r *Runner) killProc(p int32) {
-	hi := r.m.seqStart[p+1]
+	hi := r.m.c.SeqStart[p+1]
 	for i := r.seqIdx[p]; i < hi; i++ {
 		if r.instState[i] == opPending {
 			r.instState[i] = opCancelled
@@ -151,8 +155,8 @@ func (r *Runner) killProc(p int32) {
 
 // nextAction scans processors, link queues, and failover chains for the
 // executable action with the earliest start date. Scan orders match the
-// legacy engine: processors and links ascending by sorted name (= ascending
-// ID), groups in delivery order.
+// legacy engine: processors and links in sorted-name order (schedProcs,
+// linkByName), groups in delivery order.
 func (r *Runner) nextAction() (kind actionKind, ref int32, idx int32, bestStart float64) {
 	m := r.m
 	kind, ref, idx = actNone, -1, -1
@@ -162,14 +166,14 @@ func (r *Runner) nextAction() (kind actionKind, ref int32, idx int32, bestStart 
 			kind, bestStart, ref, idx = actOp, start, p, -1
 		}
 	}
-	for l := int32(0); l < int32(len(m.links)); l++ {
+	for _, l := range m.linkByName {
 		if start, ok := r.nextQueueHopStart(l); ok && start < bestStart-eps {
 			kind, bestStart, ref, idx = actQueueHop, start, l, -1
 		}
 	}
-	for gi := range m.groups {
-		gr := &m.groups[gi]
-		if !gr.chain || r.grSettled[gi] {
+	for gi := range m.c.Deliveries {
+		gr := &m.c.Deliveries[gi]
+		if !gr.Chain || r.grSettled[gi] {
 			continue
 		}
 		if si, start, ok := r.nextFailover(int32(gi)); ok && start < bestStart-eps {
@@ -184,12 +188,12 @@ func (r *Runner) nextAction() (kind actionKind, ref int32, idx int32, bestStart 
 func (r *Runner) nextOpStart(p int32) (float64, bool) {
 	m := r.m
 	i := r.seqIdx[p]
-	if i >= m.seqStart[p+1] || r.seqDead[p] {
+	if i >= m.c.SeqStart[p+1] || r.seqDead[p] {
 		return 0, false
 	}
 	start := r.seqReady[p]
-	for k := m.predStart[i]; k < m.predStart[i+1]; k++ {
-		at, ok := r.inputAvail(m.predEdge[k], m.predOp[k], p)
+	for k := m.c.PredStart[i]; k < m.c.PredStart[i+1]; k++ {
+		at, ok := r.inputAvail(m.c.Preds[k].Edge, m.c.Preds[k].Op, p)
 		if !ok {
 			return 0, false
 		}
@@ -206,7 +210,7 @@ func (r *Runner) nextOpStart(p int32) (float64, bool) {
 // inputAvail returns the earliest date edge's value is available on proc:
 // the local production of the source op or the earliest reception.
 func (r *Runner) inputAvail(edge, srcOp, proc int32) (float64, bool) {
-	nP := int32(len(r.m.procs))
+	nP := r.m.nP
 	best := math.Inf(1)
 	if d := r.opDone[srcOp*nP+proc]; !math.IsNaN(d) {
 		best = d
@@ -242,10 +246,10 @@ func (r *Runner) execOp(p int32) {
 	}
 	r.instState[i] = opDone
 	r.opsExec++
-	r.opDone[m.instOp[i]*int32(len(m.procs))+p] = end
+	r.opDone[m.c.Insts[i].Op*m.nP+p] = end
 	r.seqReady[p] = end
 	r.seqIdx[p] = i + 1
-	r.record(EventOp, m.ops[m.instOp[i]], m.procs[p], start, end)
+	r.record(EventOp, m.c.OpNames[m.c.Insts[i].Op], m.c.ProcNames[p], start, end)
 	if end > r.lastActivity {
 		r.lastActivity = end
 	}
@@ -255,12 +259,12 @@ func (r *Runner) execOp(p int32) {
 // l's static communication order, skipping entries that never transmit.
 func (r *Runner) nextQueueHopStart(l int32) (float64, bool) {
 	m := r.m
-	hi := m.queueStart[l+1]
+	hi := m.c.QueueStart[l+1]
 	i := r.queueIdx[l]
 	for ; i < hi; i++ {
-		en := &m.queueEntries[i]
-		st := r.sendState[en.sender]
-		if st == sendNever || st == sendDone || r.sendHopDone[en.sender] > en.hop {
+		en := &m.c.Queue[i]
+		st := r.sendState[en.Sender]
+		if st == sendNever || st == sendDone || r.sendHopDone[en.Sender] > en.Hop {
 			continue
 		}
 		r.queueIdx[l] = i
@@ -276,15 +280,15 @@ func (r *Runner) nextQueueHopStart(l int32) (float64, bool) {
 
 // hopDataReady returns when the data for a sender's next hop is available
 // at the hop's origin.
-func (r *Runner) hopDataReady(en *mQueueEntry) (float64, bool) {
-	if en.hop != r.sendHopDone[en.sender] {
+func (r *Runner) hopDataReady(en *sched.QueueEntry) (float64, bool) {
+	if en.Hop != r.sendHopDone[en.Sender] {
 		return 0, false
 	}
-	if en.hop > 0 {
-		return r.sendHopTime[en.sender], true
+	if en.Hop > 0 {
+		return r.sendHopTime[en.Sender], true
 	}
-	sd := &r.m.senders[en.sender]
-	d := r.opDone[sd.srcOp*int32(len(r.m.procs))+sd.proc]
+	sd := &r.m.c.Senders[en.Sender]
+	d := r.opDone[sd.SrcOp*r.m.nP+sd.Proc]
 	if math.IsNaN(d) {
 		return 0, false
 	}
@@ -293,70 +297,72 @@ func (r *Runner) hopDataReady(en *mQueueEntry) (float64, bool) {
 
 // execQueueHop executes the head entry of link l's static order.
 func (r *Runner) execQueueHop(l int32) {
-	en := &r.m.queueEntries[r.queueIdx[l]]
+	en := &r.m.c.Queue[r.queueIdx[l]]
 	ready, _ := r.hopDataReady(en)
-	r.execHop(en.group, en.sender, ready)
+	r.execHop(r.m.c.Senders[en.Sender].Delivery, en.Sender, ready)
 }
 
 // execHop transmits one hop of a transfer; a forwarding processor or the
 // link itself dying mid-transfer loses the message.
 func (r *Runner) execHop(gi, si int32, ready float64) {
 	m := r.m
-	sd := &m.senders[si]
-	h := &m.hops[sd.hopLo+r.sendHopDone[si]]
-	start := math.Max(ready, r.linkFree[h.link])
-	if from, to, ok := r.silence(h.from); ok && !math.IsInf(to, 1) && start >= from-eps && start < to {
-		start = math.Max(to, r.linkFree[h.link])
+	sd := &m.c.Senders[si]
+	h := &m.c.Hops[sd.HopLo+r.sendHopDone[si]]
+	start := math.Max(ready, r.linkFree[h.Link])
+	if from, to, ok := r.silence(h.From); ok && !math.IsInf(to, 1) && start >= from-eps && start < to {
+		start = math.Max(to, r.linkFree[h.Link])
 	}
-	if from, to, ok := r.linkSilence(h.link); ok && !math.IsInf(to, 1) && start >= from-eps && start < to {
-		start = math.Max(to, r.linkFree[h.link])
+	if from, to, ok := r.linkSilence(h.Link); ok && !math.IsInf(to, 1) && start >= from-eps && start < to {
+		start = math.Max(to, r.linkFree[h.Link])
 	}
-	end := start + h.dur
-	if r.silentDuring(h.from, start, end) {
-		if from, _, ok := r.silence(h.from); ok && start < from && from > r.linkFree[h.link] {
-			r.linkFree[h.link] = from
+	end := start + h.Dur
+	if r.silentDuring(h.From, start, end) {
+		if from, _, ok := r.silence(h.From); ok && start < from && from > r.linkFree[h.Link] {
+			r.linkFree[h.Link] = from
 		}
 		r.sendState[si] = sendNever
 		r.lost++
 		return
 	}
-	if r.linkSilentDuring(h.link, start, end) {
-		if from, _, ok := r.linkSilence(h.link); ok && start < from && from > r.linkFree[h.link] {
-			r.linkFree[h.link] = from
+	if r.linkSilentDuring(h.Link, start, end) {
+		if from, _, ok := r.linkSilence(h.Link); ok && start < from && from > r.linkFree[h.Link] {
+			r.linkFree[h.Link] = from
 		}
 		r.sendState[si] = sendNever
 		r.lost++
 		return
 	}
-	r.linkFree[h.link] = end
+	r.linkFree[h.Link] = end
 	r.sendHopDone[si]++
 	r.sendHopTime[si] = end
 	r.sendState[si] = sendActive
-	if sd.hopLo+r.sendHopDone[si] < sd.hopHi {
+	if sd.HopLo+r.sendHopDone[si] < sd.HopHi {
 		return
 	}
 	// Final hop: the value arrives.
 	r.sendState[si] = sendDone
 	r.sendArrival[si] = end
 	r.messages++
-	gr := &m.groups[gi]
-	r.record(EventComm, m.edgeStr[gr.edge], m.links[h.link], start, end)
+	gr := &m.c.Deliveries[gi]
+	if r.trace {
+		r.record(EventComm, m.c.Edges[gr.Edge].String(), m.c.LinkNames[h.Link], start, end)
+	}
 	if end > r.lastActivity {
 		r.lastActivity = end
 	}
-	nP := int32(len(m.procs))
-	for _, rcv := range m.receivers[gr.rcvLo:gr.rcvHi] {
+	nP := m.nP
+	for _, rcv := range m.c.Receivers[gr.RcvLo:gr.RcvHi] {
 		if r.silentAt(rcv, end) {
 			r.missed++
 			continue
 		}
-		k := gr.edge*nP + rcv
+		k := gr.Edge*nP + rcv
 		if cur := r.commAvail[k]; math.IsNaN(cur) || end < cur {
 			r.commAvail[k] = end
 		}
 	}
-	if r.detected[sd.proc] && !r.silentAt(sd.proc, end) {
-		r.detected[sd.proc] = false
+	if r.detected[sd.Proc] && !r.silentAt(sd.Proc, end) {
+		r.detected[sd.Proc] = false
 	}
 }
 
@@ -364,14 +370,14 @@ func (r *Runner) execHop(gi, si int32, ready float64) {
 // sender ready to transmit (as an absolute sender index).
 func (r *Runner) nextFailover(gi int32) (int32, float64, bool) {
 	m := r.m
-	gr := &m.groups[gi]
+	gr := &m.c.Deliveries[gi]
 	effDeadline := 0.0
-	for si := gr.sendLo; si < gr.sendHi; si++ {
-		sd := &m.senders[si]
+	for si := gr.SendLo; si < gr.SendHi; si++ {
+		sd := &m.c.Senders[si]
 		if r.sendSkipped[si] {
-			if sd.passive && r.sendState[si] == sendUnknown {
-				if d := r.opDone[sd.srcOp*int32(len(m.procs))+sd.proc]; !math.IsNaN(d) {
-					start := math.Max(math.Max(d, effDeadline), r.linkFree[m.hops[sd.hopLo].link])
+			if sd.Passive && r.sendState[si] == sendUnknown {
+				if d := r.opDone[sd.SrcOp*m.nP+sd.Proc]; !math.IsNaN(d) {
+					start := math.Max(math.Max(d, effDeadline), r.linkFree[m.c.Hops[sd.HopLo].Link])
 					return si, start, true
 				}
 			}
@@ -379,27 +385,27 @@ func (r *Runner) nextFailover(gi int32) (int32, float64, bool) {
 		}
 		switch r.sendState[si] {
 		case sendDone:
-			if r.sendArrival[si] <= effDeadline+eps || r.sendArrival[si] <= sd.deadline+eps {
+			if r.sendArrival[si] <= effDeadline+eps || r.sendArrival[si] <= sd.Deadline+eps {
 				r.grSettled[gi] = true
 				return -1, 0, false
 			}
-			effDeadline = math.Max(effDeadline, sd.deadline)
+			effDeadline = math.Max(effDeadline, sd.Deadline)
 		case sendNever:
-			effDeadline = math.Max(effDeadline, sd.deadline)
+			effDeadline = math.Max(effDeadline, sd.Deadline)
 		case sendActive, sendUnknown:
-			if !sd.passive {
-				effDeadline = math.Max(effDeadline, sd.deadline)
+			if !sd.Passive {
+				effDeadline = math.Max(effDeadline, sd.Deadline)
 				continue
 			}
-			d := r.opDone[sd.srcOp*int32(len(m.procs))+sd.proc]
+			d := r.opDone[sd.SrcOp*m.nP+sd.Proc]
 			if math.IsNaN(d) {
 				return -1, 0, false
 			}
-			start := math.Max(math.Max(d, effDeadline), r.linkFree[m.hops[sd.hopLo].link])
+			start := math.Max(math.Max(d, effDeadline), r.linkFree[m.c.Hops[sd.HopLo].Link])
 			return si, start, true
 		}
 	}
-	for si := gr.sendLo; si < gr.sendHi; si++ {
+	for si := gr.SendLo; si < gr.SendHi; si++ {
 		if r.sendState[si] == sendUnknown || r.sendState[si] == sendActive {
 			return -1, 0, false
 		}
@@ -412,8 +418,8 @@ func (r *Runner) nextFailover(gi int32) (int32, float64, bool) {
 // timed-out predecessors as faulty.
 func (r *Runner) execFailover(gi, si int32, start float64) {
 	m := r.m
-	gr := &m.groups[gi]
-	for p := gr.sendLo; p < si; p++ {
+	gr := &m.c.Deliveries[gi]
+	for p := gr.SendLo; p < si; p++ {
 		if r.sendState[p] == sendDone && r.sendArrival[p] <= start+eps {
 			r.sendState[si] = sendNever
 			return
@@ -421,7 +427,9 @@ func (r *Runner) execFailover(gi, si int32, start float64) {
 	}
 	r.detectEarlier(gi, si, start)
 	r.failovers++
-	r.record(EventFailover, m.edgeStr[gr.edge], m.procs[m.senders[si].proc], start, start)
+	if r.trace {
+		r.record(EventFailover, m.c.Edges[gr.Edge].String(), m.c.ProcNames[m.c.Senders[si].Proc], start, start)
+	}
 	ready := start
 	for r.sendState[si] != sendDone && r.sendState[si] != sendNever { //ftlint:allow-nopoll bounded: each execHop advances the sender one hop along its finite route
 		r.execHop(gi, si, ready)
@@ -433,18 +441,18 @@ func (r *Runner) execFailover(gi, si int32, start float64) {
 // whose message has not been observed by the time the failover fires.
 func (r *Runner) detectEarlier(gi, si int32, now float64) {
 	m := r.m
-	gr := &m.groups[gi]
-	for p := gr.sendLo; p < si; p++ {
-		sd := &m.senders[p]
-		if r.sendSkipped[p] || r.detected[sd.proc] {
+	gr := &m.c.Deliveries[gi]
+	for p := gr.SendLo; p < si; p++ {
+		sd := &m.c.Senders[p]
+		if r.sendSkipped[p] || r.detected[sd.Proc] {
 			continue
 		}
 		if r.sendState[p] == sendDone && r.sendArrival[p] <= now+eps {
 			continue
 		}
-		r.detected[sd.proc] = true
+		r.detected[sd.Proc] = true
 		r.timeouts++
-		if math.IsInf(r.deadAt(sd.proc), 1) {
+		if math.IsInf(r.deadAt(sd.Proc), 1) {
 			r.falseDet++
 		}
 	}
@@ -460,7 +468,7 @@ func (r *Runner) unblock() bool {
 	}
 	progress := false
 	for _, p := range m.schedProcs {
-		if r.seqDead[p] || r.seqIdx[p] >= m.seqStart[p+1] {
+		if r.seqDead[p] || r.seqIdx[p] >= m.c.SeqStart[p+1] {
 			continue
 		}
 		if _, to, ok := r.silence(p); ok && math.IsInf(to, 1) {
@@ -468,12 +476,12 @@ func (r *Runner) unblock() bool {
 			progress = true
 		}
 	}
-	for si := range m.senders {
+	for si := range m.c.Senders {
 		if r.sendState[si] != sendUnknown {
 			continue
 		}
-		sd := &m.senders[si]
-		if sd.srcInst >= 0 && r.instState[sd.srcInst] == opPending {
+		sd := &m.c.Senders[si]
+		if sd.SrcInst >= 0 && r.instState[sd.SrcInst] == opPending {
 			r.sendState[si] = sendNever
 			progress = true
 		}
@@ -483,18 +491,18 @@ func (r *Runner) unblock() bool {
 
 // nextSkipHop scans every link's static order beyond its blocked head for
 // the earliest-queued executable entry, returning the one with the earliest
-// possible start across links (scanned in ascending link ID = sorted name,
-// like the legacy engine).
+// possible start across links (scanned in sorted-name order, like the
+// legacy engine).
 func (r *Runner) nextSkipHop() (gi, si int32, ready float64, ok bool) {
 	m := r.m
 	bestStart := math.Inf(1)
 	gi, si = -1, -1
-	for l := int32(0); l < int32(len(m.links)); l++ {
-		hi := m.queueStart[l+1]
+	for _, l := range m.linkByName {
+		hi := m.c.QueueStart[l+1]
 		for i := r.queueIdx[l]; i < hi; i++ {
-			en := &m.queueEntries[i]
-			st := r.sendState[en.sender]
-			if st == sendNever || st == sendDone || r.sendHopDone[en.sender] > en.hop {
+			en := &m.c.Queue[i]
+			st := r.sendState[en.Sender]
+			if st == sendNever || st == sendDone || r.sendHopDone[en.Sender] > en.Hop {
 				continue
 			}
 			rdy, dataOK := r.hopDataReady(en)
@@ -503,7 +511,7 @@ func (r *Runner) nextSkipHop() (gi, si int32, ready float64, ok bool) {
 			}
 			start := math.Max(rdy, r.linkFree[l])
 			if start < bestStart-eps {
-				gi, si, ready, bestStart = en.group, en.sender, rdy, start
+				gi, si, ready, bestStart = m.c.Senders[en.Sender].Delivery, en.Sender, rdy, start
 			}
 			break // only the earliest-queued ready entry per link
 		}
@@ -515,13 +523,13 @@ func (r *Runner) nextSkipHop() (gi, si int32, ready float64, ok bool) {
 // receivers still waited for each undetected sender's deadline.
 func (r *Runner) finalTimeoutSweep() {
 	m := r.m
-	for gi := range m.groups {
-		gr := &m.groups[gi]
-		if !gr.chain {
+	for gi := range m.c.Deliveries {
+		gr := &m.c.Deliveries[gi]
+		if !gr.Chain {
 			continue
 		}
 		satisfied, allResolved := false, true
-		for si := gr.sendLo; si < gr.sendHi; si++ {
+		for si := gr.SendLo; si < gr.SendHi; si++ {
 			if r.sendState[si] == sendDone {
 				satisfied = true
 			}
@@ -532,13 +540,13 @@ func (r *Runner) finalTimeoutSweep() {
 		if satisfied || !allResolved {
 			continue
 		}
-		for si := gr.sendLo; si < gr.sendHi; si++ {
-			sd := &m.senders[si]
-			if r.sendSkipped[si] || r.detected[sd.proc] {
+		for si := gr.SendLo; si < gr.SendHi; si++ {
+			sd := &m.c.Senders[si]
+			if r.sendSkipped[si] || r.detected[sd.Proc] {
 				continue
 			}
-			if !math.IsInf(r.deadAt(sd.proc), 1) {
-				r.detected[sd.proc] = true
+			if !math.IsInf(r.deadAt(sd.Proc), 1) {
+				r.detected[sd.Proc] = true
 				r.timeouts++
 			}
 		}

@@ -48,7 +48,8 @@ type Runner struct {
 
 // NewRunner allocates a worker state sized for the model.
 func (m *Model) NewRunner() *Runner {
-	nP, nL := len(m.procs), len(m.links)
+	c := &m.c
+	nP, nL := len(c.ProcNames), len(c.LinkNames)
 	return &Runner{
 		m:           m,
 		hasFail:     make([]bool, nP),
@@ -59,16 +60,16 @@ func (m *Model) NewRunner() *Runner {
 		seqIdx:      make([]int32, nP),
 		seqReady:    make([]float64, nP),
 		seqDead:     make([]bool, nP),
-		instState:   make([]opState, len(m.instOp)),
-		opDone:      make([]float64, len(m.ops)*nP),
-		commAvail:   make([]float64, len(m.edges)*nP),
+		instState:   make([]opState, len(c.Insts)),
+		opDone:      make([]float64, len(c.OpNames)*nP),
+		commAvail:   make([]float64, len(c.Edges)*nP),
 		linkFree:    make([]float64, nL),
-		sendState:   make([]sendState, len(m.senders)),
-		sendHopDone: make([]int32, len(m.senders)),
-		sendHopTime: make([]float64, len(m.senders)),
-		sendArrival: make([]float64, len(m.senders)),
-		sendSkipped: make([]bool, len(m.senders)),
-		grSettled:   make([]bool, len(m.groups)),
+		sendState:   make([]sendState, len(c.Senders)),
+		sendHopDone: make([]int32, len(c.Senders)),
+		sendHopTime: make([]float64, len(c.Senders)),
+		sendArrival: make([]float64, len(c.Senders)),
+		sendSkipped: make([]bool, len(c.Senders)),
+		grSettled:   make([]bool, len(c.Deliveries)),
 		queueIdx:    make([]int32, nL),
 	}
 }
@@ -92,12 +93,14 @@ func (r *Runner) Reset() {
 func (r *Runner) install(sc Scenario) {
 	r.Reset()
 	for _, f := range sc.Failures {
-		r.hasFail[r.m.procIdx[f.Proc]] = true
-		r.fail[r.m.procIdx[f.Proc]] = f
+		p, _ := r.m.c.ProcID(f.Proc)
+		r.hasFail[p] = true
+		r.fail[p] = f
 	}
 	for _, f := range sc.Links {
-		r.hasLinkFail[r.m.linkIdx[f.Link]] = true
-		r.linkFail[r.m.linkIdx[f.Link]] = f
+		l, _ := r.m.c.LinkID(f.Link)
+		r.hasLinkFail[l] = true
+		r.linkFail[l] = f
 	}
 }
 
@@ -105,7 +108,7 @@ func (r *Runner) install(sc Scenario) {
 func (r *Runner) resetIteration(it int) {
 	m := r.m
 	for _, p := range m.schedProcs {
-		r.seqIdx[p] = m.seqStart[p]
+		r.seqIdx[p] = m.c.SeqStart[p]
 		r.seqReady[p] = 0
 		r.seqDead[p] = false
 	}
@@ -116,14 +119,14 @@ func (r *Runner) resetIteration(it int) {
 	fillNaN(r.commAvail)
 	for i := range r.linkFree {
 		r.linkFree[i] = 0
-		r.queueIdx[i] = m.queueStart[i]
+		r.queueIdx[i] = m.c.QueueStart[i]
 	}
 	for i := range r.sendState {
 		r.sendState[i] = sendUnknown
 		r.sendHopDone[i] = 0
 		r.sendHopTime[i] = 0
 		r.sendArrival[i] = 0
-		r.sendSkipped[i] = r.detected[m.senders[i].proc]
+		r.sendSkipped[i] = r.detected[m.c.Senders[i].Proc]
 	}
 	for i := range r.grSettled {
 		r.grSettled[i] = false
@@ -190,21 +193,22 @@ func (r *Runner) Run(sc Scenario, cfg Config) (*Result, error) {
 	}
 	// The failure accumulators list only failures that activated within the
 	// simulated horizon (the legacy engine never learns of later ones);
-	// scanning by ascending ID yields them already sorted.
-	for p := range r.hasFail {
+	// scanning in name order yields them already sorted.
+	c := &r.m.c
+	for _, p := range r.m.procByName {
 		if r.hasFail[p] && r.fail[p].Iteration < cfg.Iterations {
-			res.FailedProcs = append(res.FailedProcs, r.m.procs[p])
+			res.FailedProcs = append(res.FailedProcs, c.ProcNames[p])
 			if !r.fail[p].Permanent() {
-				res.RecoveredProcs = append(res.RecoveredProcs, r.m.procs[p])
+				res.RecoveredProcs = append(res.RecoveredProcs, c.ProcNames[p])
 			}
 		}
 		if r.detected[p] {
-			res.DetectedProcs = append(res.DetectedProcs, r.m.procs[p])
+			res.DetectedProcs = append(res.DetectedProcs, c.ProcNames[p])
 		}
 	}
-	for l := range r.hasLinkFail {
+	for _, l := range r.m.linkByName {
 		if r.hasLinkFail[l] && r.linkFail[l].Iteration < cfg.Iterations {
-			res.FailedLinks = append(res.FailedLinks, r.m.links[l])
+			res.FailedLinks = append(res.FailedLinks, c.LinkNames[l])
 		}
 	}
 	return res, nil
@@ -291,12 +295,11 @@ func (r *Runner) RunStats(sc Scenario, cfg RunConfig) Stats {
 // finished iteration without allocating.
 func (r *Runner) iterationResponse() (resp float64, completed bool) {
 	m := r.m
-	nP := len(m.procs)
 	completed = true
-	for _, out := range m.outOps {
+	for _, out := range m.c.Outputs {
 		best := math.Inf(1)
 		for _, p := range m.schedProcs {
-			if d := r.opDone[int(out)*nP+int(p)]; !math.IsNaN(d) && d < best {
+			if d := r.opDone[out*m.nP+p]; !math.IsNaN(d) && d < best {
 				best = d
 			}
 		}
@@ -325,16 +328,15 @@ func (r *Runner) buildIterationResult() IterationResult {
 		Completed:       true,
 	}
 	m := r.m
-	nP := len(m.procs)
-	for oi, out := range m.outOps {
+	for _, out := range m.c.Outputs {
 		best := math.Inf(1)
 		for _, p := range m.schedProcs {
-			if d := r.opDone[int(out)*nP+int(p)]; !math.IsNaN(d) && d < best {
+			if d := r.opDone[out*m.nP+p]; !math.IsNaN(d) && d < best {
 				best = d
 			}
 		}
 		produced := !math.IsInf(best, 1)
-		ir.Outputs[m.outNames[oi]] = produced
+		ir.Outputs[m.c.OpNames[out]] = produced
 		if !produced {
 			ir.Completed = false
 			continue
