@@ -1,24 +1,18 @@
 // Command ftlint is the multichecker for ftsched's domain-specific static
 // analyzers (see DESIGN.md §10, §12, and §15): the directive-aware suite of
-// mapiter, nondet, infwcet, obssafe, errprop, the CFG-based passes
-// goroutinecapture, sharedmut, indexbound, determorder, and the
-// interprocedural contract passes epochpurity, cancelpoll, and hotalloc,
-// which ride the package-local call graph and function-summary facts
-// engine. It runs in two modes:
-//
-// Standalone, over package patterns:
+// mapiter, nondet, infwcet, obssafe, errprop, and the interprocedural
+// contract passes epochpurity, cancelpoll, and hotalloc, which ride the
+// package-local call graph and function-summary facts engine. It runs over
+// package patterns:
 //
 //	ftlint ./...
 //
-// As a go vet tool (function summaries cross package boundaries through the
-// vet facts files):
+// Packages are type-checked against the go command's export data, and
+// function summaries cross package boundaries in process. Only shipped
+// sources are checked: the invariants bind the scheduler, not its tests, so
+// _test.go files are exempt.
 //
-//	go vet -vettool=$(which ftlint) ./...
-//
-// Both modes check only shipped sources: the invariants bind the scheduler,
-// not its tests, so _test.go files are exempt.
-//
-// Standalone mode also supports:
+// Flags:
 //
 //	-fix             apply suggested fixes (gofmt-clean, atomic per fix)
 //	-sarif file      write a SARIF 2.1.0 report ("-" for stdout)
@@ -38,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"ftsched/internal/analysis"
 	"ftsched/internal/analysis/load"
@@ -69,8 +62,6 @@ func checkFlagCombos(fix bool, sarif, baseline, baselineWrite, analyzers string)
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("ftlint", flag.ContinueOnError)
-	version := fs.String("V", "", "print version and exit (go vet protocol)")
-	flagsJSON := fs.Bool("flags", false, "print the tool's analyzer flags as JSON and exit (go vet protocol)")
 	dir := fs.String("C", ".", "change to `dir` before loading packages")
 	fix := fs.Bool("fix", false, "apply suggested fixes to the source files")
 	sarif := fs.String("sarif", "", "write a SARIF 2.1.0 report to `file` (\"-\" for stdout)")
@@ -79,7 +70,7 @@ func run(args []string) int {
 	list := fs.Bool("list", false, "print the analyzer names and one-line docs, then exit")
 	analyzers := fs.String("analyzers", "", "run only the named analyzers (comma-separated); stale-directive checks follow the selection")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: ftlint [-C dir] [-fix] [-list] [-analyzers a,b] [-sarif file] [-baseline file | -baseline-write file] [packages]\n       go vet -vettool=$(which ftlint) [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: ftlint [-C dir] [-fix] [-list] [-analyzers a,b] [-sarif file] [-baseline file | -baseline-write file] [packages]\n\nAnalyzers:\n")
 		for _, a := range passes.All() {
 			fmt.Fprintf(fs.Output(), "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -87,18 +78,6 @@ func run(args []string) int {
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *version != "" {
-		// The go command identifies vet tools by this line and caches on it;
-		// bump the version when analyzer behavior changes.
-		fmt.Printf("ftlint version devel v3 buildID=ftlint-v3\n")
-		return 0
-	}
-	if *flagsJSON {
-		// The go command asks for the tool's flag schema before driving it;
-		// the suite exposes no per-analyzer flags.
-		fmt.Println("[]")
-		return 0
 	}
 	if *list {
 		for _, a := range passes.All() {
@@ -111,17 +90,13 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "ftlint:", err)
 		return 2
 	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetUnit(rest[0])
-	}
-	units, err := load.Packages(*dir, rest...)
+	units, err := load.Packages(*dir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftlint:", err)
 		return 2
 	}
 	// Interprocedural facts: compute summaries for every loaded unit in
-	// dependency order, mirroring what the vet facts protocol provides.
+	// dependency order, so callee facts reach callers across packages.
 	summary.AttachAll(units)
 	diags, err := analysis.Check(units, selected)
 	if err != nil {

@@ -1,26 +1,15 @@
 package main
 
-// In-process tests of the CLI entry points. The black-box tests in
-// main_test.go exec the built binary and drive go vet for real; these call
-// run and vetUnit directly so the protocol corners (bad flags, malformed
-// vet.cfg, typecheck failures) are exercised without a subprocess.
+// In-process tests of the CLI entry point. The black-box tests in
+// main_test.go exec the built binary; these call run directly so the flag
+// corners are exercised without a subprocess.
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func TestRunVersionAndFlagsProbes(t *testing.T) {
-	if got := run([]string{"-V=full"}); got != 0 {
-		t.Errorf("run(-V=full) = %d, want 0", got)
-	}
-	if got := run([]string{"-flags"}); got != 0 {
-		t.Errorf("run(-flags) = %d, want 0", got)
-	}
-}
 
 func TestRunBadFlagExitsTwo(t *testing.T) {
 	if got := run([]string{"-definitely-not-a-flag"}); got != 2 {
@@ -79,114 +68,5 @@ func TestRunBaselineGate(t *testing.T) {
 	}
 	if got := run([]string{"-C", "testdata/badmod", "-baseline", filepath.Join(t.TempDir(), "absent.json"), "./..."}); got != 2 {
 		t.Errorf("run(-baseline) with a missing file = %d, want 2", got)
-	}
-}
-
-// writeVetCfg marshals cfg into dir and returns the path, dispatching through
-// run's .cfg argument detection like the go command does.
-func writeVetCfg(t *testing.T, dir string, cfg vetConfig) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func writeSrc(t *testing.T, dir, name, src string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestVetUnitMissingConfig(t *testing.T) {
-	if got := vetUnit(filepath.Join(t.TempDir(), "absent.cfg")); got != 2 {
-		t.Errorf("vetUnit on a missing config = %d, want 2", got)
-	}
-}
-
-func TestVetUnitMalformedConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(path, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if got := vetUnit(path); got != 2 {
-		t.Errorf("vetUnit on malformed JSON = %d, want 2", got)
-	}
-}
-
-func TestVetUnitVetxOnlyWritesFacts(t *testing.T) {
-	dir := t.TempDir()
-	vetx := filepath.Join(dir, "out.vetx")
-	cfg := writeVetCfg(t, dir, vetConfig{ID: "p", ImportPath: "p", VetxOnly: true, VetxOutput: vetx})
-	if got := run([]string{cfg}); got != 0 {
-		t.Fatalf("vetx-only unit = %d, want 0", got)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("facts file not written: %v", err)
-	}
-}
-
-func TestVetUnitFlagsCriticalPackage(t *testing.T) {
-	dir := t.TempDir()
-	src := writeSrc(t, dir, "core.go",
-		"package core\n\nfunc f(m map[string]int) string {\n\tfor k := range m {\n\t\treturn k\n\t}\n\treturn \"\"\n}\n")
-	cfg := writeVetCfg(t, dir, vetConfig{ImportPath: "badmod/core", GoFiles: []string{src}})
-	if got := vetUnit(cfg); got != 1 {
-		t.Errorf("unit with a mapiter violation = %d, want 1", got)
-	}
-}
-
-func TestVetUnitCleanPackage(t *testing.T) {
-	dir := t.TempDir()
-	src := writeSrc(t, dir, "util.go", "package util\n\nfunc Add(a, b int) int { return a + b }\n")
-	cfg := writeVetCfg(t, dir, vetConfig{ImportPath: "badmod/util", GoFiles: []string{src}})
-	if got := vetUnit(cfg); got != 0 {
-		t.Errorf("clean unit = %d, want 0", got)
-	}
-}
-
-func TestVetUnitParseFailure(t *testing.T) {
-	dir := t.TempDir()
-	src := writeSrc(t, dir, "broken.go", "package p\nfunc {\n")
-	if got := vetUnit(writeVetCfg(t, dir, vetConfig{ImportPath: "p", GoFiles: []string{src}})); got != 2 {
-		t.Errorf("unparseable unit = %d, want 2", got)
-	}
-	lenient := vetConfig{ImportPath: "p", GoFiles: []string{src}, SucceedOnTypecheckFailure: true}
-	if got := vetUnit(writeVetCfg(t, dir, lenient)); got != 0 {
-		t.Errorf("unparseable unit with SucceedOnTypecheckFailure = %d, want 0", got)
-	}
-}
-
-func TestVetUnitTypecheckFailure(t *testing.T) {
-	dir := t.TempDir()
-	src := writeSrc(t, dir, "bad.go", "package p\n\nvar x undefinedType\n")
-	if got := vetUnit(writeVetCfg(t, dir, vetConfig{ImportPath: "p", GoFiles: []string{src}})); got != 2 {
-		t.Errorf("ill-typed unit = %d, want 2", got)
-	}
-	lenient := vetConfig{ImportPath: "p", GoFiles: []string{src}, SucceedOnTypecheckFailure: true}
-	if got := vetUnit(writeVetCfg(t, dir, lenient)); got != 0 {
-		t.Errorf("ill-typed unit with SucceedOnTypecheckFailure = %d, want 0", got)
-	}
-}
-
-func TestVetUnitMissingExportData(t *testing.T) {
-	dir := t.TempDir()
-	src := writeSrc(t, dir, "imp.go", "package p\n\nimport \"q\"\n\nvar _ = q.X\n")
-	cfg := writeVetCfg(t, dir, vetConfig{
-		ImportPath: "p",
-		GoFiles:    []string{src},
-		ImportMap:  map[string]string{"q": "example.com/q"},
-	})
-	if got := vetUnit(cfg); got != 2 {
-		t.Errorf("unit with unresolvable import = %d, want 2", got)
 	}
 }

@@ -168,8 +168,8 @@ func Check(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 		// The invariants bind the package's shipped sources. Test files are
 		// exempt: tests iterate maps to drive subtests, time their subjects,
 		// and build ∞ fixtures deliberately — all fine outside the schedule
-		// path. go vet hands the tool test files too, so filter here rather
-		// than in each loader.
+		// path. Fixture trees may hold test files, so filter here rather than
+		// in each loader.
 		files := NonTestFiles(u.Fset, u.Files)
 		dirs, malformed := ParseDirectives(u.Fset, files)
 		out = append(out, malformed...)

@@ -18,7 +18,7 @@
 //
 // Deferred calls run at function exit in reverse order, whatever path
 // reaches it; the builder therefore re-appends every DeferStmt's call into
-// the exit block (field Defers) so dataflow over the exit sees them.
+// the exit block (field Defers) so analyses of the exit see them.
 //
 // The graph is deterministic: block indices and node order depend only on
 // the syntax tree.

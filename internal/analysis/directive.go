@@ -21,18 +21,14 @@ const DirectiveAnalyzerName = "ftlint-directive"
 // order-insensitivity). A directive suppresses diagnostics of its analyzer
 // on its own source line or the line directly beneath it.
 var directiveAnalyzers = map[string]string{
-	"order-insensitive":  "mapiter",
-	"allow-nondet":       "nondet",
-	"infwcet-checked":    "infwcet",
-	"allow-obs":          "obssafe",
-	"allow-discard":      "errprop",
-	"allow-capture":      "goroutinecapture",
-	"sharedmut-safe":     "sharedmut",
-	"indexbound-checked": "indexbound",
-	"ordered-merge":      "determorder",
-	"epoch-pure":         "epochpurity",
-	"allow-nopoll":       "cancelpoll",
-	"hotalloc-ok":        "hotalloc",
+	"order-insensitive": "mapiter",
+	"allow-nondet":      "nondet",
+	"infwcet-checked":   "infwcet",
+	"allow-obs":         "obssafe",
+	"allow-discard":     "errprop",
+	"epoch-pure":        "epochpurity",
+	"allow-nopoll":      "cancelpoll",
+	"hotalloc-ok":       "hotalloc",
 }
 
 // Directive is one parsed //ftlint: suppression comment.

@@ -2,11 +2,11 @@
 // analyzers consume, using only the standard library and the go command.
 //
 // Two loaders are provided. Packages loads module packages by pattern
-// ("./..."), enumerating them with `go list -json` and type-checking with
-// the stdlib source importer (which resolves both GOROOT and module-local
-// imports when the working directory is inside the module). Dir loads one
-// directory as a package with GOPATH-style import resolution rooted at a
-// testdata/src tree, which is what the analysistest harness needs.
+// ("./..."): `go list -deps -export` enumerates them and builds gc export
+// data for every dependency, and each matched package is type-checked from
+// source against that export data. Dir loads one directory as a package
+// with GOPATH-style import resolution rooted at a testdata/src tree, which
+// is what the analysistest harness needs.
 package load
 
 import (
@@ -33,17 +33,21 @@ type listedPackage struct {
 	ImportPath string
 	Name       string
 	GoFiles    []string
+	Export     string
+	DepOnly    bool
 }
 
 // Packages loads and type-checks the module packages matching the patterns,
-// evaluated in dir (which must lie inside the module). Test files are not
-// loaded: the determinism contract binds the shipped code only (the driver
-// enforces the same exemption when go vet hands the tool test files).
+// evaluated in dir (which must lie inside the module). Imports resolve to
+// the gc export data the go command built, so no dependency is re-checked
+// from source. Test files are not loaded: the determinism contract binds
+// the shipped code only. A package that does not parse or type-check fails
+// the go command's build, and its error is returned.
 func Packages(dir string, patterns ...string) ([]*analysis.Unit, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json=Dir,ImportPath,Name,GoFiles"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=Dir,ImportPath,Name,GoFiles,Export,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -54,6 +58,7 @@ func Packages(dir string, patterns ...string) ([]*analysis.Unit, error) {
 	}
 
 	var listed []listedPackage
+	exports := map[string]string{}
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p listedPackage
@@ -62,23 +67,22 @@ func Packages(dir string, patterns ...string) ([]*analysis.Unit, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("load: decoding go list output: %w", err)
 		}
-		if len(p.GoFiles) > 0 {
+		exports[p.ImportPath] = p.Export
+		if !p.DepOnly && len(p.GoFiles) > 0 {
 			listed = append(listed, p)
 		}
 	}
 
-	// One file set and one importer for every package: the source importer
-	// caches transitively type-checked dependencies, so shared packages are
-	// checked once. The importer resolves imports relative to the process
-	// working directory, so pin it to the module for the go/build fallback.
-	restore, err := chdir(dir)
-	if err != nil {
-		return nil, err
-	}
-	defer restore()
-
+	// One file set and one importer for every package: the importer caches
+	// each dependency's export data, so shared packages are decoded once.
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 	units := make([]*analysis.Unit, 0, len(listed))
 	for _, p := range listed {
 		var files []*ast.File
@@ -104,24 +108,6 @@ func Packages(dir string, patterns ...string) ([]*analysis.Unit, error) {
 		})
 	}
 	return units, nil
-}
-
-// chdir switches the process working directory and returns a restore
-// function. The source importer has no per-call directory parameter, so the
-// loader briefly owns the cwd; Packages is not safe for concurrent use with
-// other cwd-sensitive code.
-func chdir(dir string) (func(), error) {
-	if dir == "" || dir == "." {
-		return func() {}, nil
-	}
-	old, err := os.Getwd()
-	if err != nil {
-		return nil, fmt.Errorf("load: %w", err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		return nil, fmt.Errorf("load: %w", err)
-	}
-	return func() { _ = os.Chdir(old) }, nil
 }
 
 // Dir loads the single package in dir, resolving its non-stdlib imports

@@ -193,8 +193,8 @@ func describeFuncValue(pass *analysis.Pass, e ast.Expr) string {
 // describeFactoryValue classifies `pkg.Factory()` results: when the called
 // module function's interprocedural summary says it returns an error-valued
 // function, the bound variable is tracked like a closure would be. This is
-// the one-level taint propagation the facts engine enables: in vettool mode
-// the factory may live in an already-analyzed dependency.
+// the one-level taint propagation the facts engine enables: the factory may
+// live in another loaded package.
 func describeFactoryValue(pass *analysis.Pass, sums *summary.Info, e ast.Expr) string {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

@@ -7,34 +7,26 @@ import (
 
 	"ftsched/internal/analysis"
 	"ftsched/internal/analysis/passes/cancelpoll"
-	"ftsched/internal/analysis/passes/determorder"
 	"ftsched/internal/analysis/passes/epochpurity"
 	"ftsched/internal/analysis/passes/errprop"
-	"ftsched/internal/analysis/passes/goroutinecapture"
 	"ftsched/internal/analysis/passes/hotalloc"
-	"ftsched/internal/analysis/passes/indexbound"
 	"ftsched/internal/analysis/passes/infwcet"
 	"ftsched/internal/analysis/passes/mapiter"
 	"ftsched/internal/analysis/passes/nondet"
 	"ftsched/internal/analysis/passes/obssafe"
-	"ftsched/internal/analysis/passes/sharedmut"
 )
 
 // All returns the full suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		cancelpoll.Analyzer,
-		determorder.Analyzer,
 		epochpurity.Analyzer,
 		errprop.Analyzer,
-		goroutinecapture.Analyzer,
 		hotalloc.Analyzer,
-		indexbound.Analyzer,
 		infwcet.Analyzer,
 		mapiter.Analyzer,
 		nondet.Analyzer,
 		obssafe.Analyzer,
-		sharedmut.Analyzer,
 	}
 }
 

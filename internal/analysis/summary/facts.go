@@ -1,21 +1,6 @@
 package summary
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"ftsched/internal/analysis"
-)
-
-// FactsVersion is bumped whenever the summary encoding or semantics change,
-// invalidating stale .vetx content from older tool versions.
-const FactsVersion = 3
-
-// factsFile is the on-disk shape of a facts (.vetx) payload.
-type factsFile struct {
-	Version int                 `json:"ftlintFactsVersion"`
-	Funcs   map[string]*Summary `json:"funcs"`
-}
+import "ftsched/internal/analysis"
 
 // Export returns the cumulative fact set this package publishes to its
 // importers: every imported summary plus one per declared function of this
@@ -69,34 +54,9 @@ func exportable(s *Summary) *Summary {
 	return out
 }
 
-// EncodeFacts serializes a fact set deterministically (encoding/json sorts
-// map keys; every list is already sorted by the fixpoint).
-func EncodeFacts(funcs map[string]*Summary) ([]byte, error) {
-	return json.Marshal(factsFile{Version: FactsVersion, Funcs: funcs})
-}
-
-// DecodeFacts parses a facts payload. An empty payload (the placeholder the
-// driver writes for packages it computes no facts for) and a version
-// mismatch both decode to an empty set: facts are an optimization, never a
-// correctness dependency.
-func DecodeFacts(data []byte) (map[string]*Summary, error) {
-	if len(data) == 0 {
-		return map[string]*Summary{}, nil
-	}
-	var f factsFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("summary: decoding facts: %w", err)
-	}
-	if f.Version != FactsVersion || f.Funcs == nil {
-		return map[string]*Summary{}, nil
-	}
-	return f.Funcs, nil
-}
-
 // AttachAll computes summaries for every unit in dependency order and
 // attaches the resulting Info to Unit.Facts, so analyzers running through
-// the framework see cross-package facts in standalone mode exactly as they
-// would through the vet facts protocol.
+// the framework see the facts of every loaded package a unit imports.
 func AttachAll(units []*analysis.Unit) {
 	byPath := make(map[string]*analysis.Unit, len(units))
 	for _, u := range units {

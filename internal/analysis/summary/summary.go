@@ -8,11 +8,10 @@
 // pattern the scheduler core uses to share one arrival routine between the
 // pure evaluation path and the mutating commit path.
 //
-// Summaries serialize into the go vet facts-file protocol (EncodeFacts /
-// DecodeFacts), so in `go vet -vettool` mode the facts of every dependency
-// are available when a package is analyzed, and taint crosses package
-// boundaries. In standalone mode AttachAll computes the same facts for every
-// loaded unit in dependency order.
+// Facts cross package boundaries in process only: AttachAll computes the
+// summaries of every loaded unit in dependency order and hands each unit the
+// exported facts of the packages it imports, so taint flows from a callee's
+// package into its callers'.
 //
 // Soundness caveats (shared with the call graph): calls through interfaces,
 // stored struct fields, channels, or escaping function values are invisible,
@@ -83,7 +82,7 @@ type Summary struct {
 }
 
 // Info is the per-package result: the call graph, a summary per node, and
-// the imported summaries (from facts files or AttachAll) keyed by
+// the imported summaries (from AttachAll) keyed by
 // types.Func.FullName.
 type Info struct {
 	Graph    *callgraph.Graph
@@ -324,9 +323,8 @@ func (c *computer) scanComposite(s *Summary, lit *ast.CompositeLit) {
 
 // scanClosures records capturing function literals that are not immediately
 // invoked: each evaluation allocates the closure (and often moves captured
-// variables to the heap). Uses dataflow capture classification indirectly —
-// a literal with no free variables compiles to a static function and stays
-// exempt.
+// variables to the heap). A literal with no free variables compiles to a
+// static function and stays exempt.
 func (c *computer) scanClosures(s *Summary, body *ast.BlockStmt) {
 	invoked := map[*ast.FuncLit]bool{}
 	ast.Inspect(body, func(x ast.Node) bool {
@@ -878,9 +876,7 @@ func walk(body *ast.BlockStmt, visit func(ast.Node)) {
 	})
 }
 
-// capturedVars returns the outer local variables a literal references —
-// the summary package's own minimal capture check (the dataflow package's
-// Captures adds read/write classification the allocation scan doesn't need).
+// capturedVars returns the outer local variables a literal references.
 func capturedVars(lit *ast.FuncLit, info *types.Info) []*types.Var {
 	var out []*types.Var
 	seen := map[*types.Var]bool{}

@@ -271,57 +271,6 @@ func tainted(s *schedState) { s.mutEpoch = 0 }
 	}
 }
 
-func TestFactsRoundTrip(t *testing.T) {
-	info, _ := compute(t, commitSrc)
-	facts := info.Export()
-	if len(facts) == 0 {
-		t.Fatal("commit fixture exported no facts")
-	}
-	enc, err := EncodeFacts(facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeFacts(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(facts) {
-		t.Fatalf("round trip lost entries: %d -> %d", len(facts), len(dec))
-	}
-	for name, want := range facts {
-		got := dec[name]
-		if got == nil {
-			t.Errorf("round trip lost %s", name)
-			continue
-		}
-		if len(got.Protected) != len(want.Protected) || got.PollsCancel != want.PollsCancel ||
-			got.MutRecv != want.MutRecv || !reflect.DeepEqual(got.MutParams, want.MutParams) {
-			t.Errorf("round trip changed %s: got %+v, want %+v", name, got, want)
-		}
-	}
-	// Determinism: encoding twice yields identical bytes.
-	enc2, err := EncodeFacts(facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(enc) != string(enc2) {
-		t.Error("EncodeFacts is not byte-deterministic")
-	}
-}
-
-func TestDecodeFactsLenient(t *testing.T) {
-	if m, err := DecodeFacts(nil); err != nil || len(m) != 0 {
-		t.Errorf("DecodeFacts(empty) = %v, %v; want empty set", m, err)
-	}
-	stale := []byte(`{"ftlintFactsVersion":2,"funcs":{"p.f":{"polls":true}}}`)
-	if m, err := DecodeFacts(stale); err != nil || len(m) != 0 {
-		t.Errorf("DecodeFacts(stale version) = %v, %v; want empty set", m, err)
-	}
-	if _, err := DecodeFacts([]byte("{not json")); err == nil {
-		t.Error("DecodeFacts(garbage) = nil error, want error")
-	}
-}
-
 func TestImportedFactsFold(t *testing.T) {
 	fset := token.NewFileSet()
 	src := `package p

@@ -6,6 +6,7 @@ import (
 
 	"ftsched/internal/core"
 	"ftsched/internal/paperex"
+	"ftsched/internal/sched"
 )
 
 func TestDeliveriesFT1BusChains(t *testing.T) {
@@ -101,6 +102,53 @@ func TestDeliveriesMultiHopForwarders(t *testing.T) {
 						d.Edge, sd.Rank, i, f, i+1, sd.Hops[i+1].From)
 				}
 			}
+		}
+	}
+}
+
+func TestCompileQueueHoldsActiveHopsInStartOrder(t *testing.T) {
+	in := paperex.BusInstance()
+	res, err := core.ScheduleFT1(in.Graph, in.Arch, in.Spec, in.K, core.Options{})
+	if err != nil {
+		t.Fatalf("ScheduleFT1: %v", err)
+	}
+	s := res.Schedule
+	c, err := sched.Compile(s, in.Graph, in.Arch, in.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active, passive := 0, 0
+	for _, l := range s.Links() {
+		for _, cs := range s.LinkSlots(l) {
+			if cs.Passive {
+				passive++
+			} else {
+				active++
+			}
+		}
+	}
+	if passive == 0 {
+		t.Fatal("FT1 bus schedule has no passive transfers; the test needs both kinds")
+	}
+	if len(c.Queue) != active {
+		t.Errorf("queues hold %d entries, schedule has %d active hops", len(c.Queue), active)
+	}
+	for lid, name := range c.LinkNames {
+		var prev float64
+		for i, q := range c.Queue[c.QueueStart[lid]:c.QueueStart[lid+1]] {
+			sd := c.Senders[q.Sender]
+			if sd.Passive {
+				t.Errorf("link %s queue entry %d belongs to a passive sender", name, i)
+			}
+			h := c.Hops[sd.HopLo+q.Hop]
+			if h.Link != int32(lid) {
+				t.Errorf("link %s queue entry %d is a hop over link %s", name, i, c.LinkNames[h.Link])
+			}
+			start := s.Deliveries()[sd.Delivery].Senders[sd.Rank].Hops[q.Hop].Start
+			if i > 0 && start < prev-1e-9 {
+				t.Errorf("link %s queue entry %d starts at %g, before its predecessor at %g", name, i, start, prev)
+			}
+			prev = start
 		}
 	}
 }

@@ -83,13 +83,13 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	default:
 		return fmt.Errorf("sched: decode: unknown mode %q", js.Mode)
 	}
-	ns := New(mode, js.K)
+	*s = Schedule{Mode: mode, K: js.K, procs: make(map[string][]*OpSlot), links: make(map[string][]*CommSlot)}
 	maxTransfer := -1
 	for _, o := range js.Ops {
-		ns.AddOpSlot(OpSlot{Op: o.Op, Proc: o.Proc, Replica: o.Replica, Start: o.Start, End: o.End})
+		s.AddOpSlot(OpSlot{Op: o.Op, Proc: o.Proc, Replica: o.Replica, Start: o.Start, End: o.End})
 	}
 	for _, c := range js.Comms {
-		ns.AddCommSlot(CommSlot{
+		s.AddCommSlot(CommSlot{
 			Edge: graph.EdgeKey{Src: c.Src, Dst: c.Dst}, Link: c.Link,
 			From: c.From, To: c.To, SrcProc: c.SrcProc, DstProc: c.DstProc,
 			SenderRank: c.SenderRank, TransferID: c.TransferID, Hop: c.Hop,
@@ -100,7 +100,6 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 			maxTransfer = c.TransferID
 		}
 	}
-	ns.nextTransfer = maxTransfer + 1
-	*s = *ns
+	s.nextTransfer = maxTransfer + 1
 	return nil
 }

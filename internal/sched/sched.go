@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"ftsched/internal/graph"
 )
@@ -122,7 +123,9 @@ type Schedule struct {
 	// Memoized sorted views, built lazily by the accessors and dropped on
 	// mutation. Validate/Certify/render callers walk every processor and
 	// link repeatedly; sorting once per mutation instead of once per call
-	// keeps those walks linear.
+	// keeps those walks linear. memoMu guards them, so concurrent readers
+	// of one finished schedule may fill them safely.
+	memoMu          sync.Mutex
 	sortedProcSlots map[string][]*OpSlot
 	sortedLinkSlots map[string][]*CommSlot
 	procNames       []string
@@ -147,8 +150,10 @@ func New(mode Mode, k int) *Schedule {
 func (s *Schedule) AddOpSlot(slot OpSlot) *OpSlot {
 	cp := slot
 	s.procs[slot.Proc] = append(s.procs[slot.Proc], &cp)
+	s.memoMu.Lock()
 	delete(s.sortedProcSlots, slot.Proc)
 	s.procNames = nil
+	s.memoMu.Unlock()
 	return &cp
 }
 
@@ -173,9 +178,11 @@ func (s *Schedule) ReserveTransferIDs(n int) {
 func (s *Schedule) AddCommSlot(slot CommSlot) *CommSlot {
 	cp := slot
 	s.links[slot.Link] = append(s.links[slot.Link], &cp)
+	s.memoMu.Lock()
 	delete(s.sortedLinkSlots, slot.Link)
 	s.linkNames = nil
 	s.transfers = nil
+	s.memoMu.Unlock()
 	return &cp
 }
 
@@ -183,6 +190,8 @@ func (s *Schedule) AddCommSlot(slot CommSlot) *CommSlot {
 // insertion order for equal starts). The slice is memoized until the next
 // AddOpSlot; callers must not modify it.
 func (s *Schedule) ProcSlots(proc string) []*OpSlot {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
 	if out, ok := s.sortedProcSlots[proc]; ok {
 		return out
 	}
@@ -200,6 +209,8 @@ func (s *Schedule) ProcSlots(proc string) []*OpSlot {
 // LinkSlots returns the comm slots of link sorted by start date. The slice is
 // memoized until the next AddCommSlot; callers must not modify it.
 func (s *Schedule) LinkSlots(link string) []*CommSlot {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
 	if out, ok := s.sortedLinkSlots[link]; ok {
 		return out
 	}
@@ -217,6 +228,8 @@ func (s *Schedule) LinkSlots(link string) []*CommSlot {
 // Procs returns the processors with at least one slot, sorted by name. The
 // slice is memoized until the next AddOpSlot; callers must not modify it.
 func (s *Schedule) Procs() []string {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
 	if s.procNames != nil {
 		return s.procNames
 	}
@@ -232,6 +245,8 @@ func (s *Schedule) Procs() []string {
 // Links returns the links with at least one slot, sorted by name. The slice
 // is memoized until the next AddCommSlot; callers must not modify it.
 func (s *Schedule) Links() []string {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
 	if s.linkNames != nil {
 		return s.linkNames
 	}
@@ -292,6 +307,8 @@ func (s *Schedule) ReplicaOn(op, proc string) *OpSlot {
 // hop, groups sorted by transfer ID. The result is memoized until the next
 // AddCommSlot; callers must not modify it.
 func (s *Schedule) Transfers() [][]*CommSlot {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
 	if s.transfers != nil {
 		return s.transfers
 	}
