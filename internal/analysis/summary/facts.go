@@ -28,8 +28,6 @@ func (in *Info) Export() map[string]*Summary {
 func exportable(s *Summary) *Summary {
 	out := &Summary{
 		PollsCancel: s.PollsCancel,
-		MutRecv:     s.MutRecv,
-		MutParams:   s.MutParams,
 		ErrorValued: s.ErrorValued,
 	}
 	for _, e := range s.Protected {
@@ -48,7 +46,7 @@ func exportable(s *Summary) *Summary {
 		}
 	}
 	if len(out.Protected) == 0 && len(out.Allocs) == 0 && len(out.Nondet) == 0 &&
-		!out.PollsCancel && !out.MutRecv && len(out.MutParams) == 0 && !out.ErrorValued {
+		!out.PollsCancel && !out.ErrorValued {
 		return nil
 	}
 	return out

@@ -76,8 +76,6 @@ type Summary struct {
 	Allocs      []Alloc  `json:"allocs,omitempty"`
 	Nondet      []Nondet `json:"nondet,omitempty"`
 	PollsCancel bool     `json:"polls,omitempty"`
-	MutRecv     bool     `json:"mutRecv,omitempty"`
-	MutParams   []int    `json:"mutParams,omitempty"`
 	ErrorValued bool     `json:"errorValued,omitempty"`
 }
 
@@ -203,10 +201,10 @@ func (c *computer) base(n *callgraph.Node) *Summary {
 				return
 			}
 			for _, lhs := range x.Lhs {
-				c.recordMutation(s, n, sig, bools, lhs, lhs.Pos())
+				c.recordMutation(s, n, bools, lhs, lhs.Pos())
 			}
 		case *ast.IncDecStmt:
-			c.recordMutation(s, n, sig, bools, x.X, x.Pos())
+			c.recordMutation(s, n, bools, x.X, x.Pos())
 		case *ast.CallExpr:
 			c.scanCall(s, n, sig, bools, x)
 		case *ast.CompositeLit:
@@ -224,23 +222,9 @@ func (c *computer) base(n *callgraph.Node) *Summary {
 // recordMutation classifies one write target. A write whose selector/index
 // chain passes through a value of a protected type (a named struct carrying
 // a mutEpoch field) becomes a Protected effect, guarded by whichever bool
-// parameters the CFG proves must be true for the site to execute. Writes
-// through the receiver or a pointer parameter set MutRecv/MutParams.
-func (c *computer) recordMutation(s *Summary, n *callgraph.Node, sig *types.Signature, bools []boolParam, target ast.Expr, pos token.Pos) {
+// parameters the CFG proves must be true for the site to execute.
+func (c *computer) recordMutation(s *Summary, n *callgraph.Node, bools []boolParam, target ast.Expr, pos token.Pos) {
 	tname, field, hit := protectedChain(c.info, target)
-	base := baseIdent(target)
-	if base != nil {
-		if v, ok := c.info.Uses[base].(*types.Var); ok {
-			if sig != nil && sig.Recv() != nil && v == sig.Recv() {
-				if hit || isPointer(v.Type()) || !isLocalValue(v) {
-					s.MutRecv = true
-				}
-			}
-			if i := paramIndex(sig, v); i >= 0 && (hit || isPointer(v.Type())) {
-				s.MutParams = addInt(s.MutParams, i)
-			}
-		}
-	}
 	if !hit {
 		return
 	}
@@ -267,7 +251,7 @@ func (c *computer) scanCall(s *Summary, n *callgraph.Node, sig *types.Signature,
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 {
 		if _, isBuiltin := c.info.Uses[id].(*types.Builtin); isBuiltin && (id.Name == "delete" || id.Name == "copy") {
-			c.recordMutation(s, n, sig, bools, call.Args[0], call.Args[0].Pos())
+			c.recordMutation(s, n, bools, call.Args[0], call.Args[0].Pos())
 		}
 	}
 	fn := analysis.CalleeFunc(c.info, call)
@@ -509,52 +493,9 @@ func (c *computer) fold(info *Info, n *callgraph.Node) bool {
 			s.PollsCancel = true
 			changed = true
 		}
-		if callee.MutRecv || len(callee.MutParams) > 0 {
-			if c.foldMutTargets(s, n, e, callee) {
-				changed = true
-			}
-		}
 	}
 	if changed {
 		sortSummary(s)
-	}
-	return changed
-}
-
-// foldMutTargets propagates mutates-receiver/param facts through a call:
-// s.helper() where helper mutates its receiver means the caller mutates s.
-func (c *computer) foldMutTargets(s *Summary, n *callgraph.Node, e callgraph.Edge, callee *Summary) bool {
-	sig := n.Type(c.info)
-	changed := false
-	classify := func(expr ast.Expr) {
-		base := baseIdent(expr)
-		if base == nil || sig == nil {
-			return
-		}
-		v, _ := c.info.Uses[base].(*types.Var)
-		if v == nil {
-			return
-		}
-		if sig.Recv() != nil && v == sig.Recv() && !s.MutRecv {
-			s.MutRecv = true
-			changed = true
-		}
-		if i := paramIndex(sig, v); i >= 0 {
-			if next := addInt(s.MutParams, i); len(next) != len(s.MutParams) {
-				s.MutParams = next
-				changed = true
-			}
-		}
-	}
-	if callee.MutRecv {
-		if sel, ok := ast.Unparen(e.Site.Fun).(*ast.SelectorExpr); ok {
-			classify(sel.X)
-		}
-	}
-	for _, i := range callee.MutParams {
-		if i < len(e.Site.Args) {
-			classify(e.Site.Args[i])
-		}
 	}
 	return changed
 }
@@ -900,51 +841,6 @@ func capturedVars(lit *ast.FuncLit, info *types.Info) []*types.Var {
 	return out
 }
 
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.Ident:
-			return x
-		default:
-			return nil
-		}
-	}
-}
-
-func isPointer(t types.Type) bool {
-	_, ok := types.Unalias(t).(*types.Pointer)
-	return ok
-}
-
-// isLocalValue reports whether writes through v stay caller-invisible: a
-// non-pointer, non-reference-typed value.
-func isLocalValue(v *types.Var) bool {
-	switch types.Unalias(v.Type().Underlying()).(type) {
-	case *types.Pointer, *types.Map, *types.Slice, *types.Chan:
-		return false
-	}
-	return true
-}
-
-func paramIndex(sig *types.Signature, v *types.Var) int {
-	if sig == nil {
-		return -1
-	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if params.At(i) == v {
-			return i
-		}
-	}
-	return -1
-}
-
 func isZeroLiteral(e ast.Expr) bool {
 	lit, ok := ast.Unparen(e).(*ast.BasicLit)
 	return ok && lit.Value == "0"
@@ -1040,5 +936,4 @@ func sortSummary(s *Summary) {
 	})
 	sort.Slice(s.Allocs, func(i, j int) bool { return s.Allocs[i].Site < s.Allocs[j].Site })
 	sort.Slice(s.Nondet, func(i, j int) bool { return s.Nondet[i].Site < s.Nondet[j].Site })
-	sort.Ints(s.MutParams)
 }

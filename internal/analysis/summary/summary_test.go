@@ -192,28 +192,11 @@ func sized(n int) []int { return make([]int, n) }
 	}
 }
 
-func TestMutTargetsAndErrorValued(t *testing.T) {
+func TestErrorValued(t *testing.T) {
 	info, _ := compute(t, `package p
-type box struct{ n int }
-func (b *box) bump() { b.n++ }
-func viaHelper(b *box) { b.bump() }
-func setArg(p *int) { *p = 1 }
-func viaSetArg(x *int, y int) { setArg(x) }
 func factory() func() error { return func() error { return nil } }
 func plain() int { return 0 }
 `)
-	if !forName(t, info, "(*box).bump").MutRecv {
-		t.Error("bump: MutRecv = false, want true")
-	}
-	if got := forName(t, info, "viaHelper").MutParams; !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("viaHelper MutParams = %v, want [0] (receiver mutation folded onto the argument)", got)
-	}
-	if got := forName(t, info, "setArg").MutParams; !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("setArg MutParams = %v, want [0]", got)
-	}
-	if got := forName(t, info, "viaSetArg").MutParams; !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("viaSetArg MutParams = %v, want [0] (propagated)", got)
-	}
 	if !forName(t, info, "factory").ErrorValued {
 		t.Error("factory: ErrorValued = false, want true")
 	}

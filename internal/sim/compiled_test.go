@@ -284,59 +284,72 @@ func TestRunStatsMatchesFullRun(t *testing.T) {
 		if m.Validate(sc) != nil {
 			continue
 		}
-		cfg := sim.Config{Iterations: 3, Deadline: horizon * 1.1}
-		full, err := m.Simulate(sc, cfg)
-		if err != nil {
-			t.Fatal(err)
+		assertStatsMatch(t, m, runner, sc, sim.Config{Iterations: 3, Deadline: horizon * 1.1}, fmt.Sprintf("scenario %d", si))
+	}
+}
+
+// assertStatsMatch fails unless RunStats aggregates exactly what Run
+// reports for the scenario.
+func assertStatsMatch(t *testing.T, m *sim.Model, runner *sim.Runner, sc sim.Scenario, cfg sim.Config, label string) {
+	t.Helper()
+	cfg.Trace = false
+	full, err := m.Simulate(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := runner.RunStats(sc, sim.RunConfig{Iterations: cfg.Iterations, Deadline: cfg.Deadline})
+	want := sim.Stats{Iterations: len(full.Iterations)}
+	for it, ir := range full.Iterations {
+		if ir.Completed {
+			want.Completed++
 		}
-		st := runner.RunStats(sc, sim.RunConfig{Iterations: 3, Deadline: horizon * 1.1})
-		var (
-			completed, misses, msgs, timeouts, falseDet int
-			worst, sum                                  float64
-		)
-		for _, ir := range full.Iterations {
-			if ir.Completed {
-				completed++
-			}
-			if !ir.DeadlineMet {
-				misses++
-			}
-			msgs += ir.MessagesSent
-			timeouts += ir.TimeoutsFired
-			falseDet += ir.FalseDetections
-			sum += ir.ResponseTime
-			if ir.ResponseTime > worst {
-				worst = ir.ResponseTime
-			}
+		if !ir.DeadlineMet {
+			want.DeadlineMisses++
 		}
-		if st.Iterations != len(full.Iterations) || st.Completed != completed ||
-			st.DeadlineMisses != misses || st.Messages != msgs ||
-			st.Timeouts != timeouts || st.FalseDetections != falseDet ||
-			st.WorstResponse != worst || st.SumResponse != sum {
-			t.Fatalf("scenario %d: RunStats diverges from full run:\nstats: %+v\nfull:  completed=%d misses=%d msgs=%d timeouts=%d falseDet=%d worst=%v sum=%v",
-				si, st, completed, misses, msgs, timeouts, falseDet, worst, sum)
+		want.Messages += ir.MessagesSent
+		want.Timeouts += ir.TimeoutsFired
+		want.FalseDetections += ir.FalseDetections
+		want.SumResponse += ir.ResponseTime
+		if ir.ResponseTime > want.WorstResponse {
+			want.WorstResponse, want.WorstIteration = ir.ResponseTime, it
 		}
+	}
+	// A Result carries no failover, loss, or operation tallies: take
+	// RunStats' own and compare every other field.
+	want.Failovers, want.Lost, want.Missed = st.Failovers, st.Lost, st.Missed
+	want.OpsExecuted, want.OpsCancelled = st.OpsExecuted, st.OpsCancelled
+	if st != want {
+		t.Fatalf("%s: RunStats diverges from full run:\nstats: %+v\nfull:  %+v", label, st, want)
 	}
 }
 
 // FuzzSimDifferential holds the compiled and legacy engines together under
 // fuzzed problems and scenarios (the scenario bytes drive failure targets,
 // dates, recovery points, and link outages; invalid combinations must be
-// rejected with identical errors).
+// rejected with identical errors). Problems reach 40 operations and K=2 on
+// three or more processors, so FT1 schedules carry many failover chains.
 func FuzzSimDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(3), true, uint8(1), []byte{0, 0, 10, 0, 0})
 	f.Add(int64(2), uint8(8), uint8(2), false, uint8(2), []byte{1, 1, 200, 1, 120, 255, 0, 40, 0, 0})
 	f.Add(int64(3), uint8(4), uint8(4), true, uint8(0), []byte{})
 	f.Add(int64(4), uint8(10), uint8(3), true, uint8(1), []byte{0, 0, 3, 0, 9, 1, 0, 5, 0, 0, 2, 1, 7, 0, 0})
+	f.Add(int64(5), uint8(38), uint8(2), true, uint8(4), []byte{1, 0, 128, 0, 0, 2, 0, 130, 0, 0})
+	f.Add(int64(6), uint8(30), uint8(3), false, uint8(5), []byte{255, 0, 100, 0, 0, 3, 1, 60, 1, 20})
+	// A bus outage on a K=2 FT1 schedule that leaves a passive backup's
+	// source pending at quiescence: unblock must invalidate its chain.
+	f.Add(int64(97), uint8(8), uint8(10), true, uint8(34), []byte("\xff0010"))
 	f.Fuzz(func(t *testing.T, seed int64, szOps, szProcs uint8, bus bool, hsel uint8, scBytes []byte) {
 		rng := rand.New(rand.NewSource(seed))
-		nOps := int(szOps%10) + 2
+		nOps := int(szOps%39) + 2
 		nProcs := int(szProcs%4) + 2
 		g, a, sp := randomProblem(rng, nOps, nProcs, bus)
 		h := []core.Heuristic{core.Basic, core.FT1, core.FT2}[int(hsel)%3]
 		k := 0
 		if h != core.Basic {
 			k = 1
+			if nProcs >= 3 && hsel/3%2 == 1 {
+				k = 2
+			}
 		}
 		r, err := core.Schedule(h, g, a, sp, k, core.Options{})
 		if err != nil {

@@ -34,6 +34,16 @@ type Model struct {
 	// legacy scan of sched.Procs().
 	schedProcs []int32
 
+	// The senders fed by instance i are
+	// instSenders[instSendStart[i]:instSendStart[i+1]]: completing i writes
+	// the date their first hop and their failover chain read.
+	instSendStart []int32
+	instSenders   []int32
+	// chains are the FT1 failover deliveries, in delivery order; chainOf
+	// maps a delivery to its index in chains, or -1.
+	chains  []int32
+	chainOf []int32
+
 	makespan float64
 }
 
@@ -57,6 +67,31 @@ func Compile(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.S
 	for _, p := range m.procByName {
 		if c.SeqStart[p] < c.SeqStart[p+1] {
 			m.schedProcs = append(m.schedProcs, p)
+		}
+	}
+	m.instSendStart = make([]int32, len(c.Insts)+1)
+	for _, sd := range c.Senders {
+		if sd.SrcInst >= 0 {
+			m.instSendStart[sd.SrcInst+1]++
+		}
+	}
+	for i := range c.Insts {
+		m.instSendStart[i+1] += m.instSendStart[i]
+	}
+	m.instSenders = make([]int32, m.instSendStart[len(c.Insts)])
+	fill := append([]int32(nil), m.instSendStart[:len(c.Insts)]...)
+	for si, sd := range c.Senders {
+		if sd.SrcInst >= 0 {
+			m.instSenders[fill[sd.SrcInst]] = int32(si)
+			fill[sd.SrcInst]++
+		}
+	}
+	m.chainOf = make([]int32, len(c.Deliveries))
+	for gi, gr := range c.Deliveries {
+		m.chainOf[gi] = -1
+		if gr.Chain {
+			m.chainOf[gi] = int32(len(m.chains))
+			m.chains = append(m.chains, int32(gi))
 		}
 	}
 	return m, nil

@@ -6,12 +6,33 @@ import (
 	"ftsched/internal/sched"
 )
 
-// This file is the compiled engine: a statement-for-statement mirror of the
+// This file is the compiled engine: a decision-for-decision mirror of the
 // legacy engine (engine.go) over the Model's int32-indexed arrays instead of
-// string-keyed maps. Every scan order, epsilon comparison, and math.Max is
-// kept identical so the two paths produce reflect.DeepEqual Results — the
-// differential and fuzz tests (compiled_test.go) hold them together. When
-// changing simulation semantics, change BOTH engines.
+// string-keyed maps. Every step takes the same action at the same date as
+// the legacy engine — the candidate scan keeps its orders and its eps
+// comparisons, and every date is computed by the same max chain — so the two
+// paths produce reflect.DeepEqual Results; the differential and fuzz tests
+// (compiled_test.go) hold them together. When changing simulation
+// semantics, change BOTH engines.
+//
+// Where the legacy engine recomputes every candidate on every step, the
+// compiled one caches a candidate per processor, per link, and per FT1
+// chain, and recomputes it only after a step wrote state it reads:
+//
+//	candidate    reads                              marked dirty by
+//	processor p  seqIdx, seqReady, seqDead[p],      execOp(p) (done and cancel
+//	             opDone[*,p], commAvail[*,p],       paths), killProc(p), and a
+//	             silence(p)                         commAvail write for receiver p
+//	link l       sendState, sendHopDone and         senderChanged for any sender
+//	             sendHopTime of queued senders,     routed over l; instDone for a
+//	             the head sender's source date      sender whose first hop is l
+//	chain        its senders' state and arrival,    senderChanged or instDone for
+//	             their source dates                 one of its senders
+//
+// silence(p) is constant within an iteration. Link and chain candidates
+// cache the date before the link is free and take max(date, linkFree) at
+// scan time, so a linkFree write invalidates nothing. A settled chain stays
+// settled for the rest of the iteration.
 
 // silence returns the window [from, to) of iteration-local time during
 // which processor p is silent in the current iteration.
@@ -98,7 +119,7 @@ func (r *Runner) runCompiled(it int) {
 		}
 		switch kind {
 		case actOp:
-			r.execOp(ref)
+			r.execOp(ref, start)
 		case actQueueHop:
 			r.execQueueHop(ref)
 		case actFailover:
@@ -133,6 +154,7 @@ func (r *Runner) resolve() {
 			sd := &m.c.Senders[si]
 			if sd.SrcInst < 0 || r.instState[sd.SrcInst] == opCancelled {
 				r.sendState[si] = sendNever
+				r.senderChanged(int32(si))
 				changed = true
 			}
 		}
@@ -150,34 +172,83 @@ func (r *Runner) killProc(p int32) {
 	}
 	r.seqIdx[p] = hi
 	r.seqDead[p] = true
+	r.procCand[p].dirty = true
 	r.resolveDirty = true
 }
 
+// senderChanged invalidates the candidates that read sender si's state: the
+// queue of every link on its route and its failover chain.
+func (r *Runner) senderChanged(si int32) {
+	m := r.m
+	sd := &m.c.Senders[si]
+	for _, h := range m.c.Hops[sd.HopLo:sd.HopHi] {
+		r.linkCand[h.Link].dirty = true
+	}
+	if ci := m.chainOf[sd.Delivery]; ci >= 0 {
+		r.chainCand[ci].dirty = true
+	}
+}
+
+// instDone invalidates the candidates that read instance i's completion
+// date: the first-hop queue and the failover chain of every sender it feeds.
+func (r *Runner) instDone(i int32) {
+	m := r.m
+	for _, si := range m.instSenders[m.instSendStart[i]:m.instSendStart[i+1]] {
+		sd := &m.c.Senders[si]
+		if sd.HopLo < sd.HopHi {
+			r.linkCand[m.c.Hops[sd.HopLo].Link].dirty = true
+		}
+		if ci := m.chainOf[sd.Delivery]; ci >= 0 {
+			r.chainCand[ci].dirty = true
+		}
+	}
+}
+
 // nextAction scans processors, link queues, and failover chains for the
-// executable action with the earliest start date. Scan orders match the
-// legacy engine: processors and links in sorted-name order (schedProcs,
-// linkByName), groups in delivery order.
+// executable action with the earliest start date, refreshing the dirty
+// candidates on the way. Scan orders match the legacy engine: processors
+// and links in sorted-name order (schedProcs, linkByName), chains in
+// delivery order.
 func (r *Runner) nextAction() (kind actionKind, ref int32, idx int32, bestStart float64) {
 	m := r.m
 	kind, ref, idx = actNone, -1, -1
 	bestStart = math.Inf(1)
 	for _, p := range m.schedProcs {
-		if start, ok := r.nextOpStart(p); ok && start < bestStart-eps {
-			kind, bestStart, ref, idx = actOp, start, p, -1
+		c := &r.procCand[p]
+		if c.dirty {
+			c.at, c.ok = r.nextOpStart(p)
+			c.dirty = false
+		}
+		if c.ok && c.at < bestStart-eps {
+			kind, bestStart, ref, idx = actOp, c.at, p, -1
 		}
 	}
 	for _, l := range m.linkByName {
-		if start, ok := r.nextQueueHopStart(l); ok && start < bestStart-eps {
+		c := &r.linkCand[l]
+		if c.dirty {
+			c.at, c.ok = r.queueHeadReady(l)
+			c.dirty = false
+		}
+		if !c.ok {
+			continue
+		}
+		if start := max(c.at, r.linkFree[l]); start < bestStart-eps {
 			kind, bestStart, ref, idx = actQueueHop, start, l, -1
 		}
 	}
-	for gi := range m.c.Deliveries {
-		gr := &m.c.Deliveries[gi]
-		if !gr.Chain || r.grSettled[gi] {
+	for ci := range r.chainCand {
+		c := &r.chainCand[ci]
+		if c.settled {
 			continue
 		}
-		if si, start, ok := r.nextFailover(int32(gi)); ok && start < bestStart-eps {
-			kind, bestStart, ref, idx = actFailover, start, int32(gi), si
+		if c.dirty {
+			r.refreshChain(int32(ci))
+		}
+		if c.sender < 0 {
+			continue
+		}
+		if start := max(c.at, r.linkFree[c.link]); start < bestStart-eps {
+			kind, bestStart, ref, idx = actFailover, start, m.chains[ci], c.sender
 		}
 	}
 	return kind, ref, idx, bestStart
@@ -221,13 +292,13 @@ func (r *Runner) inputAvail(edge, srcOp, proc int32) (float64, bool) {
 	return best, !math.IsInf(best, 1)
 }
 
-// execOp runs the next operation of p, honoring the fail-stop date or the
-// fail-silent outage window.
-func (r *Runner) execOp(p int32) {
+// execOp runs the next operation of p, which nextAction found to start at
+// start, honoring the fail-stop date or the fail-silent outage window.
+func (r *Runner) execOp(p int32, start float64) {
 	m := r.m
 	i := r.seqIdx[p]
-	start, _ := r.nextOpStart(p)
 	end := start + m.instExec[i]
+	r.procCand[p].dirty = true
 	if from, to, ok := r.silence(p); ok {
 		if math.IsInf(to, 1) {
 			if start >= from-eps || end > from+eps {
@@ -247,6 +318,7 @@ func (r *Runner) execOp(p int32) {
 	r.instState[i] = opDone
 	r.opsExec++
 	r.opDone[m.c.Insts[i].Op*m.nP+p] = end
+	r.instDone(i)
 	r.seqReady[p] = end
 	r.seqIdx[p] = i + 1
 	r.record(EventOp, m.c.OpNames[m.c.Insts[i].Op], m.c.ProcNames[p], start, end)
@@ -255,9 +327,10 @@ func (r *Runner) execOp(p int32) {
 	}
 }
 
-// nextQueueHopStart returns the earliest start of the head entry of link
-// l's static communication order, skipping entries that never transmit.
-func (r *Runner) nextQueueHopStart(l int32) (float64, bool) {
+// queueHeadReady returns when the data of the head entry of link l's static
+// communication order is ready, skipping entries that never transmit. The
+// hop starts at max(ready, linkFree[l]).
+func (r *Runner) queueHeadReady(l int32) (float64, bool) {
 	m := r.m
 	hi := m.c.QueueStart[l+1]
 	i := r.queueIdx[l]
@@ -268,11 +341,7 @@ func (r *Runner) nextQueueHopStart(l int32) (float64, bool) {
 			continue
 		}
 		r.queueIdx[l] = i
-		ready, ok := r.hopDataReady(en)
-		if !ok {
-			return 0, false
-		}
-		return math.Max(ready, r.linkFree[l]), true
+		return r.hopDataReady(en)
 	}
 	r.queueIdx[l] = i
 	return 0, false
@@ -297,9 +366,8 @@ func (r *Runner) hopDataReady(en *sched.QueueEntry) (float64, bool) {
 
 // execQueueHop executes the head entry of link l's static order.
 func (r *Runner) execQueueHop(l int32) {
-	en := &r.m.c.Queue[r.queueIdx[l]]
-	ready, _ := r.hopDataReady(en)
-	r.execHop(r.m.c.Senders[en.Sender].Delivery, en.Sender, ready)
+	si := r.m.c.Queue[r.queueIdx[l]].Sender
+	r.execHop(r.m.c.Senders[si].Delivery, si, r.linkCand[l].at)
 }
 
 // execHop transmits one hop of a transfer; a forwarding processor or the
@@ -308,12 +376,13 @@ func (r *Runner) execHop(gi, si int32, ready float64) {
 	m := r.m
 	sd := &m.c.Senders[si]
 	h := &m.c.Hops[sd.HopLo+r.sendHopDone[si]]
-	start := math.Max(ready, r.linkFree[h.Link])
+	r.senderChanged(si) // every path below moves the sender on
+	start := max(ready, r.linkFree[h.Link])
 	if from, to, ok := r.silence(h.From); ok && !math.IsInf(to, 1) && start >= from-eps && start < to {
-		start = math.Max(to, r.linkFree[h.Link])
+		start = max(to, r.linkFree[h.Link])
 	}
 	if from, to, ok := r.linkSilence(h.Link); ok && !math.IsInf(to, 1) && start >= from-eps && start < to {
-		start = math.Max(to, r.linkFree[h.Link])
+		start = max(to, r.linkFree[h.Link])
 	}
 	end := start + h.Dur
 	if r.silentDuring(h.From, start, end) {
@@ -359,6 +428,7 @@ func (r *Runner) execHop(gi, si int32, ready float64) {
 		k := gr.Edge*nP + rcv
 		if cur := r.commAvail[k]; math.IsNaN(cur) || end < cur {
 			r.commAvail[k] = end
+			r.procCand[rcv].dirty = true
 		}
 	}
 	if r.detected[sd.Proc] && !r.silentAt(sd.Proc, end) {
@@ -366,19 +436,22 @@ func (r *Runner) execHop(gi, si int32, ready float64) {
 	}
 }
 
-// nextFailover walks an FT1 failover chain and returns the next passive
-// sender ready to transmit (as an absolute sender index).
-func (r *Runner) nextFailover(gi int32) (int32, float64, bool) {
+// refreshChain walks FT1 failover chain ci and caches the next passive
+// sender ready to transmit (as an absolute sender index), or settles the
+// chain.
+func (r *Runner) refreshChain(ci int32) {
 	m := r.m
-	gr := &m.c.Deliveries[gi]
+	c := &r.chainCand[ci]
+	c.dirty, c.sender = false, -1
+	gr := &m.c.Deliveries[m.chains[ci]]
 	effDeadline := 0.0
 	for si := gr.SendLo; si < gr.SendHi; si++ {
 		sd := &m.c.Senders[si]
 		if r.sendSkipped[si] {
 			if sd.Passive && r.sendState[si] == sendUnknown {
 				if d := r.opDone[sd.SrcOp*m.nP+sd.Proc]; !math.IsNaN(d) {
-					start := math.Max(math.Max(d, effDeadline), r.linkFree[m.c.Hops[sd.HopLo].Link])
-					return si, start, true
+					c.at, c.sender, c.link = max(d, effDeadline), si, m.c.Hops[sd.HopLo].Link
+					return
 				}
 			}
 			continue
@@ -386,32 +459,31 @@ func (r *Runner) nextFailover(gi int32) (int32, float64, bool) {
 		switch r.sendState[si] {
 		case sendDone:
 			if r.sendArrival[si] <= effDeadline+eps || r.sendArrival[si] <= sd.Deadline+eps {
-				r.grSettled[gi] = true
-				return -1, 0, false
+				c.settled = true
+				return
 			}
-			effDeadline = math.Max(effDeadline, sd.Deadline)
+			effDeadline = max(effDeadline, sd.Deadline)
 		case sendNever:
-			effDeadline = math.Max(effDeadline, sd.Deadline)
+			effDeadline = max(effDeadline, sd.Deadline)
 		case sendActive, sendUnknown:
 			if !sd.Passive {
-				effDeadline = math.Max(effDeadline, sd.Deadline)
+				effDeadline = max(effDeadline, sd.Deadline)
 				continue
 			}
 			d := r.opDone[sd.SrcOp*m.nP+sd.Proc]
 			if math.IsNaN(d) {
-				return -1, 0, false
+				return
 			}
-			start := math.Max(math.Max(d, effDeadline), r.linkFree[m.c.Hops[sd.HopLo].Link])
-			return si, start, true
+			c.at, c.sender, c.link = max(d, effDeadline), si, m.c.Hops[sd.HopLo].Link
+			return
 		}
 	}
 	for si := gr.SendLo; si < gr.SendHi; si++ {
 		if r.sendState[si] == sendUnknown || r.sendState[si] == sendActive {
-			return -1, 0, false
+			return
 		}
 	}
-	r.grSettled[gi] = true
-	return -1, 0, false
+	c.settled = true
 }
 
 // execFailover performs a backup sender's transfer after marking the
@@ -422,6 +494,7 @@ func (r *Runner) execFailover(gi, si int32, start float64) {
 	for p := gr.SendLo; p < si; p++ {
 		if r.sendState[p] == sendDone && r.sendArrival[p] <= start+eps {
 			r.sendState[si] = sendNever
+			r.senderChanged(si)
 			return
 		}
 	}
@@ -483,6 +556,7 @@ func (r *Runner) unblock() bool {
 		sd := &m.c.Senders[si]
 		if sd.SrcInst >= 0 && r.instState[sd.SrcInst] == opPending {
 			r.sendState[si] = sendNever
+			r.senderChanged(int32(si))
 			progress = true
 		}
 	}
@@ -509,7 +583,7 @@ func (r *Runner) nextSkipHop() (gi, si int32, ready float64, ok bool) {
 			if !dataOK {
 				continue // blocked entry: look further down the order
 			}
-			start := math.Max(rdy, r.linkFree[l])
+			start := max(rdy, r.linkFree[l])
 			if start < bestStart-eps {
 				gi, si, ready, bestStart = m.c.Senders[en.Sender].Delivery, en.Sender, rdy, start
 			}
@@ -523,11 +597,8 @@ func (r *Runner) nextSkipHop() (gi, si int32, ready float64, ok bool) {
 // receivers still waited for each undetected sender's deadline.
 func (r *Runner) finalTimeoutSweep() {
 	m := r.m
-	for gi := range m.c.Deliveries {
+	for _, gi := range m.chains {
 		gr := &m.c.Deliveries[gi]
-		if !gr.Chain {
-			continue
-		}
 		satisfied, allResolved := false, true
 		for si := gr.SendLo; si < gr.SendHi; si++ {
 			if r.sendState[si] == sendDone {

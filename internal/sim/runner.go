@@ -33,8 +33,15 @@ type Runner struct {
 	sendHopTime []float64
 	sendArrival []float64
 	sendSkipped []bool
-	grSettled   []bool
 	queueIdx    []int32 // per link: absolute next-queue-entry index
+
+	// Next-action candidates, one per processor, link, and FT1 chain. Each
+	// is recomputed only after a step wrote state it reads (run.go lists
+	// the write sites); linkFree is applied at scan time, so link and chain
+	// candidates never depend on it.
+	procCand  []candidate      // per processor: next operation's start
+	linkCand  []candidate      // per link: queue head's data-ready date
+	chainCand []chainCandidate // per chain (Model.chains)
 
 	messages, lost, missed        int
 	timeouts, falseDet, failovers int
@@ -69,9 +76,27 @@ func (m *Model) NewRunner() *Runner {
 		sendHopTime: make([]float64, len(c.Senders)),
 		sendArrival: make([]float64, len(c.Senders)),
 		sendSkipped: make([]bool, len(c.Senders)),
-		grSettled:   make([]bool, len(c.Deliveries)),
 		queueIdx:    make([]int32, nL),
+		procCand:    make([]candidate, nP),
+		linkCand:    make([]candidate, nL),
+		chainCand:   make([]chainCandidate, len(m.chains)),
 	}
+}
+
+// candidate is a cached next-action date: ok reports whether the action is
+// executable at all, dirty that the cache must be recomputed before use.
+type candidate struct {
+	at        float64
+	ok, dirty bool
+}
+
+// chainCandidate caches an FT1 chain's next passive sender (-1 when none is
+// ready), the date it may start before the link is considered, and its
+// first-hop link. settled is absorbing within an iteration.
+type chainCandidate struct {
+	at             float64
+	sender, link   int32
+	dirty, settled bool
 }
 
 // Reset rewinds the cross-scenario failure state (injected failures and FT1
@@ -128,8 +153,14 @@ func (r *Runner) resetIteration(it int) {
 		r.sendArrival[i] = 0
 		r.sendSkipped[i] = r.detected[m.c.Senders[i].Proc]
 	}
-	for i := range r.grSettled {
-		r.grSettled[i] = false
+	for i := range r.procCand {
+		r.procCand[i].dirty = true
+	}
+	for i := range r.linkCand {
+		r.linkCand[i].dirty = true
+	}
+	for i := range r.chainCand {
+		r.chainCand[i] = chainCandidate{dirty: true}
 	}
 	r.messages, r.lost, r.missed = 0, 0, 0
 	r.timeouts, r.falseDet, r.failovers = 0, 0, 0
