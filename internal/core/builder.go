@@ -84,9 +84,20 @@ func earliestGap(busy []interval, ready, dur float64) float64 {
 	return t
 }
 
-// insertInterval adds [start,end) keeping the slice sorted by start.
+// insertPos is the index at which [start,end) enters busy: before the
+// first interval starting later, or at the same date but ending later. Only
+// a zero-length transfer can share its start with another interval; ordering
+// equal starts by end keeps the end dates sorted, which the binary searches
+// of earliestGap and occupancy.search rely on.
+func insertPos(busy []interval, start, end float64) int {
+	return sort.Search(len(busy), func(i int) bool { //ftlint:hotalloc-ok non-escaping: sort.Search invokes the predicate without retaining it
+		return busy[i].start > start || busy[i].start == start && busy[i].end > end
+	})
+}
+
+// insertInterval adds [start,end) at insertPos.
 func insertInterval(busy []interval, start, end float64) []interval {
-	i := sort.Search(len(busy), func(i int) bool { return busy[i].start >= start }) //ftlint:hotalloc-ok non-escaping: sort.Search invokes the predicate without retaining it
+	i := insertPos(busy, start, end)
 	busy = append(busy, interval{})
 	copy(busy[i+1:], busy[i:])
 	busy[i] = interval{start: start, end: end}

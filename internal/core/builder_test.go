@@ -47,6 +47,41 @@ func TestInsertIntervalKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestGapSearchWithZeroLengthTransfers: a zero-duration transfer shares its
+// date with the longer transfer placed next to it. The busy list must stay
+// ordered by end as well, or the searches' binary search skips a busy
+// interval and a later transfer lands on top of it.
+func TestGapSearchWithZeroLengthTransfers(t *testing.T) {
+	var occ occupancy
+	occ.insert(3, 3)
+	occ.insert(3, 3.5)
+	if got := occ.search(3, 0.5); got != 3.5 {
+		t.Errorf("search after [3,3] and [3,3.5] = %v, want 3.5 (busy %v)", got, occ.busy)
+	}
+	f := func(seed int64, n uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		var occ occupancy
+		for i := 0; i < int(n%30)+1; i++ {
+			ready := float64(r.Intn(6))   // integer dates make shared starts common
+			dur := float64(r.Intn(3)) / 2 // 0, 0.5 or 1
+			start := occ.search(ready, dur)
+			if start != earliestGap(occ.busy, ready, dur) || start < ready {
+				return false
+			}
+			for _, iv := range occ.busy {
+				if start < iv.end-1e-9 && iv.start < start+dur-1e-9 {
+					return false
+				}
+			}
+			occ.insert(start, start+dur)
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickGapNeverOverlaps(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -42,11 +42,9 @@ func (o *occupancy) ensure() {
 // the block index. Position choice matches insertInterval exactly.
 func (o *occupancy) insert(start, end float64) {
 	o.ensure()
+	p := insertPos(o.busy, start, end)
 	o.busy = insertInterval(o.busy, start, end)
 	if o.clean {
-		p := sort.Search(len(o.busy), func(i int) bool { return o.busy[i].start >= start }) //ftlint:hotalloc-ok non-escaping: sort.Search invokes the predicate without retaining it
-		// insertInterval put the new interval at the first index whose start
-		// is >= start; re-deriving p this way lands on the same slot.
 		if (p > 0 && o.busy[p-1].end > start) || (p+1 < len(o.busy) && end > o.busy[p+1].start) {
 			o.clean = false
 			o.blockMax = nil

@@ -262,6 +262,55 @@ func TestValidateLinkOverlap(t *testing.T) {
 	}
 }
 
+// TestValidateZeroLengthTransfer: a zero-duration transfer occupies no
+// link time, so it may share its date with a transfer recorded before it,
+// and it does not hide an overlap between the transfers around it.
+func TestValidateZeroLengthTransfer(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		abStart     float64 // date of the zero-length A->B transfer
+		withAD      bool    // add A->D [1.2,1.7], overlapping A->C [1,1.5]
+		wantOverlap bool
+	}{
+		{"shares a start", 1, false, false},
+		{"between overlapping transfers", 1.1, true, true},
+	} {
+		f := newFixture(t)
+		_ = f.sp.SetComm(graph.EdgeKey{Src: "A", Dst: "B"}, "L", 0)
+		s := New(ModeBasic, 0)
+		s.AddOpSlot(OpSlot{Op: "A", Proc: "P1", Start: 0, End: 1})
+		s.AddOpSlot(OpSlot{Op: "B", Proc: "P2", Start: 1.5, End: 3.5})
+		next := 3.5
+		for _, op := range []string{"C", "D"} {
+			if op == "D" && !tc.withAD {
+				break
+			}
+			_ = f.g.AddComp(op)
+			_ = f.g.Connect("A", op)
+			_ = f.sp.SetExec(op, "P2", 1)
+			_ = f.sp.SetComm(graph.EdgeKey{Src: "A", Dst: op}, "L", 0.5)
+			s.AddOpSlot(OpSlot{Op: op, Proc: "P2", Start: next, End: next + 1})
+			next++
+		}
+		// A->C is recorded first, so it sorts ahead of A->B on equal starts.
+		s.AddCommSlot(CommSlot{Edge: graph.EdgeKey{Src: "A", Dst: "C"}, Link: "L",
+			From: "P1", To: "P2", SrcProc: "P1", DstProc: "P2", TransferID: 0, Hop: 0, Start: 1, End: 1.5})
+		s.AddCommSlot(CommSlot{Edge: graph.EdgeKey{Src: "A", Dst: "B"}, Link: "L",
+			From: "P1", To: "P2", SrcProc: "P1", DstProc: "P2", TransferID: 1, Hop: 0, Start: tc.abStart, End: tc.abStart})
+		if tc.withAD {
+			s.AddCommSlot(CommSlot{Edge: graph.EdgeKey{Src: "A", Dst: "D"}, Link: "L",
+				From: "P1", To: "P2", SrcProc: "P1", DstProc: "P2", TransferID: 2, Hop: 0, Start: 1.2, End: 1.7})
+		}
+		err := s.Validate(f.g, f.a, f.sp)
+		if !tc.wantOverlap && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.wantOverlap && (err == nil || !strings.Contains(err.Error(), "A->C [1,1.5] overlaps A->D")) {
+			t.Errorf("%s: want A->C/A->D overlap, got %v", tc.name, err)
+		}
+	}
+}
+
 func TestValidatePassiveSlotsMayOverlap(t *testing.T) {
 	f := newFixture(t)
 	s := New(ModeFT1, 1)

@@ -151,39 +151,43 @@ func (v *validator) checkOpSlots() {
 }
 
 // checkProcSequencing verifies each computation unit runs one op at a time.
+// A zero-duration op occupies no time, so it cannot overlap anything; it is
+// skipped rather than compared with a slot that merely starts at its date.
 func (v *validator) checkProcSequencing() {
 	for _, p := range v.s.Procs() {
-		slots := v.s.ProcSlots(p)
-		for i := 1; i < len(slots); i++ {
-			if !timeLE(slots[i-1].End, slots[i].Start) {
-				v.errorf("processor %q: %q [%g,%g] overlaps %q [%g,%g]",
-					p, slots[i-1].Op, slots[i-1].Start, slots[i-1].End,
-					slots[i].Op, slots[i].Start, slots[i].End)
+		var prev *OpSlot
+		for _, sl := range v.s.ProcSlots(p) {
+			if timeEq(sl.Start, sl.End) {
+				continue
 			}
+			if prev != nil && !timeLE(prev.End, sl.Start) {
+				v.errorf("processor %q: %q [%g,%g] overlaps %q [%g,%g]",
+					p, prev.Op, prev.Start, prev.End, sl.Op, sl.Start, sl.End)
+			}
+			prev = sl
 		}
 	}
 }
 
 // checkLinkSequencing verifies active comms are serialized per link, as
-// imposed by the link arbiter (Section 4.3).
+// imposed by the link arbiter (Section 4.3). Zero-duration transfers occupy
+// no link time and are skipped, as in checkProcSequencing.
 func (v *validator) checkLinkSequencing() {
 	for _, l := range v.s.Links() {
 		if v.a.Link(l) == nil {
 			v.errorf("comm slot on unknown link %q", l)
 			continue
 		}
-		var active []*CommSlot
+		var prev *CommSlot
 		for _, c := range v.s.LinkSlots(l) {
-			if !c.Passive {
-				active = append(active, c)
+			if c.Passive || timeEq(c.Start, c.End) {
+				continue
 			}
-		}
-		for i := 1; i < len(active); i++ {
-			if !timeLE(active[i-1].End, active[i].Start) {
+			if prev != nil && !timeLE(prev.End, c.Start) {
 				v.errorf("link %q: transfer %s [%g,%g] overlaps %s [%g,%g]",
-					l, active[i-1].Edge, active[i-1].Start, active[i-1].End,
-					active[i].Edge, active[i].Start, active[i].End)
+					l, prev.Edge, prev.Start, prev.End, c.Edge, c.Start, c.End)
 			}
+			prev = c
 		}
 	}
 }

@@ -20,40 +20,90 @@ type outcome struct {
 	schedJSON []byte
 }
 
+// maxAliases bounds the raw-body digests one cache entry keeps, so the raw
+// index holds at most maxAliases × capacity digests however many spellings
+// of one problem clients send.
+const maxAliases = 4
+
 // lruCache is a mutex-guarded LRU of response outcomes keyed by canonical
 // content hash. Only successful outcomes enter the cache; deterministic
 // failures (infeasible problems, missed deadlines) are cheap to recompute
 // and keeping them out makes cache poisoning through transient conditions
 // impossible.
+//
+// A second index maps raw-body digests (see rawKey) to entries, so a
+// byte-identical repeat finds its outcome without being decoded. Aliases
+// live and die with their entry: the canonical key stays the cache's
+// identity.
 type lruCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used
 	entries map[string]*list.Element
+	aliases map[[32]byte]*list.Element
 }
 
 // lruEntry is one cache slot.
 type lruEntry struct {
-	key string
-	out *outcome
+	key     string
+	out     *outcome
+	aliases [][32]byte // raw digests aliasing this entry, oldest first
 }
 
 // newLRUCache returns an empty cache holding at most cap outcomes; cap <= 0
 // disables caching (every Get misses, Put discards).
 func newLRUCache(cap int) *lruCache {
-	return &lruCache{cap: cap, order: list.New(), entries: make(map[string]*list.Element)}
+	return &lruCache{
+		cap:     cap,
+		order:   list.New(),
+		entries: make(map[string]*list.Element),
+		aliases: make(map[[32]byte]*list.Element),
+	}
 }
 
 // Get returns the cached outcome for key, refreshing its recency.
 func (c *lruCache) Get(key string) (*outcome, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	return c.touch(c.entries[key])
+}
+
+// GetRaw returns the cached outcome a raw-body digest aliases, refreshing
+// its recency.
+func (c *lruCache) GetRaw(raw [32]byte) (*outcome, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(c.aliases[raw])
+}
+
+func (c *lruCache) touch(el *list.Element) (*outcome, bool) {
+	if el == nil {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
 	return el.Value.(*lruEntry).out, true
+}
+
+// Alias registers raw as a digest of the entry cached under key, dropping
+// the entry's oldest alias beyond maxAliases. It does nothing when key is
+// not cached (evicted, or caching disabled) or raw is already registered.
+func (c *lruCache) Alias(raw [32]byte, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	if _, dup := c.aliases[raw]; dup {
+		return
+	}
+	e := el.Value.(*lruEntry)
+	if len(e.aliases) == maxAliases {
+		delete(c.aliases, e.aliases[0])
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+	}
+	e.aliases = append(e.aliases, raw)
+	c.aliases[raw] = el
 }
 
 // Put inserts key -> out, evicting the least recently used entry beyond
@@ -74,9 +124,11 @@ func (c *lruCache) Put(key string, out *outcome) (evicted bool) {
 	if c.order.Len() <= c.cap {
 		return false
 	}
-	oldest := c.order.Back()
-	c.order.Remove(oldest)
-	delete(c.entries, oldest.Value.(*lruEntry).key)
+	oldest := c.order.Remove(c.order.Back()).(*lruEntry)
+	delete(c.entries, oldest.key)
+	for _, raw := range oldest.aliases {
+		delete(c.aliases, raw)
+	}
 	return true
 }
 

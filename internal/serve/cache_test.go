@@ -60,6 +60,43 @@ func TestLRUCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestLRUCacheAliases: an entry keeps at most maxAliases raw digests,
+// dropping the oldest, and evicting the entry drops all of them.
+func TestLRUCacheAliases(t *testing.T) {
+	c := newLRUCache(2)
+	a := &outcome{}
+	c.Put("a", a)
+	digest := func(i int) [32]byte { return rawKey("schedule", []byte{byte(i)}) }
+	const sent = maxAliases + 2
+	for i := 0; i < sent; i++ {
+		c.Alias(digest(i), "a")
+		c.Alias(digest(i), "a") // a repeat registration is a no-op
+	}
+	c.Alias(digest(100), "missing") // not cached: nothing to alias
+	if len(c.aliases) != maxAliases || len(c.entries["a"].Value.(*lruEntry).aliases) != maxAliases {
+		t.Fatalf("index holds %d aliases, entry %d; want %d", len(c.aliases),
+			len(c.entries["a"].Value.(*lruEntry).aliases), maxAliases)
+	}
+	for i := 0; i < sent; i++ {
+		got, ok := c.GetRaw(digest(i))
+		if want := i >= sent-maxAliases; ok != want || (ok && got != a) {
+			t.Errorf("alias %d: hit=%v, want %v", i, ok, want)
+		}
+	}
+	c.Put("b", &outcome{})
+	c.Alias(digest(200), "b")
+	c.Put("d", &outcome{}) // evicts a, the least recently used
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a should have been evicted")
+	}
+	if len(c.aliases) != 1 {
+		t.Errorf("index holds %d aliases after evicting a, want 1 (b's)", len(c.aliases))
+	}
+	if _, ok := c.GetRaw(digest(sent - 1)); ok {
+		t.Error("an evicted entry's alias still hits")
+	}
+}
+
 // TestFlightGroupSingleFlight: concurrent callers for one key share exactly
 // one computation. The leader blocks inside fn until every follower has
 // joined, so the single-run assertion is deterministic, not timing-lucky.

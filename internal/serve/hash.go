@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // canonicalEnvelope is the hashed canonical form of a request. Its graph,
@@ -49,7 +50,8 @@ type simulateExtra struct {
 
 // canonicalHash builds the canonical bytes of (kind, request, problem) and
 // returns their sha256 as lowercase hex. The problem must be the decoded
-// form of the request's graph/arch/spec members.
+// form of the request's graph/arch/spec members; its canonical documents
+// are shared by every key built for the request.
 func canonicalHash(kind string, r *ScheduleRequest, p *problem, extra any) (string, error) {
 	env := canonicalEnvelope{
 		V:         1,
@@ -61,18 +63,12 @@ func canonicalHash(kind string, r *ScheduleRequest, p *problem, extra any) (stri
 		NoBcast:   r.NoBroadcast,
 		NoPress:   r.NoPressure,
 		Deadline:  r.Deadline,
-	}
-	var err error
-	if env.Graph, err = p.g.MarshalJSON(); err != nil {
-		return "", fmt.Errorf("canonicalize graph: %w", err)
-	}
-	if env.Arch, err = p.a.MarshalJSON(); err != nil {
-		return "", fmt.Errorf("canonicalize arch: %w", err)
-	}
-	if env.Spec, err = p.sp.MarshalJSON(); err != nil {
-		return "", fmt.Errorf("canonicalize spec: %w", err)
+		Graph:     p.graphJSON,
+		Arch:      p.archJSON,
+		Spec:      p.specJSON,
 	}
 	if extra != nil {
+		var err error
 		if env.Extra, err = json.Marshal(extra); err != nil {
 			return "", fmt.Errorf("canonicalize extra: %w", err)
 		}
@@ -83,4 +79,19 @@ func canonicalHash(kind string, r *ScheduleRequest, p *problem, extra any) (stri
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// rawKey is the raw index's key for a body sent to kind's endpoint:
+// sha256(kind ‖ 0x00 ‖ body). A response is a deterministic function of
+// (endpoint, body bytes), so equal raw keys may share one outcome. The hash
+// must resist collisions: with a weak one, a crafted body could be served
+// another client's answer.
+func rawKey(kind string, body []byte) [32]byte {
+	h := sha256.New()
+	io.WriteString(h, kind)
+	h.Write([]byte{0})
+	h.Write(body)
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }

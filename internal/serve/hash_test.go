@@ -11,7 +11,7 @@ import (
 
 // busRequestJSON renders the paper's bus example as a schedule request body,
 // with the graph/arch/spec documents embedded verbatim.
-func busRequestJSON(t *testing.T, mutate func(m map[string]any)) []byte {
+func busRequestJSON(t testing.TB, mutate func(m map[string]any)) []byte {
 	t.Helper()
 	inst := paperex.BusInstance()
 	g, err := inst.Graph.MarshalJSON()
@@ -47,7 +47,7 @@ func busRequestJSON(t *testing.T, mutate func(m map[string]any)) []byte {
 // with the top-level keys in a different order and extra whitespace, leaving
 // the nested documents byte-identical (the spec encodes infinities as 1e999,
 // which no float64 roundtrip may touch).
-func busRequestReordered(t *testing.T) []byte {
+func busRequestReordered(t testing.TB) []byte {
 	t.Helper()
 	inst := paperex.BusInstance()
 	g, err := inst.Graph.MarshalJSON()

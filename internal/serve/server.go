@@ -65,6 +65,7 @@ type serverInstruments struct {
 	ok          *obs.Counter // 2xx responses
 	failed      *obs.Counter // non-2xx responses
 	cacheHits   *obs.Counter // responses served from the LRU
+	cacheRaw    *obs.Counter // the subset of cacheHits found by raw-body digest, undecoded
 	cacheMisses *obs.Counter // requests that had to compute (or join a flight)
 	evictions   *obs.Counter // LRU entries displaced
 	sfShared    *obs.Counter // followers that shared a leader's engine run
@@ -78,6 +79,7 @@ func (in *serverInstruments) resolve(s *obs.Sink) {
 	in.ok = s.Counter("serve.responses.ok")
 	in.failed = s.Counter("serve.responses.error")
 	in.cacheHits = s.Counter("serve.cache.hits")
+	in.cacheRaw = s.Counter("serve.cache.hits.raw")
 	in.cacheMisses = s.Counter("serve.cache.misses")
 	in.evictions = s.Counter("serve.cache.evictions")
 	in.sfShared = s.Counter("serve.singleflight.shared")
@@ -119,12 +121,12 @@ func New(cfg Config) *Server {
 	s.ins.resolve(s.sink)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/v1/schedule", s.single(s.handleSchedule, true))
-	s.mux.HandleFunc("/v1/certify", s.single(s.handleCertify, false))
-	s.mux.HandleFunc("/v1/simulate", s.single(s.handleSimulate, false))
-	s.mux.HandleFunc("/v1/schedule/batch", s.batch(s.handleSchedule))
-	s.mux.HandleFunc("/v1/certify/batch", s.batch(s.handleCertify))
-	s.mux.HandleFunc("/v1/simulate/batch", s.batch(s.handleSimulate))
+	s.mux.HandleFunc("/v1/schedule", s.single("schedule", s.prepareSchedule))
+	s.mux.HandleFunc("/v1/certify", s.single("certify", s.prepareCertify))
+	s.mux.HandleFunc("/v1/simulate", s.single("simulate", s.prepareSimulate))
+	s.mux.HandleFunc("/v1/schedule/batch", s.batch("schedule", s.prepareSchedule))
+	s.mux.HandleFunc("/v1/certify/batch", s.batch("certify", s.prepareCertify))
+	s.mux.HandleFunc("/v1/simulate/batch", s.batch("simulate", s.prepareSimulate))
 	return s
 }
 
@@ -186,14 +188,22 @@ func engineError(err error) *httpError {
 	}
 }
 
-// kindHandler computes one request kind from a decoded body. The format
-// argument is "" (JSON envelope) or "cli".
-type kindHandler func(ctx context.Context, body []byte, format string) (*outcome, string, *httpError)
+// prepared is a request decoded on the canonical path: the content hash
+// its outcome is cached under, its timeout_ms, and the computation a cache
+// miss runs.
+type prepared struct {
+	key       string
+	timeoutMS int
+	compute   func(ctx context.Context) (*outcome, error)
+}
 
-// single adapts a kindHandler to a direct endpoint. allowCLI gates the
-// ?format=cli rendering (schedule only: the other kinds have no CLI
-// byte-contract to mirror).
-func (s *Server) single(h kindHandler, allowCLI bool) http.HandlerFunc {
+// kindHandler decodes and validates one request body of its kind.
+type kindHandler func(body []byte) (*prepared, *httpError)
+
+// single adapts a kindHandler to a direct endpoint. The ?format=cli
+// rendering applies to the schedule kind only: the other kinds have no CLI
+// byte-contract to mirror.
+func (s *Server) single(kind string, h kindHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.ins.requests.Inc()
 		if r.Method != http.MethodPost {
@@ -202,7 +212,7 @@ func (s *Server) single(h kindHandler, allowCLI bool) http.HandlerFunc {
 		}
 		format := r.URL.Query().Get("format")
 		switch {
-		case format == "" || (format == "cli" && allowCLI):
+		case format == "" || (format == "cli" && kind == "schedule"):
 		case format == "cli":
 			s.writeError(w, badRequest("format=cli applies to /v1/schedule only"))
 			return
@@ -215,7 +225,7 @@ func (s *Server) single(h kindHandler, allowCLI bool) http.HandlerFunc {
 			s.writeError(w, herr)
 			return
 		}
-		out, cacheState, herr := h(r.Context(), body, format)
+		out, cacheState, herr := s.answer(r.Context(), kind, h, body)
 		if herr != nil {
 			s.writeError(w, herr)
 			return
@@ -235,7 +245,7 @@ func (s *Server) single(h kindHandler, allowCLI bool) http.HandlerFunc {
 // concurrently (the global admission pool still bounds total engine
 // workers) and the responses are returned in request order, so batch output
 // is deterministic regardless of completion order.
-func (s *Server) batch(h kindHandler) http.HandlerFunc {
+func (s *Server) batch(kind string, h kindHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			s.ins.requests.Inc()
@@ -271,7 +281,7 @@ func (s *Server) batch(h kindHandler) http.HandlerFunc {
 			wg.Add(1)
 			go func(i int, raw json.RawMessage) {
 				defer wg.Done()
-				out, _, herr := h(r.Context(), raw, "")
+				out, _, herr := s.answer(r.Context(), kind, h, raw)
 				if herr != nil {
 					s.ins.failed.Inc()
 					items[i] = BatchItem{Status: herr.status, Body: errorBody(herr)}
@@ -390,6 +400,35 @@ func cancelFlag(ctx context.Context) (*atomic.Bool, func()) {
 	return flag, func() { close(done) }
 }
 
+// answer is the pipeline single and batch share. A body byte-identical to
+// one already answered for this kind is served from the raw index without
+// being decoded. Any other body is decoded by h and served through
+// cachedOutcome under its canonical key; on success the body's raw digest
+// becomes an alias of that key. It returns the outcome and the cache state
+// for the response header.
+func (s *Server) answer(ctx context.Context, kind string, h kindHandler, body []byte) (*outcome, string, *httpError) {
+	raw := rawKey(kind, body)
+	if out, ok := s.cache.GetRaw(raw); ok {
+		s.ins.cacheHits.Inc()
+		s.ins.cacheRaw.Inc()
+		return out, "hit", nil
+	}
+	req, herr := h(body)
+	if herr != nil {
+		return nil, "", herr
+	}
+	ctx, cancel := s.requestContext(ctx, req.timeoutMS)
+	defer cancel()
+	out, state, herr := s.cachedOutcome(ctx, req.key, func() (*outcome, error) {
+		return req.compute(ctx)
+	})
+	if herr != nil {
+		return nil, "", herr
+	}
+	s.cache.Alias(raw, req.key)
+	return out, state, nil
+}
+
 // cachedOutcome is the shared serve pipeline: LRU lookup, then single-flight
 // computation, with a bounded retry when a follower inherited the leader's
 // cancellation but its own context is still live. It returns the outcome
@@ -432,25 +471,36 @@ func (s *Server) cachedOutcome(ctx context.Context, key string, compute func() (
 	}
 }
 
-// handleSchedule computes /v1/schedule.
-func (s *Server) handleSchedule(ctx context.Context, body []byte, _ string) (*outcome, string, *httpError) {
-	var req ScheduleRequest
-	if err := strictUnmarshal(body, &req); err != nil {
-		return nil, "", badRequest("schedule: %v", err)
+// decodeRequest strictly decodes body into req, whose problem half is sr,
+// then decodes and validates the problem.
+func decodeRequest(kind string, body []byte, req any, sr *ScheduleRequest) (*problem, *httpError) {
+	if err := strictUnmarshal(body, req); err != nil {
+		return nil, badRequest("%s: %v", kind, err)
 	}
-	p, err := req.decodeProblem()
+	p, err := sr.decodeProblem()
+	if err == nil {
+		err = p.validate()
+	}
 	if err != nil {
-		return nil, "", badRequest("schedule: %v", err)
+		return nil, badRequest("%s: %v", kind, err)
+	}
+	return p, nil
+}
+
+// prepareSchedule decodes /v1/schedule.
+func (s *Server) prepareSchedule(body []byte) (*prepared, *httpError) {
+	var req ScheduleRequest
+	p, herr := decodeRequest("schedule", body, &req, &req)
+	if herr != nil {
+		return nil, herr
 	}
 	key, err := canonicalHash("schedule", &req, p, nil)
 	if err != nil {
-		return nil, "", engineError(err)
+		return nil, engineError(err)
 	}
-	ctx, cancel := s.requestContext(ctx, req.TimeoutMS)
-	defer cancel()
-	return s.cachedOutcome(ctx, key, func() (*outcome, error) {
+	return &prepared{key: key, timeoutMS: req.TimeoutMS, compute: func(ctx context.Context) (*outcome, error) {
 		return s.computeSchedule(ctx, &req, p, key)
-	})
+	}}, nil
 }
 
 // computeSchedule runs the scheduling engine under the admission pool and
@@ -615,31 +665,26 @@ func (b wireBound) MarshalJSON() ([]byte, error) {
 	return json.Marshal(float64(b))
 }
 
-// handleCertify computes /v1/certify: schedule (through the schedule
+// prepareCertify decodes /v1/certify: schedule (through the schedule
 // cache), then certify the result.
-func (s *Server) handleCertify(ctx context.Context, body []byte, _ string) (*outcome, string, *httpError) {
+func (s *Server) prepareCertify(body []byte) (*prepared, *httpError) {
 	var req CertifyRequest
-	if err := strictUnmarshal(body, &req); err != nil {
-		return nil, "", badRequest("certify: %v", err)
-	}
-	p, err := req.decodeProblem()
-	if err != nil {
-		return nil, "", badRequest("certify: %v", err)
+	p, herr := decodeRequest("certify", body, &req, &req.ScheduleRequest)
+	if herr != nil {
+		return nil, herr
 	}
 	certK := req.K
 	if req.CertifyK != nil {
 		certK = *req.CertifyK
 	}
 	if certK < 0 {
-		return nil, "", badRequest("certify: negative certify_k (%d)", certK)
+		return nil, badRequest("certify: negative certify_k (%d)", certK)
 	}
 	key, err := canonicalHash("certify", &req.ScheduleRequest, p, certifyExtra{CertifyK: certK})
 	if err != nil {
-		return nil, "", engineError(err)
+		return nil, engineError(err)
 	}
-	ctx, cancel := s.requestContext(ctx, req.TimeoutMS)
-	defer cancel()
-	return s.cachedOutcome(ctx, key, func() (*outcome, error) {
+	return &prepared{key: key, timeoutMS: req.TimeoutMS, compute: func(ctx context.Context) (*outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -671,7 +716,7 @@ func (s *Server) handleCertify(ctx context.Context, body []byte, _ string) (*out
 			return nil, err
 		}
 		return &outcome{envelope: append(env, '\n')}, nil
-	})
+	}}, nil
 }
 
 // simulateResponse is the /v1/simulate envelope.
@@ -680,19 +725,19 @@ type simulateResponse struct {
 	Result *sim.Result `json:"result"`
 }
 
-// handleSimulate computes /v1/simulate: schedule (through the schedule
+// prepareSimulate decodes /v1/simulate: schedule (through the schedule
 // cache), then execute the distributed executive under the scenario.
-func (s *Server) handleSimulate(ctx context.Context, body []byte, _ string) (*outcome, string, *httpError) {
+func (s *Server) prepareSimulate(body []byte) (*prepared, *httpError) {
 	var req SimulateRequest
-	if err := strictUnmarshal(body, &req); err != nil {
-		return nil, "", badRequest("simulate: %v", err)
-	}
-	p, err := req.decodeProblem()
-	if err != nil {
-		return nil, "", badRequest("simulate: %v", err)
+	p, herr := decodeRequest("simulate", body, &req, &req.ScheduleRequest)
+	if herr != nil {
+		return nil, herr
 	}
 	if req.Iterations < 0 {
-		return nil, "", badRequest("simulate: negative iterations (%d)", req.Iterations)
+		return nil, badRequest("simulate: negative iterations (%d)", req.Iterations)
+	}
+	if err := req.scenario().Validate(p.a); err != nil {
+		return nil, badRequest("simulate: %v", err)
 	}
 	scenario := req.Scenario
 	if len(scenario) == 0 {
@@ -705,11 +750,9 @@ func (s *Server) handleSimulate(ctx context.Context, body []byte, _ string) (*ou
 		Trace:       req.Trace,
 	})
 	if err != nil {
-		return nil, "", engineError(err)
+		return nil, engineError(err)
 	}
-	ctx, cancel := s.requestContext(ctx, req.TimeoutMS)
-	defer cancel()
-	return s.cachedOutcome(ctx, key, func() (*outcome, error) {
+	return &prepared{key: key, timeoutMS: req.TimeoutMS, compute: func(ctx context.Context) (*outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -742,5 +785,5 @@ func (s *Server) handleSimulate(ctx context.Context, body []byte, _ string) (*ou
 			return nil, err
 		}
 		return &outcome{envelope: append(env, '\n')}, nil
-	})
+	}}, nil
 }

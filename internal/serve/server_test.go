@@ -323,12 +323,12 @@ func TestCanceledRequestIs504(t *testing.T) {
 	s := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, herr := s.handleSchedule(ctx, busRequestJSON(t, nil), "")
+	_, _, herr := s.answer(ctx, "schedule", s.prepareSchedule, busRequestJSON(t, nil))
 	if herr == nil || herr.status != http.StatusGatewayTimeout {
 		t.Fatalf("herr = %v, want 504", herr)
 	}
-	if s.cache.Len() != 0 {
-		t.Error("canceled request left a cache entry")
+	if s.cache.Len() != 0 || aliasCount(s) != 0 {
+		t.Error("canceled request left a cache entry or alias")
 	}
 }
 
@@ -355,35 +355,49 @@ func TestHealthzAndDrain(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /metrics re-exports the serve counters in Prometheus
-// text format.
+// text format, including the raw-index share of the cache hits.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	if resp, out := post(t, ts.URL+"/v1/schedule", busRequestJSON(t, nil)); resp.StatusCode != http.StatusOK {
+	metrics := func(want ...string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		for _, w := range want {
+			if !strings.Contains(text, w+"\n") {
+				t.Errorf("metrics output lacks %q:\n%s", w, text)
+			}
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("metrics content type = %q", ct)
+		}
+	}
+	body := busRequestJSON(t, nil)
+	if resp, out := post(t, ts.URL+"/v1/schedule", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("schedule: %d %s", resp.StatusCode, out)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
+	metrics(
 		"# TYPE ftsched_serve_requests counter",
 		"ftsched_serve_requests 1",
 		"ftsched_serve_engine_schedule 1",
 		"ftsched_serve_cache_misses 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics output lacks %q:\n%s", want, text)
-		}
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("metrics content type = %q", ct)
-	}
+		"ftsched_serve_cache_hits_raw 0",
+	)
+	post(t, ts.URL+"/v1/schedule", body)
+	post(t, ts.URL+"/v1/schedule", busRequestReordered(t))
+	metrics(
+		"ftsched_serve_requests 3",
+		"ftsched_serve_engine_schedule 1",
+		"ftsched_serve_cache_hits 2",
+		"ftsched_serve_cache_hits_raw 1",
+	)
 }
 
 // TestBodyTooLarge: oversized bodies are rejected with 413.

@@ -109,15 +109,20 @@ type BatchResponse struct {
 	Responses []BatchItem `json:"responses"`
 }
 
-// problem is a decoded, validated scheduling problem.
+// problem is a decoded, validated scheduling problem, with the canonical
+// graph, arch, and spec documents its content hashes are built from (see
+// canonicalEnvelope), rendered once per request.
 type problem struct {
 	g  *graph.Graph
 	a  *arch.Architecture
 	sp *spec.Spec
 	h  core.Heuristic
+
+	graphJSON, archJSON, specJSON json.RawMessage
 }
 
-// decodeProblem validates and decodes the request's problem half.
+// decodeProblem validates and decodes the request's problem half, then
+// renders its canonical documents.
 func (r *ScheduleRequest) decodeProblem() (*problem, error) {
 	var h core.Heuristic
 	switch r.Heuristic {
@@ -149,7 +154,29 @@ func (r *ScheduleRequest) decodeProblem() (*problem, error) {
 	if err := p.sp.UnmarshalJSON(r.Spec); err != nil {
 		return nil, err
 	}
+	var err error
+	if p.graphJSON, err = p.g.MarshalJSON(); err != nil {
+		return nil, fmt.Errorf("canonicalize graph: %w", err)
+	}
+	if p.archJSON, err = p.a.MarshalJSON(); err != nil {
+		return nil, fmt.Errorf("canonicalize arch: %w", err)
+	}
+	if p.specJSON, err = p.sp.MarshalJSON(); err != nil {
+		return nil, fmt.Errorf("canonicalize spec: %w", err)
+	}
 	return p, nil
+}
+
+// validate applies the checks the engines apply to their input models, so
+// that an inconsistent problem is answered as a client error.
+func (p *problem) validate() error {
+	if err := p.g.Validate(); err != nil {
+		return err
+	}
+	if err := p.a.Validate(); err != nil {
+		return err
+	}
+	return p.sp.Validate(p.g, p.a)
 }
 
 // scenario converts the wire failure list into the simulator's model.

@@ -126,9 +126,10 @@ func SingleLink(link string, iteration int, at float64) Scenario {
 	return Scenario{Links: []LinkFailure{{Link: link, Iteration: iteration, At: at}}}
 }
 
-// validate checks the scenario against the architecture. Both engines share
-// it so their error behavior stays identical.
-func (sc Scenario) validate(a *arch.Architecture) error {
+// Validate checks the scenario against the architecture, with the errors
+// Simulate would report. Both engines share it so their error behavior stays
+// identical.
+func (sc Scenario) Validate(a *arch.Architecture) error {
 	seen := map[string]bool{}
 	for _, f := range sc.Failures {
 		if !a.HasProcessor(f.Proc) {
@@ -298,7 +299,7 @@ type Result struct {
 // running many scenarios against one schedule should compile once and reuse
 // Runners instead, which amortizes this step to zero.
 func Simulate(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, sc Scenario, cfg Config) (*Result, error) {
-	if err := sc.validate(a); err != nil {
+	if err := sc.Validate(a); err != nil {
 		return nil, err
 	}
 	m, err := Compile(s, g, a, sp)
@@ -316,7 +317,7 @@ func SimulateLegacy(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp 
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
 	}
-	if err := sc.validate(a); err != nil {
+	if err := sc.Validate(a); err != nil {
 		return nil, err
 	}
 

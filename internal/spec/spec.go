@@ -190,6 +190,7 @@ func (s *Spec) Validate(g *graph.Graph, a *arch.Architecture) error {
 		}
 	}
 	if len(errs) > 0 {
+		sort.Strings(errs) // the tables are maps: fix the report's order
 		return fmt.Errorf("spec: invalid constraints:\n  %s", strings.Join(errs, "\n  "))
 	}
 	return nil
