@@ -235,13 +235,13 @@ type randSource interface {
 
 func newBuilder(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, mode sched.Mode, k int, opts Options) (*builder, error) {
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidProblem, err)
 	}
 	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidProblem, err)
 	}
 	if err := sp.Validate(g, a); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidProblem, err)
 	}
 	pt, err := pressure.Compute(g, sp)
 	if err != nil {

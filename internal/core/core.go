@@ -140,6 +140,10 @@ var ErrInfeasible = errors.New("core: infeasible scheduling problem")
 // makespan exceeds Options.Deadline.
 var ErrDeadlineMissed = errors.New("core: schedule misses the real-time deadline")
 
+// ErrInvalidProblem reports that the graph, the architecture or the spec
+// failed validation: the input is malformed, whatever the heuristic.
+var ErrInvalidProblem = errors.New("core: invalid problem")
+
 // ErrCanceled reports that a run was aborted by Options.Cancel before a
 // schedule was produced.
 var ErrCanceled = errors.New("core: scheduling canceled")

@@ -228,14 +228,32 @@ func (c *Compiled) compileReplicas() {
 	}
 }
 
+// SendsBefore reports whether active hop a precedes hop b in their link's
+// static communication order, the order the executive sends them in: by
+// start date (within 1e-9), then a zero-length hop ahead of a longer one
+// starting with it, then by transfer ID and hop index. The scheduler never
+// places a zero-length hop inside a busy window, only at one's edge, so
+// this order replays every static date; checkLinkSequencing holds a
+// schedule to it.
+func SendsBefore(a, b *CommSlot) bool {
+	if math.Abs(a.Start-b.Start) > 1e-9 {
+		return a.Start < b.Start
+	}
+	if math.Abs(a.End-b.End) > 1e-9 {
+		return a.End < b.End
+	}
+	if a.TransferID != b.TransferID {
+		return a.TransferID < b.TransferID
+	}
+	return a.Hop < b.Hop
+}
+
 // compileDeliveries flattens s.Deliveries and sorts every link's active hops
-// into its static communication order: by start date (within 1e-9), then
-// transfer ID, then hop index.
+// into its static communication order (SendsBefore).
 func (c *Compiled) compileDeliveries(s *Schedule, a *arch.Architecture, opID map[string]int32, edgeID map[graph.EdgeKey]int32) error {
 	type staticHop struct {
 		entry QueueEntry
-		start float64
-		id    int
+		slot  *CommSlot
 	}
 	nP := len(c.ProcNames)
 	perLink := make([][]staticHop, len(c.LinkNames))
@@ -276,8 +294,7 @@ func (c *Compiled) compileDeliveries(s *Schedule, a *arch.Architecture, opID map
 				if !h.Passive {
 					perLink[lid] = append(perLink[lid], staticHop{
 						entry: QueueEntry{Sender: si, Hop: int32(i)},
-						start: h.Start,
-						id:    h.TransferID,
+						slot:  h,
 					})
 				}
 			}
@@ -300,15 +317,7 @@ func (c *Compiled) compileDeliveries(s *Schedule, a *arch.Architecture, opID map
 	c.QueueStart = make([]int32, len(c.LinkNames)+1)
 	for lid, hops := range perLink {
 		c.QueueStart[lid] = int32(len(c.Queue))
-		sort.SliceStable(hops, func(i, j int) bool {
-			if math.Abs(hops[i].start-hops[j].start) > 1e-9 {
-				return hops[i].start < hops[j].start
-			}
-			if hops[i].id != hops[j].id {
-				return hops[i].id < hops[j].id
-			}
-			return hops[i].entry.Hop < hops[j].entry.Hop
-		})
+		sort.SliceStable(hops, func(i, j int) bool { return SendsBefore(hops[i].slot, hops[j].slot) })
 		for _, h := range hops {
 			c.Queue = append(c.Queue, h.entry)
 		}

@@ -262,51 +262,64 @@ func TestValidateLinkOverlap(t *testing.T) {
 	}
 }
 
-// TestValidateZeroLengthTransfer: a zero-duration transfer occupies no
-// link time, so it may share its date with a transfer recorded before it,
-// and it does not hide an overlap between the transfers around it.
+// TestValidateZeroLengthTransfer: a zero-duration transfer is checked in
+// the order the executive sends it (SendsBefore). Sharing its date with a
+// transfer recorded before it is fine, since it is sent first; inside a
+// busy transfer it would wait for that transfer to end, so it overlaps.
 func TestValidateZeroLengthTransfer(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		abStart     float64 // date of the zero-length A->B transfer
-		withAD      bool    // add A->D [1.2,1.7], overlapping A->C [1,1.5]
-		wantOverlap bool
+		wantOverlap string
 	}{
-		{"shares a start", 1, false, false},
-		{"between overlapping transfers", 1.1, true, true},
+		{"shares a start", 1, ""},
+		{"at the end", 1.5, ""},
+		{"inside a busy transfer", 1.1, "A->C [1,1.5] overlaps A->B [1.1,1.1]"},
 	} {
 		f := newFixture(t)
 		_ = f.sp.SetComm(graph.EdgeKey{Src: "A", Dst: "B"}, "L", 0)
+		_ = f.g.AddComp("C")
+		_ = f.g.Connect("A", "C")
+		_ = f.sp.SetExec("C", "P2", 1)
+		_ = f.sp.SetComm(graph.EdgeKey{Src: "A", Dst: "C"}, "L", 0.5)
 		s := New(ModeBasic, 0)
 		s.AddOpSlot(OpSlot{Op: "A", Proc: "P1", Start: 0, End: 1})
 		s.AddOpSlot(OpSlot{Op: "B", Proc: "P2", Start: 1.5, End: 3.5})
-		next := 3.5
-		for _, op := range []string{"C", "D"} {
-			if op == "D" && !tc.withAD {
-				break
-			}
-			_ = f.g.AddComp(op)
-			_ = f.g.Connect("A", op)
-			_ = f.sp.SetExec(op, "P2", 1)
-			_ = f.sp.SetComm(graph.EdgeKey{Src: "A", Dst: op}, "L", 0.5)
-			s.AddOpSlot(OpSlot{Op: op, Proc: "P2", Start: next, End: next + 1})
-			next++
-		}
-		// A->C is recorded first, so it sorts ahead of A->B on equal starts.
+		s.AddOpSlot(OpSlot{Op: "C", Proc: "P2", Start: 3.5, End: 4.5})
+		// A->C is recorded first, with the lower transfer ID.
 		s.AddCommSlot(CommSlot{Edge: graph.EdgeKey{Src: "A", Dst: "C"}, Link: "L",
 			From: "P1", To: "P2", SrcProc: "P1", DstProc: "P2", TransferID: 0, Hop: 0, Start: 1, End: 1.5})
 		s.AddCommSlot(CommSlot{Edge: graph.EdgeKey{Src: "A", Dst: "B"}, Link: "L",
 			From: "P1", To: "P2", SrcProc: "P1", DstProc: "P2", TransferID: 1, Hop: 0, Start: tc.abStart, End: tc.abStart})
-		if tc.withAD {
-			s.AddCommSlot(CommSlot{Edge: graph.EdgeKey{Src: "A", Dst: "D"}, Link: "L",
-				From: "P1", To: "P2", SrcProc: "P1", DstProc: "P2", TransferID: 2, Hop: 0, Start: 1.2, End: 1.7})
-		}
 		err := s.Validate(f.g, f.a, f.sp)
-		if !tc.wantOverlap && err != nil {
+		if tc.wantOverlap == "" && err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
-		if tc.wantOverlap && (err == nil || !strings.Contains(err.Error(), "A->C [1,1.5] overlaps A->D")) {
-			t.Errorf("%s: want A->C/A->D overlap, got %v", tc.name, err)
+		if tc.wantOverlap != "" && (err == nil || !strings.Contains(err.Error(), tc.wantOverlap)) {
+			t.Errorf("%s: want %q, got %v", tc.name, tc.wantOverlap, err)
+		}
+	}
+}
+
+// TestSendsBefore: equal starts put a zero-length hop first, whatever its
+// transfer ID; otherwise the start date, then the transfer ID and hop index
+// decide.
+func TestSendsBefore(t *testing.T) {
+	long := &CommSlot{TransferID: 0, Start: 3, End: 3.5}
+	zero := &CommSlot{TransferID: 1, Start: 3, End: 3}
+	later := &CommSlot{TransferID: 0, Start: 3.5, End: 3.5}
+	hop1 := &CommSlot{TransferID: 1, Hop: 1, Start: 3, End: 3}
+	for _, tc := range []struct {
+		a, b *CommSlot
+		want bool
+	}{
+		{zero, long, true}, {long, zero, false},
+		{long, later, true}, {later, zero, false},
+		{zero, hop1, true}, {hop1, zero, false},
+		{long, long, false},
+	} {
+		if got := SendsBefore(tc.a, tc.b); got != tc.want {
+			t.Errorf("SendsBefore(%+v, %+v) = %v, want %v", *tc.a, *tc.b, got, tc.want)
 		}
 	}
 }

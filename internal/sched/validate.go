@@ -151,43 +151,42 @@ func (v *validator) checkOpSlots() {
 }
 
 // checkProcSequencing verifies each computation unit runs one op at a time.
-// A zero-duration op occupies no time, so it cannot overlap anything; it is
-// skipped rather than compared with a slot that merely starts at its date.
 func (v *validator) checkProcSequencing() {
 	for _, p := range v.s.Procs() {
-		var prev *OpSlot
-		for _, sl := range v.s.ProcSlots(p) {
-			if timeEq(sl.Start, sl.End) {
-				continue
-			}
-			if prev != nil && !timeLE(prev.End, sl.Start) {
+		slots := v.s.ProcSlots(p)
+		for i := 1; i < len(slots); i++ {
+			if !timeLE(slots[i-1].End, slots[i].Start) {
 				v.errorf("processor %q: %q [%g,%g] overlaps %q [%g,%g]",
-					p, prev.Op, prev.Start, prev.End, sl.Op, sl.Start, sl.End)
+					p, slots[i-1].Op, slots[i-1].Start, slots[i-1].End,
+					slots[i].Op, slots[i].Start, slots[i].End)
 			}
-			prev = sl
 		}
 	}
 }
 
 // checkLinkSequencing verifies active comms are serialized per link, as
-// imposed by the link arbiter (Section 4.3). Zero-duration transfers occupy
-// no link time and are skipped, as in checkProcSequencing.
+// imposed by the link arbiter (Section 4.3), in the order the executive
+// sends them (SendsBefore): each transfer must end before the next one in
+// that order starts, or the executive would run the next one late.
 func (v *validator) checkLinkSequencing() {
 	for _, l := range v.s.Links() {
 		if v.a.Link(l) == nil {
 			v.errorf("comm slot on unknown link %q", l)
 			continue
 		}
-		var prev *CommSlot
+		var active []*CommSlot
 		for _, c := range v.s.LinkSlots(l) {
-			if c.Passive || timeEq(c.Start, c.End) {
-				continue
+			if !c.Passive {
+				active = append(active, c)
 			}
-			if prev != nil && !timeLE(prev.End, c.Start) {
+		}
+		sort.SliceStable(active, func(i, j int) bool { return SendsBefore(active[i], active[j]) })
+		for i := 1; i < len(active); i++ {
+			if !timeLE(active[i-1].End, active[i].Start) {
 				v.errorf("link %q: transfer %s [%g,%g] overlaps %s [%g,%g]",
-					l, prev.Edge, prev.Start, prev.End, c.Edge, c.Start, c.End)
+					l, active[i-1].Edge, active[i-1].Start, active[i-1].End,
+					active[i].Edge, active[i].Start, active[i].End)
 			}
-			prev = c
 		}
 	}
 }

@@ -170,14 +170,17 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// engineError maps an engine failure onto an HTTP status: deterministic
-// problem rejections are 422 (the request is well-formed but unsatisfiable),
-// timeouts and cancellations are 504, anything else is a 500.
+// engineError maps an engine failure onto an HTTP status: input the engines
+// reject as malformed is 400, deterministic problem rejections are 422 (the
+// request is well-formed but unsatisfiable), timeouts and cancellations are
+// 504, anything else is a 500.
 func engineError(err error) *httpError {
 	var he *httpError
 	switch {
 	case errors.As(err, &he):
 		return he
+	case errors.Is(err, core.ErrInvalidProblem), errors.Is(err, sim.ErrInvalidScenario):
+		return badRequest("%v", err)
 	case errors.Is(err, core.ErrInfeasible), errors.Is(err, core.ErrDeadlineMissed):
 		return &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
@@ -472,15 +475,12 @@ func (s *Server) cachedOutcome(ctx context.Context, key string, compute func() (
 }
 
 // decodeRequest strictly decodes body into req, whose problem half is sr,
-// then decodes and validates the problem.
+// then decodes the problem.
 func decodeRequest(kind string, body []byte, req any, sr *ScheduleRequest) (*problem, *httpError) {
 	if err := strictUnmarshal(body, req); err != nil {
 		return nil, badRequest("%s: %v", kind, err)
 	}
 	p, err := sr.decodeProblem()
-	if err == nil {
-		err = p.validate()
-	}
 	if err != nil {
 		return nil, badRequest("%s: %v", kind, err)
 	}
@@ -735,9 +735,6 @@ func (s *Server) prepareSimulate(body []byte) (*prepared, *httpError) {
 	}
 	if req.Iterations < 0 {
 		return nil, badRequest("simulate: negative iterations (%d)", req.Iterations)
-	}
-	if err := req.scenario().Validate(p.a); err != nil {
-		return nil, badRequest("simulate: %v", err)
 	}
 	scenario := req.Scenario
 	if len(scenario) == 0 {

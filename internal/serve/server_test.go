@@ -278,6 +278,11 @@ func TestBatchOrderAndPartialFailure(t *testing.T) {
 // TestErrorStatuses drives the failure paths.
 func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 1 << 20})
+	// The spec still names P3, which this architecture lacks: the engines
+	// reject the problem as malformed.
+	twoProcs := func(m map[string]any) {
+		m["arch"] = json.RawMessage(`{"name":"bus2","processors":["P1","P2"],"links":[{"name":"bus","kind":"bus","endpoints":["P1","P2"]}]}`)
+	}
 	cases := []struct {
 		name string
 		url  string
@@ -292,6 +297,12 @@ func TestErrorStatuses(t *testing.T) {
 		{"cli on certify", "/v1/certify?format=cli", busRequestJSON(t, nil), 400},
 		{"unknown format", "/v1/schedule?format=yaml", busRequestJSON(t, nil), 400},
 		{"empty batch", "/v1/schedule/batch", []byte(`{"requests":[]}`), 400},
+		{"spec off the arch", "/v1/schedule", busRequestJSON(t, twoProcs), 400},
+		{"spec off the arch, certify", "/v1/certify", busRequestJSON(t, twoProcs), 400},
+		{"empty spec", "/v1/schedule", busRequestJSON(t, func(m map[string]any) { m["spec"] = json.RawMessage(`{}`) }), 400},
+		{"unknown failed processor", "/v1/simulate", busRequestJSON(t, func(m map[string]any) {
+			m["scenario"] = []map[string]any{{"proc": "P9"}}
+		}), 400},
 	}
 	for _, tc := range cases {
 		resp, out := post(t, ts.URL+tc.url, tc.body)

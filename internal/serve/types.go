@@ -167,18 +167,6 @@ func (r *ScheduleRequest) decodeProblem() (*problem, error) {
 	return p, nil
 }
 
-// validate applies the checks the engines apply to their input models, so
-// that an inconsistent problem is answered as a client error.
-func (p *problem) validate() error {
-	if err := p.g.Validate(); err != nil {
-		return err
-	}
-	if err := p.a.Validate(); err != nil {
-		return err
-	}
-	return p.sp.Validate(p.g, p.a)
-}
-
 // scenario converts the wire failure list into the simulator's model.
 func (r *SimulateRequest) scenario() sim.Scenario {
 	var sc sim.Scenario

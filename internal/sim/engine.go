@@ -233,9 +233,7 @@ func newEngine(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec
 func (e *engine) buildGroups() {
 	type staticHop struct {
 		entry *queueEntry
-		start float64
-		id    int // transfer ID, tie-breaking equal start dates
-		hop   int
+		slot  *sched.CommSlot
 	}
 	perLink := map[string][]staticHop{}
 	for _, d := range e.s.Deliveries() {
@@ -264,9 +262,7 @@ func (e *engine) buildGroups() {
 				if !h.Passive {
 					perLink[h.Link] = append(perLink[h.Link], staticHop{
 						entry: &queueEntry{gr: gr, sd: sd, hop: i},
-						start: h.Start,
-						id:    h.TransferID,
-						hop:   i,
+						slot:  h,
 					})
 				}
 			}
@@ -276,15 +272,7 @@ func (e *engine) buildGroups() {
 	}
 	e.queues = make(map[string][]*queueEntry, len(perLink))
 	for link, hops := range perLink { //ftlint:order-insensitive each iteration sorts and stores only its own ranged key's queue
-		sort.SliceStable(hops, func(i, j int) bool {
-			if math.Abs(hops[i].start-hops[j].start) > eps {
-				return hops[i].start < hops[j].start
-			}
-			if hops[i].id != hops[j].id {
-				return hops[i].id < hops[j].id
-			}
-			return hops[i].hop < hops[j].hop
-		})
+		sort.SliceStable(hops, func(i, j int) bool { return sched.SendsBefore(hops[i].slot, hops[j].slot) })
 		q := make([]*queueEntry, len(hops))
 		for i, h := range hops {
 			q[i] = h.entry

@@ -127,7 +127,7 @@ func (m *Model) Links() []string { return names(m.linkByName, m.c.LinkNames) }
 
 // Validate checks the scenario against the model's architecture without
 // running it, with the same errors Simulate would report.
-func (m *Model) Validate(sc Scenario) error { return sc.Validate(m.a) }
+func (m *Model) Validate(sc Scenario) error { return sc.validate(m.a) }
 
 // Simulate runs one scenario on a fresh Runner. Callers running many
 // scenarios should hold a Runner per worker and call Run repeatedly.

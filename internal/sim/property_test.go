@@ -11,6 +11,7 @@ import (
 	"ftsched/internal/faults"
 	"ftsched/internal/graph"
 	"ftsched/internal/paperex"
+	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/spec"
 )
@@ -93,6 +94,50 @@ func TestQuickFailureFreeSimulationMatchesStatic(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 80}
 	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickZeroLengthTransfersFollowStaticDates: with some communication
+// durations zero, the scheduler puts zero-length transfers at the edge of a
+// busy window, the validator accepts the schedule in the executive's send
+// order, and both executives replay it without delay.
+func TestQuickZeroLengthTransfersFollowStaticDates(t *testing.T) {
+	f := func(seed int64, szOps, szProcs uint8, bus bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		g, a, sp := randomProblem(r, int(szOps%8)+2, int(szProcs%3)+2, bus)
+		for _, e := range g.Edges() {
+			if r.Intn(2) == 0 {
+				_ = sp.SetCommUniform(a, e.Key(), 0)
+			}
+		}
+		for _, h := range []core.Heuristic{core.Basic, core.FT1, core.FT2} {
+			res, err := core.Schedule(h, g, a, sp, 1, core.Options{})
+			if err != nil {
+				return false
+			}
+			if err := res.Schedule.Validate(g, a, sp); err != nil {
+				t.Logf("seed=%d h=%v: %v", seed, h, err)
+				return false
+			}
+			for _, run := range []func(*sched.Schedule, *graph.Graph, *arch.Architecture, *spec.Spec, sim.Scenario, sim.Config) (*sim.Result, error){
+				sim.Simulate, sim.SimulateLegacy,
+			} {
+				sr, err := run(res.Schedule, g, a, sp, sim.Scenario{}, sim.Config{})
+				if err != nil {
+					return false
+				}
+				ir := sr.Iterations[0]
+				if diff := ir.End - res.Schedule.Makespan(); !ir.Completed || diff > 1e-6 || diff < -1e-6 {
+					t.Logf("seed=%d h=%v: simulated end %v (completed %v) != static %v",
+						seed, h, ir.End, ir.Completed, res.Schedule.Makespan())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

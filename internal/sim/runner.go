@@ -187,7 +187,7 @@ func (r *Runner) Run(sc Scenario, cfg Config) (*Result, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
 	}
-	if err := sc.Validate(r.m.a); err != nil {
+	if err := sc.validate(r.m.a); err != nil {
 		return nil, err
 	}
 	r.install(sc)

@@ -46,6 +46,10 @@ import (
 // completing its iterations.
 var ErrCanceled = errors.New("sim: simulation canceled")
 
+// ErrInvalidScenario reports a scenario that names a processor or link the
+// architecture lacks, or that contradicts itself.
+var ErrInvalidScenario = errors.New("sim: invalid scenario")
+
 // Failure is one fail-stop processor failure. With the zero recovery fields
 // it is permanent (the paper's Section 5.1 model); setting a recovery point
 // makes it an intermittent fail-silent outage (the extension sketched in
@@ -126,45 +130,44 @@ func SingleLink(link string, iteration int, at float64) Scenario {
 	return Scenario{Links: []LinkFailure{{Link: link, Iteration: iteration, At: at}}}
 }
 
-// Validate checks the scenario against the architecture, with the errors
-// Simulate would report. Both engines share it so their error behavior stays
-// identical.
-func (sc Scenario) Validate(a *arch.Architecture) error {
+// validate checks the scenario against the architecture. Both engines share
+// it so their error behavior stays identical.
+func (sc Scenario) validate(a *arch.Architecture) error {
 	seen := map[string]bool{}
 	for _, f := range sc.Failures {
 		if !a.HasProcessor(f.Proc) {
-			return fmt.Errorf("sim: scenario fails unknown processor %q", f.Proc)
+			return fmt.Errorf("%w: fails unknown processor %q", ErrInvalidScenario, f.Proc)
 		}
 		if f.Iteration < 0 || f.At < 0 {
-			return fmt.Errorf("sim: scenario failure of %q has negative iteration or date", f.Proc)
+			return fmt.Errorf("%w: failure of %q has negative iteration or date", ErrInvalidScenario, f.Proc)
 		}
 		if !f.Permanent() {
 			if f.RecoverIteration < f.Iteration ||
 				(f.RecoverIteration == f.Iteration && f.RecoverAt <= f.At) {
-				return fmt.Errorf("sim: recovery of %q precedes its failure", f.Proc)
+				return fmt.Errorf("%w: recovery of %q precedes its failure", ErrInvalidScenario, f.Proc)
 			}
 		}
 		if seen[f.Proc] {
-			return fmt.Errorf("sim: processor %q fails twice", f.Proc)
+			return fmt.Errorf("%w: processor %q fails twice", ErrInvalidScenario, f.Proc)
 		}
 		seen[f.Proc] = true
 	}
 	seenLink := map[string]bool{}
 	for _, f := range sc.Links {
 		if a.Link(f.Link) == nil {
-			return fmt.Errorf("sim: scenario fails unknown link %q", f.Link)
+			return fmt.Errorf("%w: fails unknown link %q", ErrInvalidScenario, f.Link)
 		}
 		if f.Iteration < 0 || f.At < 0 {
-			return fmt.Errorf("sim: scenario failure of link %q has negative iteration or date", f.Link)
+			return fmt.Errorf("%w: failure of link %q has negative iteration or date", ErrInvalidScenario, f.Link)
 		}
 		if !f.Permanent() {
 			if f.RecoverIteration < f.Iteration ||
 				(f.RecoverIteration == f.Iteration && f.RecoverAt <= f.At) {
-				return fmt.Errorf("sim: recovery of link %q precedes its failure", f.Link)
+				return fmt.Errorf("%w: recovery of link %q precedes its failure", ErrInvalidScenario, f.Link)
 			}
 		}
 		if seenLink[f.Link] {
-			return fmt.Errorf("sim: link %q fails twice", f.Link)
+			return fmt.Errorf("%w: link %q fails twice", ErrInvalidScenario, f.Link)
 		}
 		seenLink[f.Link] = true
 	}
@@ -299,7 +302,7 @@ type Result struct {
 // running many scenarios against one schedule should compile once and reuse
 // Runners instead, which amortizes this step to zero.
 func Simulate(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, sc Scenario, cfg Config) (*Result, error) {
-	if err := sc.Validate(a); err != nil {
+	if err := sc.validate(a); err != nil {
 		return nil, err
 	}
 	m, err := Compile(s, g, a, sp)
@@ -317,7 +320,7 @@ func SimulateLegacy(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp 
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
 	}
-	if err := sc.Validate(a); err != nil {
+	if err := sc.validate(a); err != nil {
 		return nil, err
 	}
 
