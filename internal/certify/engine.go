@@ -20,6 +20,13 @@ type run struct {
 	end      []float64 // sid -> worst-case completion (valid iff executed)
 	hopEnd   []float64 // hid -> worst-case hop end (valid iff the sender delivers)
 
+	// Date relaxation scratch: the delivers table (fixed once chaining is
+	// done) and each processor's busy and each link's drain date, carried
+	// through one sweep.
+	deliv []bool    // xid -> the sender's value gets through
+	busy  []float64 // pid -> completion of the last slot swept
+	drain []float64 // lid -> end of the last transmitting hop swept
+
 	completed bool
 	missing   []int32 // undelivered output ops, in graph order
 	resp      float64 // worst-case response-time bound (max over outputs)
@@ -27,13 +34,20 @@ type run struct {
 
 // newRun allocates a zeroed run for a failure set of processor IDs.
 func (m *model) newRun(failed []int32, detect bool) *run {
+	P, L := len(m.allPids), len(m.allLids)
+	I, Q, X := len(m.c.Insts), len(m.c.Queue), len(m.c.Senders)
+	flags := make([]bool, P+I+X)
+	dates := make([]float64, I+Q+P+L)
 	r := &run{
 		m: m, detect: detect,
-		byPid:    make([]bool, len(m.allPids)),
-		cursor:   make([]int32, len(m.allPids)),
-		executed: make([]bool, len(m.c.Insts)),
-		end:      make([]float64, len(m.c.Insts)),
-		hopEnd:   make([]float64, len(m.c.Queue)),
+		byPid:    flags[:P:P],
+		cursor:   make([]int32, P),
+		executed: flags[P : P+I : P+I],
+		deliv:    flags[P+I:],
+		end:      dates[:I:I],
+		hopEnd:   dates[I : I+Q : I+Q],
+		busy:     dates[I+Q : I+Q+P : I+Q+P],
+		drain:    dates[I+Q+P:],
 	}
 	for _, pid := range failed {
 		r.byPid[pid] = true
@@ -168,8 +182,15 @@ func (r *run) delivers(xid int32) bool {
 // back to back; the link time of a reactivated transfer is not charged to
 // the queued entries (the receivers of a failover are idle waiting for it),
 // the one approximation of the analysis.
+//
+// A round is one sweep over the model's static-date order (buildOrder), so
+// a date usually sees its inputs' dates of the same round; a bus schedule
+// settles in one sweep plus the confirming one.
 func (r *run) propagate(pids []int32, fromP []int32, lids []int32, fromL []int32) {
 	m := r.m
+	for xid := range r.deliv {
+		r.deliv[xid] = r.delivers(int32(xid))
+	}
 	// Registration: every date derived in this scope starts at +Inf.
 	n := 0
 	for _, pid := range pids {
@@ -186,7 +207,7 @@ func (r *run) propagate(pids []int32, fromP []int32, lids []int32, fromL []int32
 	for _, lid := range lids {
 		lo, hi := m.queue(lid)
 		for hid := lo + fromL[lid]; hid < hi; hid++ {
-			if r.delivers(m.c.Queue[hid].Sender) {
+			if r.deliv[m.c.Queue[hid].Sender] {
 				r.hopEnd[hid] = math.Inf(1)
 			}
 			nq++
@@ -195,61 +216,72 @@ func (r *run) propagate(pids []int32, fromP []int32, lids []int32, fromL []int32
 	n += nq
 	for round := 0; round <= n+1; round++ {
 		m.ins.rounds.Inc()
-		changed := false
-		for _, lid := range lids {
-			from := fromL[lid]
-			free := 0.0
-			if from > 0 {
-				free = m.freeAfter[lid][from]
-			}
-			if r.relaxLink(lid, from, free) {
-				changed = true
-			}
-		}
+		// Seed the running dates at the scope boundaries: the preceding
+		// slot is clean and, since the cursor got past it, executed, so its
+		// failure-free date is final; likewise the link's failure-free
+		// drain date entering the dirty suffix.
 		for _, pid := range pids {
-			if r.byPid[pid] {
-				continue
-			}
-			from := fromP[pid]
-			if from >= r.cursor[pid] {
-				continue
-			}
-			t := 0.0
-			if from > 0 {
-				// The preceding slot is clean and, since the cursor got past
-				// it, executed; its failure-free date is final.
-				t = r.end[m.c.SeqStart[pid]+from-1]
-			}
-			if r.relaxProc(pid, from, t) {
-				changed = true
+			r.busy[pid] = 0
+			if from := fromP[pid]; from > 0 {
+				r.busy[pid] = r.end[m.c.SeqStart[pid]+from-1]
 			}
 		}
-		if !changed {
+		for _, lid := range lids {
+			r.drain[lid] = 0
+			if from := fromL[lid]; from > 0 {
+				r.drain[lid] = m.freeAfter[lid][from]
+			}
+		}
+		if !r.sweep(fromP, fromL) {
 			break
 		}
 	}
 	r.computeResp()
 }
 
-// relaxLink recomputes the hop-end dates of a link's queue from position
-// `from`, seeding the link-drain date with `free`. Transmitting hops
-// execute in the link's static communication order, each waiting for its
-// data and for the link to drain the earlier transmitting entries (the
-// simulator's queue discipline). Returns whether any date moved.
-func (r *run) relaxLink(lid int32, from int32, free float64) bool {
+// sweep re-dates the in-scope units once, in the model's order, and reports
+// whether any date moved; it skips units on a failed processor, before a
+// scope boundary, or at or after a processor's cursor. A slot starts after
+// the processor's previous slot and after each input's worst-case arrival.
+// A transmitting hop waits for its data and for the link to drain the
+// earlier transmitting entries (the simulator's queue discipline); a hop
+// whose sender does not deliver never transmits, and the queue skips it.
+func (r *run) sweep(fromP, fromL []int32) bool {
 	m := r.m
+	c := m.c
 	changed := false
-	lo, hi := m.queue(lid)
-	for hid := lo + from; hid < hi; hid++ {
-		xid := m.c.Queue[hid].Sender
-		if !r.delivers(xid) {
-			continue // never transmits: the queue skips it
+	for _, u := range m.order {
+		if u >= 0 {
+			in := &c.Insts[u]
+			pid := in.Proc
+			if i := u - c.SeqStart[pid]; r.byPid[pid] || i < fromP[pid] || i >= r.cursor[pid] {
+				continue
+			}
+			start := r.busy[pid]
+			for k := c.PredStart[u]; k < c.PredStart[u+1]; k++ {
+				if at := r.availDate(&m.slotIn[k]); at > start {
+					start = at
+				}
+			}
+			end := start + (in.End - in.Start)
+			if !dateEq(end, r.end[u]) {
+				r.end[u] = end
+				changed = true
+			}
+			r.busy[pid] = end
+			continue
+		}
+		hid := ^u
+		lid := m.hopLid[hid]
+		xid := c.Queue[hid].Sender
+		if hid-c.QueueStart[lid] < fromL[lid] || !r.deliv[xid] {
+			continue
 		}
 		ready := math.Inf(1)
 		switch prev := m.hopPrev[hid]; prev {
 		case -1:
 			ready = 0
-			if sid := m.c.Senders[xid].SrcInst; r.executed[sid] {
+			if sid := c.Senders[xid].SrcInst; r.executed[sid] {
 				ready = r.end[sid]
 			}
 		case -2:
@@ -257,39 +289,12 @@ func (r *run) relaxLink(lid int32, from int32, free float64) bool {
 		default:
 			ready = r.hopEnd[prev]
 		}
-		end := math.Max(ready, free) + m.hopDur[hid]
+		end := math.Max(ready, r.drain[lid]) + m.hopDur[hid]
 		if !dateEq(end, r.hopEnd[hid]) {
 			r.hopEnd[hid] = end
 			changed = true
 		}
-		free = end
-	}
-	return changed
-}
-
-// relaxProc recomputes the completion dates of a processor's executed slots
-// in [from, cursor), seeding the processor-busy date with t (the completion
-// of the preceding slot). An operation starts after its predecessor on the
-// processor and after each input's worst-case arrival. Returns whether any
-// date moved.
-func (r *run) relaxProc(pid int32, from int32, t float64) bool {
-	m := r.m
-	changed := false
-	lo := m.c.SeqStart[pid]
-	for sid := lo + from; sid < lo+r.cursor[pid]; sid++ {
-		start := t
-		for k := m.c.PredStart[sid]; k < m.c.PredStart[sid+1]; k++ {
-			if at := r.availDate(&m.slotIn[k]); at > start {
-				start = at
-			}
-		}
-		in := &m.c.Insts[sid]
-		end := start + (in.End - in.Start)
-		if !dateEq(end, r.end[sid]) {
-			r.end[sid] = end
-			changed = true
-		}
-		t = end
+		r.drain[lid] = end
 	}
 	return changed
 }
@@ -321,7 +326,7 @@ func (r *run) deliveryDate(did int32) float64 {
 		eff := 0.0
 		for xid := d.SendLo; xid < d.SendHi; xid++ {
 			x := &m.c.Senders[xid]
-			if !r.delivers(xid) {
+			if !r.deliv[xid] {
 				if !r.detect {
 					eff = math.Max(eff, x.Deadline)
 				}
@@ -343,7 +348,7 @@ func (r *run) deliveryDate(did int32) float64 {
 	}
 	best := math.Inf(1)
 	for xid := d.SendLo; xid < d.SendHi; xid++ {
-		if !r.delivers(xid) {
+		if !r.deliv[xid] {
 			continue
 		}
 		if at := r.arrival(xid); at < best {

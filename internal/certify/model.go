@@ -81,6 +81,7 @@ type model struct {
 	hopLid    []int32   // hid -> lid
 	hopDur    []float64 // hid -> hop duration
 	viaXfers  [][]int32 // pid -> xids that die with the processor (src or forwarder)
+	order     []int32   // date relaxation visiting order: sid, or ^hid for a queue entry
 	zerosP    []int32   // all-zero per-pid boundaries (full-scope propagation)
 	zerosL    []int32
 	allPids   []int32
@@ -182,6 +183,8 @@ func newModel(c *sched.Compiled) *model {
 		}
 	}
 
+	m.buildOrder()
+
 	// Full-scope iteration lists and zero boundaries.
 	m.allPids = make([]int32, P)
 	m.zerosP = make([]int32, P)
@@ -194,6 +197,52 @@ func newModel(c *sched.Compiled) *model {
 		m.allLids[i] = int32(i)
 	}
 	return m
+}
+
+// buildOrder merges every processor's static sequence and every link's
+// static queue into the one order the date relaxation visits, by static
+// start date; ties go to slots before hops, then to the lower processor
+// (link) ID. Each resource contributes its own sequence front to back, so
+// the merge keeps the per-resource orders (SeqStart for slots, SendsBefore
+// for queues) even where SendsBefore's 1e-9 tolerance inverts two dates.
+// Visiting units this way lets most dates settle in one sweep, because a
+// unit's inputs mostly start earlier in the static schedule.
+func (m *model) buildOrder() {
+	c := m.c
+	P, L := len(c.ProcNames), len(c.LinkNames)
+	// next[r] is the next unit of resource r: a sid for processors r < P,
+	// a hid for link r-P.
+	next := make([]int32, P+L)
+	copy(next, c.SeqStart[:P])
+	copy(next[P:], c.QueueStart[:L])
+	n := len(c.Insts) + len(c.Queue)
+	m.order = make([]int32, 0, n)
+	for len(m.order) < n {
+		best, bestAt := -1, 0.0
+		for r := range next {
+			var at float64
+			if r < P {
+				if next[r] == c.SeqStart[r+1] {
+					continue
+				}
+				at = c.Insts[next[r]].Start
+			} else {
+				if next[r] == c.QueueStart[r-P+1] {
+					continue
+				}
+				at = c.QueueDates[next[r]]
+			}
+			if best < 0 || at < bestAt {
+				best, bestAt = r, at
+			}
+		}
+		u := next[best]
+		next[best]++
+		if best >= P {
+			u = ^u
+		}
+		m.order = append(m.order, u)
+	}
 }
 
 // seqLen returns the length of processor pid's static sequence.

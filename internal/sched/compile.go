@@ -56,8 +56,10 @@ type Compiled struct {
 	Receivers  []int32
 
 	// Link l executes Queue[QueueStart[l]:QueueStart[l+1]] in order.
+	// QueueDates[h] is the static start date of queue entry h.
 	QueueStart []int32
 	Queue      []QueueEntry
+	QueueDates []float64
 
 	// Outputs are the external outputs (the graph's sinks for headless
 	// workloads), the operations a complete iteration must produce.
@@ -320,6 +322,7 @@ func (c *Compiled) compileDeliveries(s *Schedule, a *arch.Architecture, opID map
 		sort.SliceStable(hops, func(i, j int) bool { return SendsBefore(hops[i].slot, hops[j].slot) })
 		for _, h := range hops {
 			c.Queue = append(c.Queue, h.entry)
+			c.QueueDates = append(c.QueueDates, h.slot.Start)
 		}
 	}
 	c.QueueStart[len(c.LinkNames)] = int32(len(c.Queue))

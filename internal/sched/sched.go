@@ -131,6 +131,7 @@ type Schedule struct {
 	procNames       []string
 	linkNames       []string
 	transfers       [][]*CommSlot
+	replicas        map[string][]*OpSlot
 
 	nextTransfer int
 }
@@ -153,6 +154,7 @@ func (s *Schedule) AddOpSlot(slot OpSlot) *OpSlot {
 	s.memoMu.Lock()
 	delete(s.sortedProcSlots, slot.Proc)
 	s.procNames = nil
+	s.replicas = nil
 	s.memoMu.Unlock()
 	return &cp
 }
@@ -261,23 +263,42 @@ func (s *Schedule) Links() []string {
 
 // Replicas returns the slots of op across all processors, sorted by replica
 // rank (ties — only possible in malformed schedules — broken by processor
-// name, so diagnostics stay deterministic).
+// name, so diagnostics stay deterministic). The by-operation index behind it
+// is built once and memoized until the next AddOpSlot; callers must not
+// modify the returned slice.
 func (s *Schedule) Replicas(op string) []*OpSlot {
-	var out []*OpSlot
-	for _, slots := range s.procs {
-		for _, sl := range slots {
-			if sl.Op == op {
-				out = append(out, sl)
-			}
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if s.replicas == nil {
+		s.replicas = s.indexReplicas()
+	}
+	return s.replicas[op]
+}
+
+// indexReplicas groups every op slot by operation, each group in Replicas
+// order and capacity-clipped so an append cannot write into the memo.
+func (s *Schedule) indexReplicas() map[string][]*OpSlot {
+	procs := make([]string, 0, len(s.procs))
+	for p := range s.procs {
+		procs = append(procs, p)
+	}
+	sort.Strings(procs)
+	byOp := make(map[string][]*OpSlot)
+	for _, p := range procs {
+		for _, sl := range s.procs[p] {
+			byOp[sl.Op] = append(byOp[sl.Op], sl)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Replica != out[j].Replica {
-			return out[i].Replica < out[j].Replica
-		}
-		return out[i].Proc < out[j].Proc
-	})
-	return out
+	for op, reps := range byOp { //ftlint:order-insensitive each group is sorted on its own
+		sort.SliceStable(reps, func(i, j int) bool {
+			if reps[i].Replica != reps[j].Replica {
+				return reps[i].Replica < reps[j].Replica
+			}
+			return reps[i].Proc < reps[j].Proc
+		})
+		byOp[op] = reps[:len(reps):len(reps)]
+	}
+	return byOp
 }
 
 // MainReplica returns the main replica slot of op, or nil if op is not
