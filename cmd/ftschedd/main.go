@@ -72,6 +72,13 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
+	// Catch SIGTERM before announcing the address: a caller that signals
+	// as soon as it learns the address must get a drain, not the default
+	// kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	bound := ln.Addr().String()
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
@@ -90,10 +97,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-errc:

@@ -135,13 +135,15 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	for _, blk := range g.Blocks {
 		for ni, node := range blk.Nodes {
 			found := false
-			ast.Inspect(node, func(x ast.Node) bool {
-				if call, ok := x.(*ast.CallExpr); ok && isGuardCall(pass, call) {
-					found = true
-					return false
-				}
-				return !found
-			})
+			for _, part := range headParts(node) {
+				ast.Inspect(part, func(x ast.Node) bool {
+					if call, ok := x.(*ast.CallExpr); ok && isGuardCall(pass, call) {
+						found = true
+						return false
+					}
+					return !found
+				})
+			}
 			if found {
 				guardNode[blk.Index] = ni
 				break
@@ -198,6 +200,25 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// headParts returns the parts of a CFG node that run where the node sits.
+// A range statement stands in its loop-head block for the per-iteration
+// binding and exhaustion test, so only its key, value and operand count;
+// its body has blocks of its own, and a guard there must not be credited
+// to the head, which dominates the body's uses.
+func headParts(n ast.Node) []ast.Node {
+	rs, ok := n.(*ast.RangeStmt)
+	if !ok {
+		return []ast.Node{n}
+	}
+	var parts []ast.Node
+	for _, e := range []ast.Expr{rs.Key, rs.Value, rs.X} {
+		if e != nil {
+			parts = append(parts, e)
+		}
+	}
+	return parts
 }
 
 func opKind(arith bool) string {

@@ -96,6 +96,57 @@ func checkedBeforeLoop(s *spec.Spec, base float64, n int) float64 {
 	return base
 }
 
+// A check after the use inside a loop body does not sanction the use: the
+// range statement heads the loop but does not run its body's checks.
+func checkedTooLateInRange(s *spec.Spec, ops []string, f float64) (t float64) {
+	for _, op := range ops {
+		d := s.Exec(op, "p")
+		t = d * f // want "d holds the result of a possibly-∞ spec accessor with no dominating finiteness check"
+		if math.IsInf(d, 1) {
+			continue
+		}
+	}
+	return t
+}
+
+// The same with the use in an if statement's init, the shape of a scaled
+// SetExec.
+func checkedTooLateInRangeInit(s *spec.Spec, ops []string, f float64, use func(float64) error) error {
+	for _, op := range ops {
+		d := s.Exec(op, "p")
+		if err := use(d * f); err != nil { // want "d holds the result of a possibly-∞ spec accessor with no dominating finiteness check"
+			return err
+		}
+		if math.IsInf(d, 1) {
+			continue
+		}
+	}
+	return nil
+}
+
+func checkedTooLateInFor(s *spec.Spec, n int, f float64) (t float64) {
+	for i := 0; i < n; i++ {
+		d := s.Exec("op", "p")
+		t = d * f // want "d holds the result of a possibly-∞ spec accessor with no dominating finiteness check"
+		if math.IsInf(d, 1) {
+			continue
+		}
+	}
+	return t
+}
+
+// A check before the use in the same loop body dominates it.
+func checkedInRange(s *spec.Spec, ops []string, f float64) (t float64) {
+	for _, op := range ops {
+		d := s.Exec(op, "p")
+		if math.IsInf(d, 1) {
+			continue
+		}
+		t += d * f
+	}
+	return t
+}
+
 func sentinelEquality(s *spec.Spec) bool {
 	// Equality against the sentinel is exact and allowed; only arithmetic
 	// and ordering comparisons are flagged.

@@ -26,6 +26,10 @@ var Inf = math.Inf(1)
 type Spec struct {
 	exec map[string]map[string]float64        // op -> proc -> duration
 	comm map[graph.EdgeKey]map[string]float64 // edge -> link -> duration
+	// commRow is the longest comm row so far. A new row is made with room
+	// for that many links: on a point-to-point architecture every
+	// dependency is costed on every link.
+	commRow int
 }
 
 // New returns an empty constraints table.
@@ -60,10 +64,11 @@ func (s *Spec) SetComm(e graph.EdgeKey, link string, d float64) error {
 	}
 	row, ok := s.comm[e]
 	if !ok {
-		row = make(map[string]float64)
+		row = make(map[string]float64, s.commRow)
 		s.comm[e] = row
 	}
 	row[link] = d
+	s.commRow = max(s.commRow, len(row))
 	return nil
 }
 
