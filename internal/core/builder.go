@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ftsched/internal/arch"
 	"ftsched/internal/graph"
@@ -25,11 +27,10 @@ type instruments struct {
 	sink        *obs.Sink
 	steps       *obs.Counter // greedy scheduling steps committed
 	evals       *obs.Counter // candidate evaluations performed (mSn.1)
-	cacheHits   *obs.Counter // evaluations reused from the cross-step cache
-	cacheInval  *obs.Counter // cached evaluations discarded as stale
-	gapSearches *obs.Counter // earliestGap runs, memoized or not
-	gapHits     *obs.Counter // gap searches answered by the per-eval memo
-	poolBatches *obs.Counter // worker-pool dispatches (one per stale batch)
+	cacheHits   *obs.Counter // gap searches reused from the cross-step route memo
+	gapSearches *obs.Counter // gap-search lookups, answered from a memo or run
+	gapHits     *obs.Counter // lookups answered without running occupancy.search
+	poolBatches *obs.Counter // steps evaluated on the worker pool
 	poolEvals   *obs.Counter // evaluations executed on the pool
 	poolWorkers *obs.Counter // workers engaged, summed over batches
 }
@@ -43,7 +44,6 @@ func (in *instruments) resolve(s *obs.Sink) {
 	in.steps = s.Counter("core.steps")
 	in.evals = s.Counter("core.evals")
 	in.cacheHits = s.Counter("core.cache.hits")
-	in.cacheInval = s.Counter("core.cache.invalidations")
 	in.gapSearches = s.Counter("core.gap.searches")
 	in.gapHits = s.Counter("core.gap.memo.hits")
 	in.poolBatches = s.Counter("core.pool.batches")
@@ -113,81 +113,36 @@ type hopPlan struct {
 	end      float64
 }
 
-// gapEntry is one memoized gap search against a link's busy list: a search
-// with the same (ready, dur) on the same frozen occupancy returns val.
-type gapEntry struct {
-	ready, dur, val float64
+// bcastSearch carries one evaluation's FT1 broadcast search for the edge
+// being evaluated. Every destination on the bus receives the same
+// broadcast, so edge-major evaluation searches it once per edge and bus.
+// bus is -1 until the first search.
+type bcastSearch struct {
+	bus int32
+	end float64
 }
 
-// evalCtx is the per-evaluation scratch state: the links consulted (for
-// cache invalidation), a memo of gap searches, and the scored-entry buffer.
-// Within one evaluation the link occupancies are frozen, so a gap search is
-// a pure function of its (link, ready, dur) key — in FT1 on a bus, every
-// destination processor of an uncommitted broadcast repeats the exact same
-// search, which the memo collapses. A nil ctx (the commit path) disables
-// both: occupancies mutate between commits.
-//
-// A ctx is owned by exactly one goroutine (the serial loop's, or one pool
-// worker's) and reused across evaluations via reset, so the per-candidate
-// maps the old engine allocated are gone entirely. Memo lookups scan the
-// consulted link's entries linearly with exact float equality — the same
-// key semantics as the old map, and the lists are tiny (one entry per
-// distinct (ready, dur) pair seen on the link this evaluation).
-type evalCtx struct {
-	linkMark []bool        // linkMark[link]: consulted this evaluation
-	links    []int32       // consulted links, consult order (for reset + cache deps)
-	gaps     [][]gapEntry  // per-link memo, only non-empty for consulted links
-	entries  []scoredEntry // scored-candidate buffer, reused across evaluations
-}
-
-func newEvalCtx(nLinks int32) *evalCtx {
-	return &evalCtx{
-		linkMark: make([]bool, nLinks),
-		gaps:     make([][]gapEntry, nLinks),
-	}
-}
-
-// reset clears the consulted links and their memo entries, keeping all
-// capacity for the next evaluation.
-func (ctx *evalCtx) reset() {
-	for _, l := range ctx.links {
-		ctx.linkMark[l] = false
-		ctx.gaps[l] = ctx.gaps[l][:0]
-	}
-	ctx.links = ctx.links[:0]
-}
-
-// gapSearch runs earliestGap through the evaluation memo (when present) and
-// records the link dependency.
-func (b *builder) gapSearch(ctx *evalCtx, link int32, ready, dur float64) float64 {
+// gapSearch returns the earliest start of a dur-long transfer on link from
+// ready. key >= 0 names the route-memo entry of a route's first hop: the
+// memo answers while every interval inserted on the link since the entry
+// was last checked leaves the search's window alone (occupancy.keeps), and
+// is refilled otherwise. key < 0 (later hops, broadcasts, no memo) searches
+// directly.
+func (b *builder) gapSearch(link int32, key int, ready, dur float64) float64 {
 	b.ins.gapSearches.Inc()
-	if ctx == nil {
-		return b.st.linkBusy[link].search(ready, dur)
+	o := &b.st.linkBusy[link]
+	if key < 0 {
+		return o.search(ready, dur)
 	}
-	if !ctx.linkMark[link] {
-		ctx.linkMark[link] = true
-		ctx.links = append(ctx.links, link)
+	if pos := b.memoPos[key]; pos >= 0 && o.keeps(pos, ready, dur, b.memoVal[key]) {
+		b.memoPos[key] = int32(len(o.log))
+		b.ins.cacheHits.Inc()
+		b.ins.gapHits.Inc()
+		return b.memoVal[key]
 	}
-	for _, g := range ctx.gaps[link] {
-		if g.ready == ready && g.dur == dur {
-			b.ins.gapHits.Inc()
-			return g.val
-		}
-	}
-	v := b.st.linkBusy[link].search(ready, dur)
-	ctx.gaps[link] = append(ctx.gaps[link], gapEntry{ready: ready, dur: dur, val: v})
+	v := o.search(ready, dur)
+	b.memoVal[key], b.memoPos[key] = v, int32(len(o.log))
 	return v
-}
-
-// cachedEval is one candidate's evaluation carried across steps, with the
-// links whose busy sets it depends on (its processors are the static allowed
-// set, so they are not recorded per evaluation). Entries live in a flat
-// array indexed by op ID; valid distinguishes live entries from retired or
-// never-filled slots.
-type cachedEval struct {
-	ev    evaluation
-	links []int32
-	valid bool
 }
 
 // builder holds the mutable state of one scheduling run: the compiled model
@@ -203,23 +158,35 @@ type builder struct {
 	st *schedState
 
 	workers int
+	// maxRepl bounds the replicas of one operation: 1 for Basic, else
+	// min(K+1, processors).
+	maxRepl int
 
-	// Incremental engine state (see DESIGN.md §8 and §13): the ready
-	// candidates as ascending op IDs (declaration order), the count of
-	// unscheduled strict predecessors per operation, the evaluations carried
-	// over from earlier steps, and the processors/links dirtied by the
-	// latest commit (bool table + touched list, reset each step).
+	// Incremental engine state (see DESIGN.md §8): the ready candidates as
+	// ascending op IDs (declaration order) and the count of unscheduled
+	// strict predecessors per operation.
 	cands        []int32
 	pendingPreds []int32
-	cache        []cachedEval
-	touchedProc  []bool
-	touchedLink  []bool
-	touchedProcL []int32
-	touchedLinkL []int32
 
-	ctx     *evalCtx   // serial evaluation scratch, reused every step
-	wctx    []*evalCtx // per-worker scratch, lazily grown to b.workers
-	planBuf []hopPlan  // commit-path route buffer, reused every transfer
+	// The cross-step route memo (DESIGN.md §8.3), nil when no evaluation
+	// plans a routed transfer. Entry (edge*maxRepl+rank)*memoWidth+slot
+	// holds the gap search of the first hop from the producer replica of
+	// that rank over its link numbered slot (memoSlot): memoVal the result,
+	// memoPos the length of the link's insert log it was last checked
+	// against, -1 while empty. Every destination whose route starts on that
+	// link shares the entry.
+	memoVal   []float64
+	memoPos   []int32
+	memoSlot  []int32
+	memoWidth int
+
+	// Per-step buffers, reused across steps: one evaluation per candidate,
+	// with its scored and kept entries carved from scoredBuf and keptBuf.
+	evals     []evaluation
+	scoredBuf []scoredEntry
+	keptBuf   []keptEntry
+
+	planBuf []hopPlan // commit-path route buffer, reused every transfer
 
 	rng     randSource
 	trace   []StepTrace
@@ -255,11 +222,23 @@ func newBuilder(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, mode sched.
 		m: m, opts: opts, mode: mode, k: k,
 		st:           newSchedState(m, mode, k),
 		pendingPreds: make([]int32, m.nOps),
-		cache:        make([]cachedEval, m.nOps),
-		touchedProc:  make([]bool, m.nProcs),
-		touchedLink:  make([]bool, m.nLinks),
-		ctx:          newEvalCtx(m.nLinks),
+		maxRepl:      1,
 		minRepl:      math.MaxInt,
+	}
+	if mode != sched.ModeBasic {
+		b.maxRepl = min(k+1, int(m.nProcs))
+	}
+	if b.plansRoutes() {
+		b.memoSlot, b.memoWidth = firstHopSlots(m)
+		n := int(m.nEdges) * b.maxRepl * b.memoWidth
+		b.memoVal = make([]float64, n)
+		b.memoPos = make([]int32, n)
+		for i := range b.memoPos {
+			b.memoPos[i] = -1
+		}
+		for l := range b.st.linkBusy {
+			b.st.linkBusy[l].logged = true
+		}
 	}
 	for o := int32(0); o < m.nOps; o++ {
 		b.pendingPreds[o] = int32(len(m.predEdges[o]))
@@ -278,12 +257,53 @@ func newBuilder(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, mode sched.
 	return b, nil
 }
 
+// plansRoutes reports whether the run can plan a routed transfer, the only
+// kind the route memo serves: a point-to-point transfer (Basic, FT2, and FT1
+// where no bus is shared or NoBroadcast is set) between two processors.
+func (b *builder) plansRoutes() bool {
+	m := b.m
+	for i, route := range m.routes {
+		if len(route) > 0 && (b.mode != sched.ModeFT1 || b.opts.NoBroadcast || m.bus[i] < 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// firstHopSlots numbers the distinct first links of each sender's routes in
+// destination order: slot[src*nProcs+dst] is the number of route(src, dst)'s
+// first link (-1 for src == dst), and width the largest count over senders —
+// 1 on a bus, 2 on a ring, processors-1 on a full mesh.
+func firstHopSlots(m *model) (slot []int32, width int) {
+	slot = make([]int32, len(m.routes))
+	linkSlot := make([]int32, m.nLinks)
+	for src := int32(0); src < m.nProcs; src++ {
+		for l := range linkSlot {
+			linkSlot[l] = -1
+		}
+		n := int32(0)
+		for dst := int32(0); dst < m.nProcs; dst++ {
+			i := src*m.nProcs + dst
+			slot[i] = -1
+			if route := m.routes[i]; len(route) > 0 {
+				if linkSlot[route[0].link] < 0 {
+					linkSlot[route[0].link] = n
+					n++
+				}
+				slot[i] = linkSlot[route[0].link]
+			}
+		}
+		width = max(width, int(n))
+	}
+	return slot, width
+}
+
 // replication returns the number of replicas to place for op, or an error
 // when the constraints cannot support the requested fault tolerance.
 func (b *builder) replication(op int32) (int, error) {
 	allowed := len(b.m.allowed[op])
 	if allowed == 0 {
-		return 0, fmt.Errorf("%w: operation %q has no allowed processor", ErrInfeasible, b.m.opNames[op]) //ftlint:hotalloc-ok error path: an infeasible replication aborts the whole run, so this formats at most once
+		return 0, fmt.Errorf("%w: operation %q has no allowed processor", ErrInfeasible, b.m.opNames[op])
 	}
 	if b.mode == sched.ModeBasic {
 		return 1, nil
@@ -291,7 +311,7 @@ func (b *builder) replication(op int32) (int, error) {
 	want := b.k + 1
 	if allowed < want {
 		if !b.opts.AllowDegraded {
-			return 0, fmt.Errorf("%w: operation %q can run on %d processors, %d needed to tolerate %d failures (set AllowDegraded to proceed)", //ftlint:hotalloc-ok error path: an infeasible replication aborts the whole run, so this formats at most once
+			return 0, fmt.Errorf("%w: operation %q can run on %d processors, %d needed to tolerate %d failures (set AllowDegraded to proceed)",
 				ErrInfeasible, b.m.opNames[op], allowed, want, b.k)
 		}
 		return allowed, nil
@@ -299,30 +319,27 @@ func (b *builder) replication(op int32) (int, error) {
 	return want, nil
 }
 
-// occupyLink records an active transfer on link and marks the link dirty for
-// the incremental evaluation cache.
-func (b *builder) occupyLink(link int32, start, end float64) {
-	b.st.occupy(link, start, end)
-	if !b.touchedLink[link] {
-		b.touchedLink[link] = true
-		b.touchedLinkL = append(b.touchedLinkL, link)
-	}
-}
-
-// planRoute tentatively schedules the transfer of edge e from src to dst with
-// the data ready at the source at date ready, returning the arrival date. It
-// performs gap search against the current link occupancy but commits nothing.
-// The links consulted are recorded in ctx (when non-nil) so cached
-// evaluations can be invalidated once those links change. When plans is
-// non-nil the hops are appended to it for a later commitPlans; evaluations
-// pass nil and skip building them. Routes and communication durations come
-// from the compiled model, which is total, so planning cannot fail.
-func (b *builder) planRoute(e, src, dst int32, ready float64, ctx *evalCtx, plans *[]hopPlan) float64 {
+// planRoute tentatively schedules the transfer of edge e from the producer
+// replica of the given rank, on src, to dst, with the data ready at date
+// ready, and returns the arrival date. It searches gaps against the current
+// link occupancy but commits nothing; the first hop goes through the route
+// memo, since its search depends only on the edge, the sender and the link.
+// When plans is non-nil the hops are appended to it for a later
+// commitPlans; evaluations pass nil and skip building them. Routes and
+// communication durations come from the compiled model, which is total, so
+// planning cannot fail.
+func (b *builder) planRoute(e, rank, src, dst int32, ready float64, plans *[]hopPlan) float64 {
 	m := b.m
+	route := m.routes[src*m.nProcs+dst]
+	key := -1
+	if b.memoPos != nil {
+		key = (int(e)*b.maxRepl+int(rank))*b.memoWidth + int(b.memoSlot[src*m.nProcs+dst])
+	}
 	at, t := src, ready
-	for _, h := range m.routes[src*m.nProcs+dst] {
+	for _, h := range route {
 		dur := m.comm[e*m.nLinks+h.link]
-		start := b.gapSearch(ctx, h.link, t, dur)
+		start := b.gapSearch(h.link, key, t, dur)
+		key = -1
 		if plans != nil {
 			*plans = append(*plans, hopPlan{link: h.link, from: at, to: h.to, start: start, end: start + dur})
 		}
@@ -348,22 +365,33 @@ func (b *builder) commitPlans(e, src, dst, senderRank int32, plans []hopPlan, pa
 		}
 		b.st.appendComm(rec)
 		if !passive {
-			b.occupyLink(h.link, h.start, h.end)
+			b.st.occupy(h.link, h.start, h.end)
 		}
 	}
 }
 
 // arrival returns the failure-free availability date of edge e's value on
 // dstProc under the builder's mode. With commit set, any missing transfers
-// (and, in FT1, the passive backup chains) are recorded in the schedule.
-func (b *builder) arrival(e, dstProc int32, commit bool, ctx *evalCtx) (float64, error) {
+// (and, in FT1, the passive backup chains) are recorded in the schedule;
+// without it, bc carries the evaluation's broadcast search for e. In every
+// mode a value produced by a replica on dstProc itself is local.
+func (b *builder) arrival(e, dstProc int32, commit bool, bc *bcastSearch) (float64, error) {
+	m := b.m
+	src := m.edgeSrc[e]
+	if idx := b.st.repOn[src*m.nProcs+dstProc]; idx >= 0 {
+		return b.st.ops[idx].end, nil
+	}
+	reps := b.st.reps[src]
+	if len(reps) == 0 {
+		return 0, b.unscheduledPred(e)
+	}
 	switch b.mode {
 	case sched.ModeBasic:
-		return b.basicArrival(e, dstProc, commit, ctx)
+		return b.basicArrival(e, dstProc, reps, commit), nil
 	case sched.ModeFT1:
-		return b.ft1Arrival(e, dstProc, commit, ctx)
+		return b.ft1Arrival(e, dstProc, reps, commit, bc), nil
 	case sched.ModeFT2:
-		return b.ft2Arrival(e, dstProc, commit, ctx)
+		return b.ft2Arrival(e, dstProc, reps, commit), nil
 	default:
 		return 0, fmt.Errorf("core: unknown mode %v", b.mode) //ftlint:hotalloc-ok defensive: unknown modes are rejected at Build entry, so this branch formats never or aborts once
 	}
@@ -376,76 +404,65 @@ func (b *builder) unscheduledPred(e int32) error {
 	return fmt.Errorf("core: predecessor %q of %q not scheduled", key.Src, key.Dst) //ftlint:hotalloc-ok error path: an unscheduled predecessor is an internal ordering bug that aborts the run
 }
 
-func (b *builder) basicArrival(e, dstProc int32, commit bool, ctx *evalCtx) (float64, error) {
+// basicArrival delivers e's value with one routed transfer from the main
+// replica of the producer.
+func (b *builder) basicArrival(e, dstProc int32, reps []int32, commit bool) float64 {
 	m := b.m
-	reps := b.st.reps[m.edgeSrc[e]]
-	if len(reps) == 0 {
-		return 0, b.unscheduledPred(e)
-	}
 	main := &b.st.ops[reps[0]]
-	if main.proc == dstProc {
-		return main.end, nil
-	}
 	if d := b.st.deliv[e*m.nProcs+dstProc]; !math.IsNaN(d) {
-		return d, nil
+		return d
 	}
 	if !commit {
-		return b.planRoute(e, main.proc, dstProc, main.end, ctx, nil), nil
+		return b.planRoute(e, 0, main.proc, dstProc, main.end, nil)
 	}
 	b.planBuf = b.planBuf[:0]
-	t := b.planRoute(e, main.proc, dstProc, main.end, ctx, &b.planBuf)
+	t := b.planRoute(e, 0, main.proc, dstProc, main.end, &b.planBuf)
 	b.commitPlans(e, main.proc, dstProc, 0, b.planBuf, false, 0)
 	b.st.setDeliv(e, dstProc, t)
-	return t, nil
+	return t
 }
 
 // ft1Arrival implements the first solution's communication scheme: the main
 // replica of the producer sends once (a broadcast on a shared bus, a routed
 // transfer otherwise); backup replicas get passive, timeout-guarded
 // reservations committed alongside the active transfer.
-func (b *builder) ft1Arrival(e, dstProc int32, commit bool, ctx *evalCtx) (float64, error) {
+func (b *builder) ft1Arrival(e, dstProc int32, reps []int32, commit bool, bc *bcastSearch) float64 {
 	m := b.m
-	src := m.edgeSrc[e]
-	if idx := b.st.repOn[src*m.nProcs+dstProc]; idx >= 0 {
-		// A replica of the producer runs here: intra-processor communication.
-		return b.st.ops[idx].end, nil
-	}
-	reps := b.st.reps[src]
-	if len(reps) == 0 {
-		return 0, b.unscheduledPred(e)
-	}
 	main := &b.st.ops[reps[0]]
-	if bus := m.bus[main.proc*m.nProcs+dstProc]; bus >= 0 && !b.opts.NoBroadcast {
-		if bc := b.st.bcastEnd[e*m.nLinks+bus]; !math.IsNaN(bc) {
-			return bc, nil
-		}
-		dur := m.comm[e*m.nLinks+bus]
-		start := b.gapSearch(ctx, bus, main.end, dur)
+	bus := m.bus[main.proc*m.nProcs+dstProc]
+	if bus < 0 || b.opts.NoBroadcast {
+		// The chain's marker makes a repeat call a no-op, exactly when the
+		// delivery was committed before.
+		t := b.basicArrival(e, dstProc, reps, commit)
 		if commit {
-			b.st.appendComm(commRec{
-				edge: e, link: bus, from: main.proc, to: -1,
-				src: main.proc, dst: -1,
-				transferID: b.st.newTransferID(), start: start, end: start + dur,
-				broadcast: true,
-			})
-			b.occupyLink(bus, start, start+dur)
-			b.st.setBcast(e, bus, start+dur)
-			b.ft1PassiveChain(e, bus, -1, start+dur)
+			b.ft1PassiveChain(e, -1, dstProc, t)
 		}
-		return start + dur, nil
+		return t
 	}
-	if d := b.st.deliv[e*m.nProcs+dstProc]; !math.IsNaN(d) {
-		return d, nil
+	if end := b.st.bcastEnd[e*m.nLinks+bus]; !math.IsNaN(end) {
+		return end
 	}
+	if !commit && bc.bus == bus {
+		b.ins.gapSearches.Inc()
+		b.ins.gapHits.Inc()
+		return bc.end
+	}
+	dur := m.comm[e*m.nLinks+bus]
+	start := b.gapSearch(bus, -1, main.end, dur)
 	if !commit {
-		return b.planRoute(e, main.proc, dstProc, main.end, ctx, nil), nil
+		bc.bus, bc.end = bus, start+dur
+		return start + dur
 	}
-	b.planBuf = b.planBuf[:0]
-	t := b.planRoute(e, main.proc, dstProc, main.end, ctx, &b.planBuf)
-	b.commitPlans(e, main.proc, dstProc, 0, b.planBuf, false, 0)
-	b.st.setDeliv(e, dstProc, t)
-	b.ft1PassiveChain(e, -1, dstProc, t)
-	return t, nil
+	b.st.appendComm(commRec{
+		edge: e, link: bus, from: main.proc, to: -1,
+		src: main.proc, dst: -1,
+		transferID: b.st.newTransferID(), start: start, end: start + dur,
+		broadcast: true,
+	})
+	b.st.occupy(bus, start, start+dur)
+	b.st.setBcast(e, bus, start+dur)
+	b.ft1PassiveChain(e, bus, -1, start+dur)
+	return start + dur
 }
 
 // ft1PassiveChain commits the timeout chain of Fig. 12 for edge e: for each
@@ -523,59 +540,30 @@ func (b *builder) ft1PassiveChain(e, bus, dstProc int32, mainDeadline float64) {
 }
 
 // ft2Arrival implements the second solution's communication scheme: every
-// replica of the producer sends to dstProc, except when a replica of the
-// producer already runs on dstProc, in which case the value is local and no
-// transfer at all is committed for this consumer (Section 7.1).
-func (b *builder) ft2Arrival(e, dstProc int32, commit bool, ctx *evalCtx) (float64, error) {
+// replica of the producer sends to dstProc, the first arrival wins. A
+// producer replica on dstProc itself (handled by arrival) means no transfer
+// at all is committed for this consumer (Section 7.1).
+func (b *builder) ft2Arrival(e, dstProc int32, reps []int32, commit bool) float64 {
 	m := b.m
-	reps := b.st.reps[m.edgeSrc[e]]
-	if len(reps) == 0 {
-		return 0, b.unscheduledPred(e)
-	}
-	for _, ri := range reps {
-		if b.st.ops[ri].proc == dstProc {
-			return b.st.ops[ri].end, nil
-		}
-	}
 	best := math.Inf(1)
 	for _, ri := range reps {
 		r := &b.st.ops[ri]
-		if d := b.st.sent[(e*m.nProcs+r.proc)*m.nProcs+dstProc]; !math.IsNaN(d) {
-			if d < best {
-				best = d
+		t := b.st.sent[(e*m.nProcs+r.proc)*m.nProcs+dstProc]
+		if math.IsNaN(t) {
+			if commit {
+				b.planBuf = b.planBuf[:0]
+				t = b.planRoute(e, r.replica, r.proc, dstProc, r.end, &b.planBuf)
+				b.commitPlans(e, r.proc, dstProc, r.replica, b.planBuf, false, 0)
+				b.st.setSent(e, r.proc, dstProc, t)
+			} else {
+				t = b.planRoute(e, r.replica, r.proc, dstProc, r.end, nil)
 			}
-			continue
-		}
-		var t float64
-		if commit {
-			b.planBuf = b.planBuf[:0]
-			t = b.planRoute(e, r.proc, dstProc, r.end, ctx, &b.planBuf)
-			b.commitPlans(e, r.proc, dstProc, r.replica, b.planBuf, false, 0)
-			b.st.setSent(e, r.proc, dstProc, t)
-		} else {
-			t = b.planRoute(e, r.proc, dstProc, r.end, ctx, nil)
 		}
 		if t < best {
 			best = t
 		}
 	}
-	return best, nil
-}
-
-// earliestStart evaluates S(n)(op, proc): the earliest date op could start
-// on proc given the partial schedule, without committing anything.
-func (b *builder) earliestStart(op, proc int32, ctx *evalCtx) (float64, error) {
-	t := b.st.procFree[proc]
-	for _, pe := range b.m.predEdges[op] {
-		at, err := b.arrival(pe.edge, proc, false, ctx)
-		if err != nil {
-			return 0, err
-		}
-		if at > t {
-			t = at
-		}
-	}
-	return t, nil
+	return best
 }
 
 // commitReplica schedules one replica of op on proc, committing the
@@ -600,10 +588,6 @@ func (b *builder) commitReplica(op, proc int32, rank int) (int32, error) {
 	}
 	idx := b.st.appendOp(opRec{op: op, proc: proc, replica: int32(rank), start: start, end: start + d})
 	b.st.procFree[proc] = start + d
-	if !b.touchedProc[proc] {
-		b.touchedProc[proc] = true
-		b.touchedProcL = append(b.touchedProcL, proc)
-	}
 	b.st.repOn[op*b.m.nProcs+proc] = idx
 	return idx, nil
 }
@@ -754,7 +738,6 @@ func (b *builder) run() (*Result, error) {
 // keeping b.cands ascending keeps it in declaration order (the order the
 // full rescan used to produce).
 func (b *builder) retire(op int32) {
-	b.cache[op].valid = false
 	i := sort.Search(len(b.cands), func(i int) bool { return b.cands[i] >= op })
 	b.cands = append(b.cands[:i], b.cands[i+1:]...)
 	for _, s := range b.m.succs[op] {
@@ -774,36 +757,53 @@ type keptEntry struct {
 	sigma float64
 }
 
-// evaluation holds micro-step mSn.1's result for one candidate: the kept
-// (processor, sigma) pairs, best first.
+// scoredEntry is one (processor, sigma) evaluation with its start and
+// completion dates; the completion date breaks pressure ties.
+type scoredEntry struct {
+	proc                     int32
+	start, sigma, completion float64
+}
+
+// evaluation holds micro-step mSn.1's result for one candidate: one scored
+// entry per allowed processor, then the kept entries, best first. Both
+// slices are carved from the builder's per-step buffers.
 type evaluation struct {
 	op      int32
+	scored  []scoredEntry
 	kept    []keptEntry
 	urgency float64 // the greatest kept sigma, used at mSn.2
+	err     error   // evaluateOne's failure, reported in candidate order
 }
 
 // evaluateStep runs micro-step mSn.1 for the current candidates and guards
 // the read-only contract: the SoA state's mutation epoch must not move while
 // evaluations (serial or pooled) are in flight.
 //
-// Unseeded runs go through the incremental engine: evaluations from earlier
-// steps are reused unless the latest commit dirtied one of the candidate's
-// allowed processors or one of the links its route planning consulted; only
-// stale candidates are re-evaluated, on a worker pool when one is
-// configured. Seeded runs fall back to the full re-evaluation of every
-// candidate, because the shared tie-breaking rand stream must be consumed in
-// exactly the order the original serial heuristic consumed it.
+// Every candidate is evaluated afresh at every step, seeded or not; what
+// carries over between steps is the route memo under the gap searches.
+// Unseeded evaluations keep their best entries as they finish. Seeded runs
+// shuffle each candidate's entries and keep the best here, serially and in
+// candidate order, so the shared tie-breaking rand stream is consumed
+// exactly as the original serial heuristic consumed it.
 func (b *builder) evaluateStep() ([]evaluation, error) {
 	epoch := b.st.mutEpoch
-	var evals []evaluation
-	var err error
-	if b.rng != nil {
-		evals, err = b.evaluateAll(b.cands)
-	} else {
-		evals, err = b.evaluateIncremental()
-	}
+	evals, err := b.carveStep()
 	if err != nil {
 		return nil, err
+	}
+	b.evaluateCands(evals)
+	for i := range evals {
+		ev := &evals[i]
+		if ev.err != nil {
+			return nil, ev.err
+		}
+		if b.rng != nil {
+			for k := len(ev.scored) - 1; k > 0; k-- {
+				j := b.rng.Intn(k + 1)
+				ev.scored[k], ev.scored[j] = ev.scored[j], ev.scored[k]
+			}
+			keepBest(ev)
+		}
 	}
 	if b.st.mutEpoch != epoch {
 		return nil, fmt.Errorf("core: internal error: schedule state mutated during candidate evaluation (epoch %d -> %d)", epoch, b.st.mutEpoch)
@@ -811,227 +811,140 @@ func (b *builder) evaluateStep() ([]evaluation, error) {
 	return evals, nil
 }
 
-// evaluateIncremental is the unseeded evaluation path: cached evaluations
-// are reused unless stale, and the stale set is re-evaluated serially or on
-// the worker pool.
-func (b *builder) evaluateIncremental() ([]evaluation, error) {
-	evals := make([]evaluation, len(b.cands))
-	var todo []int
+// carveStep sets up one evaluation per candidate, in candidate order, with
+// its scored and kept entries carved from buffers reused across steps. A
+// candidate that cannot be replicated fails the step before any evaluation
+// runs, so the first infeasible candidate in order is the one reported.
+func (b *builder) carveStep() ([]evaluation, error) {
+	n := len(b.cands)
+	if cap(b.evals) < n {
+		b.evals = make([]evaluation, 2*n)
+		b.scoredBuf = make([]scoredEntry, 2*n*int(b.m.nProcs))
+		b.keptBuf = make([]keptEntry, 2*n*b.maxRepl)
+	}
+	evals := b.evals[:n]
+	var ns, nk int
 	for i, op := range b.cands {
-		if ce := &b.cache[op]; ce.valid {
-			if !b.stale(op, ce) {
-				evals[i] = ce.ev
-				b.ins.cacheHits.Inc()
-				continue
-			}
-			b.ins.cacheInval.Inc()
-		}
-		todo = append(todo, i)
-	}
-	for _, p := range b.touchedProcL {
-		b.touchedProc[p] = false
-	}
-	b.touchedProcL = b.touchedProcL[:0]
-	for _, l := range b.touchedLinkL {
-		b.touchedLink[l] = false
-	}
-	b.touchedLinkL = b.touchedLinkL[:0]
-	if b.workers > 1 && len(todo) > 1 {
-		if err := b.evaluateParallel(evals, todo); err != nil {
-			return nil, err
-		}
-		return evals, nil
-	}
-	for _, i := range todo {
-		op := b.cands[i]
-		b.ctx.reset()
-		ev, err := b.evaluateOne(op, b.ctx)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = ev
-		ce := &b.cache[op]
-		ce.ev = ev
-		ce.links = append(ce.links[:0], b.ctx.links...)
-		ce.valid = true
-	}
-	return evals, nil
-}
-
-// evaluateParallel evaluates the stale candidates at the todo indices on a
-// bounded worker pool. Workers only read builder state; each owns one
-// long-lived evalCtx, and results and dependency sets are merged back in
-// index order on the caller's goroutine, so the outcome is identical to the
-// serial loop.
-func (b *builder) evaluateParallel(evals []evaluation, todo []int) error {
-	workers := b.workers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	b.ins.poolBatches.Inc()
-	b.ins.poolEvals.Add(int64(len(todo)))
-	b.ins.poolWorkers.Add(int64(workers))
-	for len(b.wctx) < workers { //ftlint:allow-nopoll bounded: appends one context per missing worker, so trips <= Options.Workers
-		b.wctx = append(b.wctx, newEvalCtx(b.m.nLinks))
-	}
-	depsOut := make([][]int32, len(todo))
-	errs := make([]error, len(todo))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(ctx *evalCtx) {
-			defer wg.Done()
-			for j := range next {
-				ctx.reset()
-				ev, err := b.evaluateOne(b.cands[todo[j]], ctx)
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				evals[todo[j]] = ev
-				// ctx.links is reused for the worker's next job, so the
-				// dependency set must be copied out before then.
-				depsOut[j] = append([]int32(nil), ctx.links...)
-			}
-		}(b.wctx[w])
-	}
-	for j := range todo {
-		next <- j
-	}
-	close(next)
-	wg.Wait()
-	for j := range todo {
-		if errs[j] != nil {
-			return errs[j]
-		}
-		ce := &b.cache[b.cands[todo[j]]]
-		ce.ev = evals[todo[j]]
-		ce.links = depsOut[j]
-		ce.valid = true
-	}
-	return nil
-}
-
-// stale reports whether a cached evaluation may have been invalidated by the
-// latest commit: one of the candidate's allowed processors gained work, or a
-// link whose occupancy the evaluation's gap searches consulted was occupied
-// further.
-func (b *builder) stale(op int32, ce *cachedEval) bool {
-	if len(b.touchedProcL) > 0 {
-		for _, p := range b.m.allowed[op] {
-			if b.touchedProc[p] {
-				return true
-			}
-		}
-	}
-	if len(b.touchedLinkL) > 0 {
-		for _, l := range ce.links {
-			if b.touchedLink[l] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// scoredEntry is one (processor, sigma) evaluation with the completion date
-// used for tie-breaking.
-type scoredEntry struct {
-	proc              int32
-	sigma, completion float64
-}
-
-// evaluateOne evaluates one candidate with deterministic tie-breaking,
-// recording consulted links in ctx. Safe for concurrent use: it only reads
-// builder state, and all scratch lives in the caller-owned ctx.
-func (b *builder) evaluateOne(op int32, ctx *evalCtx) (evaluation, error) {
-	b.ins.evals.Inc()
-	repl, err := b.replication(op)
-	if err != nil {
-		return evaluation{}, err
-	}
-	entries := ctx.entries[:0]
-	for _, p := range b.m.allowed[op] {
-		s, err := b.earliestStart(op, p, ctx)
-		if err != nil {
-			return evaluation{}, err
-		}
-		entries = append(entries, b.score(op, p, s)) //ftlint:hotalloc-ok amortized: appends into the reused evalCtx.entries buffer, which keeps its capacity across candidates
-	}
-	ctx.entries = entries
-	return b.keepBest(op, entries, repl), nil
-}
-
-// score builds the (processor, sigma) entry for op starting at date s on p.
-func (b *builder) score(op, p int32, s float64) scoredEntry {
-	d := b.m.exec[op*b.m.nProcs+p]
-	sigma := b.m.sigma.Sigma(op, s, d)
-	if b.opts.NoPressure {
-		// Ablation: earliest-finish-time only, no remaining-path term.
-		sigma = s + d
-	}
-	return scoredEntry{
-		proc:       p,
-		sigma:      sigma,
-		completion: s + d,
-	}
-}
-
-// keepBest sorts the scored entries and keeps the repl smallest pressures.
-// Equal pressures are split by earliest completion date, then architecture
-// declaration order (the stable sort preserves it — processor IDs are
-// declaration indices and entries arrive in ascending ID order). With a seed
-// set, equal entries are instead resolved randomly, like the paper's
-// "randomly chosen" tie-breaking: the caller shuffles first, so the stable
-// sort picks a random representative of each tie group.
-func (b *builder) keepBest(op int32, entries []scoredEntry, repl int) evaluation {
-	sort.SliceStable(entries, func(i, j int) bool { //ftlint:hotalloc-ok non-escaping: sort.SliceStable invokes the less function without retaining it
-		if math.Abs(entries[i].sigma-entries[j].sigma) > eps {
-			return entries[i].sigma < entries[j].sigma
-		}
-		return entries[i].completion < entries[j].completion-eps
-	})
-	kept := make([]keptEntry, repl)
-	for i := range kept {
-		kept[i] = keptEntry{proc: entries[i].proc, sigma: entries[i].sigma}
-	}
-	return evaluation{op: op, kept: kept, urgency: kept[len(kept)-1].sigma}
-}
-
-// evaluateAll is the seeded evaluation path: every candidate is re-evaluated
-// and the shared rand stream is consumed candidate by candidate, exactly as
-// the original serial heuristic did.
-func (b *builder) evaluateAll(cands []int32) ([]evaluation, error) {
-	out := make([]evaluation, 0, len(cands))
-	for _, op := range cands {
-		b.ins.evals.Inc()
 		repl, err := b.replication(op)
 		if err != nil {
 			return nil, err
 		}
-		// The gap memo is exact (occupancies are frozen during evaluation),
-		// so it speeds the seeded path without changing any result. The ctx
-		// is reset per candidate, matching the old per-candidate memos.
-		b.ctx.reset()
-		entries := b.ctx.entries[:0]
-		for _, p := range b.m.allowed[op] {
-			s, err := b.earliestStart(op, p, b.ctx)
-			if err != nil {
-				return nil, err
-			}
-			entries = append(entries, b.score(op, p, s))
-		}
-		b.ctx.entries = entries
-		if b.rng != nil {
-			for i := len(entries) - 1; i > 0; i-- {
-				j := b.rng.Intn(i + 1)
-				entries[i], entries[j] = entries[j], entries[i]
-			}
-		}
-		out = append(out, b.keepBest(op, entries, repl))
+		na := len(b.m.allowed[op])
+		evals[i] = evaluation{op: op, scored: b.scoredBuf[ns : ns+na : ns+na], kept: b.keptBuf[nk : nk+repl : nk+repl]}
+		ns += na
+		nk += repl
 	}
-	return out, nil
+	return evals, nil
+}
+
+// evaluateCands evaluates every carved candidate. The calling goroutine
+// claims candidates through one shared atomic index, joined by Workers-1
+// pool goroutines when there are that many candidates to share. An
+// evaluation writes only its own evaluation and the route-memo entries of
+// its own in-edges, and no two candidates share an in-edge, so results are
+// the same for every worker count and claim order.
+func (b *builder) evaluateCands(evals []evaluation) {
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	if workers := min(b.workers, len(evals)); workers > 1 {
+		b.ins.poolBatches.Inc()
+		b.ins.poolEvals.Add(int64(len(evals)))
+		b.ins.poolWorkers.Add(int64(workers))
+		wg.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				b.claimEvals(evals, &next)
+			}()
+		}
+	}
+	b.claimEvals(evals, &next)
+	wg.Wait()
+}
+
+// claimEvals evaluates candidates claimed from next until none is left.
+func (b *builder) claimEvals(evals []evaluation, next *atomic.Int32) {
+	for i := int(next.Add(1)) - 1; i < len(evals); i = int(next.Add(1)) - 1 {
+		b.evaluate(&evals[i])
+	}
+}
+
+// evaluate runs evaluateOne on ev and, in unseeded runs, keeps its best
+// entries right away.
+func (b *builder) evaluate(ev *evaluation) {
+	ev.err = b.evaluateOne(ev)
+	if ev.err == nil && b.rng == nil {
+		keepBest(ev)
+	}
+}
+
+// evaluateOne scores ev.op on every allowed processor, edge by edge: each
+// processor starts at its frontier, and each predecessor edge in turn
+// raises the start dates its arrivals delay. Safe for concurrent use on
+// distinct candidates: it reads the schedule state and writes only ev and
+// the route-memo entries of ev.op's in-edges.
+func (b *builder) evaluateOne(ev *evaluation) error {
+	b.ins.evals.Inc()
+	m := b.m
+	ents := ev.scored
+	for i, p := range m.allowed[ev.op] {
+		ents[i] = scoredEntry{proc: p, start: b.st.procFree[p]}
+	}
+	for _, pe := range m.predEdges[ev.op] {
+		bc := bcastSearch{bus: -1}
+		for i := range ents {
+			at, err := b.arrival(pe.edge, ents[i].proc, false, &bc)
+			if err != nil {
+				return err
+			}
+			if at > ents[i].start {
+				ents[i].start = at
+			}
+		}
+	}
+	for i := range ents {
+		e := &ents[i]
+		d := m.exec[ev.op*m.nProcs+e.proc]
+		e.completion = e.start + d
+		e.sigma = m.sigma.Sigma(ev.op, e.start, d)
+		if b.opts.NoPressure {
+			// Ablation: earliest-finish-time only, no remaining-path term.
+			e.sigma = e.completion
+		}
+	}
+	return nil
+}
+
+// keepBest sorts ev's scored entries and keeps the len(ev.kept) smallest
+// pressures. Equal pressures are split by earliest completion date, then
+// architecture declaration order (the stable sort preserves it — processor
+// IDs are declaration indices and entries arrive in ascending ID order).
+// With a seed set, equal entries are instead resolved randomly, like the
+// paper's "randomly chosen" tie-breaking: the caller shuffles first, so the
+// stable sort picks a random representative of each tie group.
+func keepBest(ev *evaluation) {
+	slices.SortStableFunc(ev.scored, func(x, y scoredEntry) int {
+		switch {
+		case ranksBefore(x, y):
+			return -1
+		case ranksBefore(y, x):
+			return 1
+		}
+		return 0
+	})
+	for i := range ev.kept {
+		ev.kept[i] = keptEntry{proc: ev.scored[i].proc, sigma: ev.scored[i].sigma}
+	}
+	ev.urgency = ev.kept[len(ev.kept)-1].sigma
+}
+
+// ranksBefore reports whether x is kept before y: lower pressure, or equal
+// pressure (within eps) and an earlier completion date.
+func ranksBefore(x, y scoredEntry) bool {
+	if math.Abs(x.sigma-y.sigma) > eps {
+		return x.sigma < y.sigma
+	}
+	return x.completion < y.completion-eps
 }
 
 // selectCandidate runs micro-step mSn.2: pick the candidate with the

@@ -67,3 +67,35 @@ func BenchmarkScheduleModes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScheduleDesign schedules two of the perfbench design workload's
+// problems (the same generator seeds, CCR 1.0): FT1, K=1 on a 400-op
+// 8-processor bus and FT2, K=1 on a 300-op 8-processor full mesh. Each runs
+// on the default worker pool and serially (Workers 1).
+func BenchmarkScheduleDesign(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		h    Heuristic
+		bus  bool
+		ops  int
+		seed int64
+	}{
+		{"ft1/bus/400x8", FT1, true, 400, 7919*3 + 12},
+		{"ft2/p2p/300x8", FT2, false, 300, 7919*6 + 3},
+	} {
+		in, err := workload.RandomInstance(rand.New(rand.NewSource(c.seed)), c.ops, 8, c.bus, 1.0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range []int{0, 1} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Schedule(c.h, in.Graph, in.Arch, in.Spec, 1, Options{Workers: w}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -108,6 +108,72 @@ func TestQuickGapNeverOverlaps(t *testing.T) {
 	}
 }
 
+// TestQuickKeepsMatchesSearch is the property behind the cross-step route
+// memo: after every insert, each memo entry that occupancy.keeps lets
+// stand must equal a fresh search. Inserts are gap-search fits on half-unit
+// dates, so zero-length transfers and equal-start ties are common; some
+// requests are sized a half eps over an existing gap, so the tolerant fit
+// overlaps its successor and clears the list's clean flag. Half the runs sit
+// at dates near 1e7, where the float spacing exceeds eps.
+func TestQuickKeepsMatchesSearch(t *testing.T) {
+	type entry struct {
+		ready, dur, val float64
+		pos             int32
+	}
+	var kept, refilled, unclean int
+	f := func(seed int64, n uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		base := float64(r.Intn(2)) * 1e7
+		occ := occupancy{logged: true}
+		var entries []entry
+		request := func() (float64, float64) {
+			ready := base + float64(r.Intn(16))/2
+			dur := float64(r.Intn(4)) / 2 // 0 to 1.5
+			if j := 1 + r.Intn(len(occ.busy)+1); j < len(occ.busy) && r.Intn(4) == 0 {
+				ready = occ.busy[j-1].end
+				dur = occ.busy[j].start - ready + eps/2
+			}
+			return ready, dur
+		}
+		for i := 0; i < int(n%40)+1; i++ {
+			for j := 0; j < 3; j++ {
+				ready, dur := request()
+				entries = append(entries, entry{ready, dur, occ.search(ready, dur), int32(len(occ.log))})
+			}
+			ready, dur := request()
+			start := occ.search(ready, dur)
+			occ.insert(start, start+dur)
+			for k := range entries {
+				e := &entries[k]
+				fresh := occ.search(e.ready, e.dur)
+				if fresh != earliestGap(occ.busy, e.ready, e.dur) {
+					return false
+				}
+				if occ.keeps(e.pos, e.ready, e.dur, e.val) {
+					if fresh != e.val {
+						return false
+					}
+					kept++
+				} else {
+					e.val = fresh
+					refilled++
+				}
+				e.pos = int32(len(occ.log))
+			}
+		}
+		if occ.unclean {
+			unclean++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if kept == 0 || refilled == 0 || unclean == 0 {
+		t.Fatalf("property left a branch unexercised: kept %d, refilled %d, unclean runs %d", kept, refilled, unclean)
+	}
+}
+
 // memFixture builds a control loop with state: in -> step -> out, with a mem
 // feeding step and updated by step.
 func memFixture(t *testing.T) (*graph.Graph, *arch.Architecture, *spec.Spec) {

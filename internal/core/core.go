@@ -70,16 +70,18 @@ type Options struct {
 	// remaining-path term E(o) − R, degenerating into earliest-finish-time
 	// list scheduling. Quantifies the benefit of the schedule pressure.
 	NoPressure bool
-	// Workers bounds the worker pool used for the read-only candidate
-	// evaluations of micro-step mSn.1. 0 uses GOMAXPROCS; 1 evaluates
-	// serially. The schedule is identical for every value: workers only
-	// evaluate, and results are merged in deterministic candidate order.
-	// Seeded runs always evaluate serially (see builder.evaluateStep).
+	// Workers bounds the worker pool used for the candidate evaluations of
+	// micro-step mSn.1, seeded runs included. 0 uses GOMAXPROCS; 1
+	// evaluates serially. The schedule is identical for every value: each
+	// evaluation writes only its own result slot and the route-memo
+	// entries of its candidate's in-edges, and seeded runs draw their
+	// tie-breaking shuffles serially in candidate order afterwards.
 	Workers int
 	// Obs, when non-nil, collects the engine's counters (candidate
-	// evaluations, cache hits and invalidations, gap-memo hits, worker-pool
-	// utilization) and per-phase spans. Instrumentation never influences the
-	// produced schedule; a nil sink costs one nil check per counter hit.
+	// evaluations, gap searches, cross-step route-memo hits, gap lookups
+	// answered without a search, worker-pool utilization) and per-phase
+	// spans. Instrumentation never influences the produced schedule; a nil
+	// sink costs one nil check per counter hit.
 	Obs *obs.Sink
 	// Cancel, when non-nil, is a cooperative cancellation flag: the greedy
 	// loop polls it once per scheduling step and aborts with ErrCanceled

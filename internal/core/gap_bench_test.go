@@ -38,7 +38,7 @@ func BenchmarkEarliestGapPacked(b *testing.B) {
 			for _, iv := range busy {
 				occ.insert(iv.start, iv.end)
 			}
-			if !occ.clean {
+			if occ.unclean {
 				b.Fatal("packed list should stay clean")
 			}
 			b.ResetTimer()

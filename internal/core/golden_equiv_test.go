@@ -66,6 +66,16 @@ func goldenMatrix() []goldenCase {
 	}
 	addRing(FT2, 1, 24, 6, 0)
 	addRing(FT2, 2, 24, 6, 3)
+	// Larger fault-tolerant cases on FullMesh(8) and Ring(6): the small
+	// instances above give the cross-step route memo a few hundred reuses
+	// at most, these give it thousands (mesh routes and the first hops of
+	// ring routes) next to the direct search of later ring hops.
+	add(FT1, 1, false, 100, 8, 0)
+	add(FT2, 1, false, 120, 8, 0)
+	add(FT2, 2, false, 60, 8, 5)
+	addRing(FT1, 1, 100, 6, 0)
+	addRing(FT2, 1, 80, 6, 0)
+	addRing(FT1, 2, 60, 6, 3)
 	return cases
 }
 

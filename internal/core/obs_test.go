@@ -39,10 +39,15 @@ func TestObsEquivalence(t *testing.T) {
 				if snap["core.steps"] == 0 || snap["core.evals"] == 0 {
 					t.Errorf("workers=%d: core counters missing from snapshot: %v", workers, snap)
 				}
-				// Seeded runs evaluate serially regardless of Workers (see
-				// Options.Workers), so the pool counters stay zero there.
-				if workers > 1 && c.seed == 0 && snap["core.pool.batches"] == 0 {
+				// Seeded runs evaluate on the pool too; only the shuffle and
+				// the kept-entry choice stay serial.
+				if workers > 1 && snap["core.pool.batches"] == 0 {
 					t.Errorf("workers=%d: pool counters missing from snapshot: %v", workers, snap)
+				}
+				// FT2 routes every transfer, and the route memo serves the
+				// first hop of each, on a bus, a ring and a full mesh alike.
+				if c.h == FT2 && snap["core.cache.hits"] == 0 {
+					t.Errorf("workers=%d: no route-memo hit on an FT2 schedule: %v", workers, snap)
 				}
 			}
 		})
@@ -71,6 +76,10 @@ func TestObsCounterConsistency(t *testing.T) {
 	if snap["core.gap.memo.hits"] > snap["core.gap.searches"] {
 		t.Errorf("gap memo hits (%d) exceed gap searches (%d)",
 			snap["core.gap.memo.hits"], snap["core.gap.searches"])
+	}
+	if snap["core.cache.hits"] > snap["core.gap.memo.hits"] {
+		t.Errorf("route-memo hits (%d) exceed gap lookups answered without a search (%d)",
+			snap["core.cache.hits"], snap["core.gap.memo.hits"])
 	}
 	timers := sink.Timers()
 	for _, name := range []string{"evaluate", "commit"} {

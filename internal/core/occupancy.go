@@ -21,37 +21,55 @@ const occBlock = 64
 // non-overlapping with non-decreasing end dates. Every insert preserves
 // cleanliness in the normal case, but the eps-tolerant gap fit can commit a
 // transfer overlapping its successor by up to eps; the first such insert
-// clears clean and the link permanently falls back to the reference scan,
+// sets unclean and the link permanently falls back to the reference scan,
 // keeping results bit-identical instead of almost-right.
+//
+// When logged is set (the builder's route memo is on), log lists every
+// inserted interval in insertion order, for keeps.
 type occupancy struct {
 	busy     []interval
 	blockMax []float64
-	clean    bool
-	inited   bool
-}
-
-// ensure lazily marks a zero-value occupancy clean (an empty list is).
-func (o *occupancy) ensure() {
-	if !o.inited {
-		o.inited = true
-		o.clean = true
-	}
+	log      []interval
+	logged   bool
+	unclean  bool
 }
 
 // insert adds [start,end) keeping the list sorted by start, and maintains
-// the block index. Position choice matches insertInterval exactly.
+// the block index and the insert log. Position choice matches
+// insertInterval exactly.
 func (o *occupancy) insert(start, end float64) {
-	o.ensure()
+	if o.logged {
+		o.log = append(o.log, interval{start: start, end: end})
+	}
 	p := insertPos(o.busy, start, end)
 	o.busy = insertInterval(o.busy, start, end)
-	if o.clean {
+	if !o.unclean {
 		if (p > 0 && o.busy[p-1].end > start) || (p+1 < len(o.busy) && end > o.busy[p+1].start) {
-			o.clean = false
+			o.unclean = true
 			o.blockMax = nil
 			return
 		}
 		o.rebuildBlocksFrom(p)
 	}
+}
+
+// keeps reports whether search(ready, dur), which returned val when the
+// insert log held pos intervals, still returns val. That holds while the
+// list is clean and every interval inserted since either ends by ready, so
+// the search never reaches it, or starts at or after val with the window
+// [val, val+dur) still fitting before it under the search's own fit test.
+// The gaps the search rejected before val are then untouched and the gap
+// it accepted still fits (DESIGN.md §8.3).
+func (o *occupancy) keeps(pos int32, ready, dur, val float64) bool {
+	if o.unclean {
+		return false
+	}
+	for _, iv := range o.log[pos:] {
+		if iv.end > ready && (iv.start < val || iv.start-val < dur-eps) {
+			return false
+		}
+	}
+	return true
 }
 
 // rebuildBlocksFrom recomputes the per-block max internal gap for every
@@ -97,7 +115,7 @@ func (o *occupancy) rebuildBlocksFrom(p int) {
 // packed-link worst case (hundreds of too-small gaps before the tail) from a
 // full walk into a handful of block probes.
 func (o *occupancy) search(ready, dur float64) float64 {
-	if !o.clean {
+	if o.unclean {
 		return earliestGap(o.busy, ready, dur)
 	}
 	busy := o.busy

@@ -43,11 +43,11 @@ type commRec struct {
 //
 // Concurrency discipline (the copy-on-write contract of DESIGN.md §13):
 // evaluations — including the parallel worker pool — read this state but
-// never write it; their tentative placements live entirely in per-evaluation
-// evalCtx overlays (the gap memo). Every mutating method bumps mutEpoch, and
-// the builder asserts the epoch is unchanged across each evaluation batch,
-// so a write sneaking into the read-only phase is caught as a hard error
-// instead of a silent race.
+// never write it; their tentative results live in the builder's per-step
+// evaluation buffers and route-memo entries. Every mutating method bumps
+// mutEpoch, and the builder asserts the epoch is unchanged across each
+// evaluation batch, so a write sneaking into the read-only phase is caught
+// as a hard error instead of a silent race.
 type schedState struct {
 	nProcs, nLinks int32
 
