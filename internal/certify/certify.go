@@ -142,14 +142,15 @@ func CertifyWith(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *sp
 	if k < 0 {
 		return nil, fmt.Errorf("certify: negative tolerance K=%d", k)
 	}
-	if err := s.Validate(g, a, sp); err != nil {
-		return nil, fmt.Errorf("certify: schedule is not well-formed: %w", err)
-	}
 	sink := opts.Obs
 	indexSpan := sink.StartSpan("certify", "index")
-	c, err := sched.Compile(s, g, a, sp)
+	c, err := sched.CompileValid(s, g, a, sp)
 	if err != nil {
 		indexSpan.End()
+		var invalid *sched.InvalidError
+		if errors.As(err, &invalid) {
+			return nil, fmt.Errorf("certify: schedule is not well-formed: %w", err)
+		}
 		return nil, fmt.Errorf("certify: %w", err)
 	}
 	m := newModel(c)

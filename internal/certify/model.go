@@ -98,6 +98,46 @@ type model struct {
 	ins instruments
 }
 
+// csr carves per-key lists out of one backing array: count every entry
+// with add, call layout, then place the entries in list order with put.
+// Each list is a capacity-clipped window, so the tables allocate once per
+// kind instead of once per list.
+type csr struct {
+	start, fill, vals []int32
+}
+
+func newCSR(keys int) *csr { return &csr{start: make([]int32, keys+1)} }
+
+func (t *csr) add(k int) { t.start[k+1]++ }
+
+func (t *csr) layout() {
+	for k := 1; k < len(t.start); k++ {
+		t.start[k] += t.start[k-1]
+	}
+	t.fill = append([]int32(nil), t.start[:len(t.start)-1]...)
+	t.vals = make([]int32, t.start[len(t.start)-1])
+}
+
+func (t *csr) put(k int, v int32) {
+	t.vals[t.fill[k]] = v
+	t.fill[k]++
+}
+
+// list returns key k's entries.
+func (t *csr) list(k int) []int32 {
+	lo, hi := t.start[k], t.start[k+1]
+	return t.vals[lo:hi:hi]
+}
+
+// lists returns every key's entries.
+func (t *csr) lists() [][]int32 {
+	out := make([][]int32, len(t.start)-1)
+	for k := range out {
+		out[k] = t.list(k)
+	}
+	return out
+}
+
 // newModel builds the engine tables over the compiled schedule. All
 // identifier orders are the compiled ones, so the tables — and every
 // evaluation over them — are reproducible.
@@ -105,25 +145,39 @@ func newModel(c *sched.Compiled) *model {
 	P, L := len(c.ProcNames), len(c.LinkNames)
 	m := &model{c: c, cache: make(map[evalKey]outcome)}
 
-	// Deliveries observed by each (edge, receiver), in delivery order.
-	byDst := make([][]int32, len(c.Edges)*P)
-	m.consSids = make([][]int32, len(c.Deliveries))
-	for did, d := range c.Deliveries {
-		for _, rcv := range c.Receivers[d.RcvLo:d.RcvHi] {
-			k := int(d.Edge)*P + int(rcv)
-			byDst[k] = append(byDst[k], int32(did))
-			if sid := c.InstAt[int(d.DstOp)*P+int(rcv)]; sid >= 0 {
-				m.consSids[did] = append(m.consSids[did], sid)
+	// Deliveries observed by each (edge, receiver), in delivery order, and
+	// each delivery's consuming slots.
+	byDst := newCSR(len(c.Edges) * P)
+	cons := newCSR(len(c.Deliveries))
+	receptions := func(visit func(did, k int, sid int32)) {
+		for did, d := range c.Deliveries {
+			for _, rcv := range c.Receivers[d.RcvLo:d.RcvHi] {
+				visit(did, int(d.Edge)*P+int(rcv), c.InstAt[int(d.DstOp)*P+int(rcv)])
 			}
 		}
 	}
+	receptions(func(did, k int, sid int32) {
+		byDst.add(k)
+		if sid >= 0 {
+			cons.add(did)
+		}
+	})
+	byDst.layout()
+	cons.layout()
+	receptions(func(did, k int, sid int32) {
+		byDst.put(k, int32(did))
+		if sid >= 0 {
+			cons.put(did, sid)
+		}
+	})
+	m.consSids = cons.lists()
 	m.slotIn = make([]cinput, len(c.Preds))
 	for sid, in := range c.Insts {
 		for k := c.PredStart[sid]; k < c.PredStart[sid+1]; k++ {
 			pr := c.Preds[k]
 			m.slotIn[k] = cinput{
 				localSid: c.InstAt[int(pr.Op)*P+int(in.Proc)],
-				delivs:   byDst[int(pr.Edge)*P+int(in.Proc)],
+				delivs:   byDst.list(int(pr.Edge)*P + int(in.Proc)),
 			}
 		}
 	}
@@ -150,24 +204,40 @@ func newModel(c *sched.Compiled) *model {
 	}
 	m.hopPrev = make([]int32, len(c.Queue))
 	m.cxfers = make([]cxfer, len(c.Senders))
-	m.slotXfers = make([][]int32, len(c.Insts))
-	m.viaXfers = make([][]int32, P)
+	slotXfers := newCSR(len(c.Insts))
+	via := newCSR(P)
+	for _, sd := range c.Senders {
+		via.add(int(sd.Proc))
+		for h := sd.HopLo + 1; h < sd.HopHi; h++ {
+			via.add(int(c.Hops[h].From))
+		}
+		if sd.SrcInst >= 0 {
+			slotXfers.add(int(sd.SrcInst))
+		}
+	}
+	via.layout()
+	slotXfers.layout()
+	// Every sender's forwarders and active hops are windows of fwd and
+	// hops, in sender order.
+	fwd := make([]int32, 0, len(c.Hops))
+	hops := make([]int32, 0, len(c.Queue))
 	for xid, sd := range c.Senders {
 		x := &m.cxfers[xid]
 		x.last = -1
-		m.viaXfers[sd.Proc] = append(m.viaXfers[sd.Proc], int32(xid))
+		via.put(int(sd.Proc), int32(xid))
+		fwdLo, hopsLo := len(fwd), len(hops)
 		for h := sd.HopLo; h < sd.HopHi; h++ {
 			x.dur += c.Hops[h].Dur
 			if h > sd.HopLo {
 				f := c.Hops[h].From
-				x.fwd = append(x.fwd, f)
-				m.viaXfers[f] = append(m.viaXfers[f], int32(xid))
+				fwd = append(fwd, f)
+				via.put(int(f), int32(xid))
 			}
 			hid := hopQ[h]
 			if hid < 0 {
 				continue
 			}
-			x.hops = append(x.hops, hid)
+			hops = append(hops, hid)
 			x.last = hid
 			switch {
 			case h == sd.HopLo:
@@ -178,10 +248,18 @@ func newModel(c *sched.Compiled) *model {
 				m.hopPrev[hid] = -2 // behind a passive hop: never queue-fed
 			}
 		}
+		if len(fwd) > fwdLo {
+			x.fwd = fwd[fwdLo:len(fwd):len(fwd)]
+		}
+		if len(hops) > hopsLo {
+			x.hops = hops[hopsLo:len(hops):len(hops)]
+		}
 		if sd.SrcInst >= 0 {
-			m.slotXfers[sd.SrcInst] = append(m.slotXfers[sd.SrcInst], int32(xid))
+			slotXfers.put(int(sd.SrcInst), int32(xid))
 		}
 	}
+	m.slotXfers = slotXfers.lists()
+	m.viaXfers = via.lists()
 
 	m.buildOrder()
 

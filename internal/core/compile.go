@@ -147,9 +147,11 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 		m.edgeKeys[e] = key
 		m.edgeSrc[e] = opID[key.Src]
 		m.edgeDst[e] = opID[key.Dst]
+		row := sp.CommRow(key)
 		for l := int32(0); l < m.nLinks; l++ {
-			d, err := sp.Comm(key, m.linkNames[l])
-			if err != nil {
+			d, ok := row[m.linkNames[l]]
+			if !ok {
+				_, err := sp.Comm(key, m.linkNames[l])
 				return nil, fmt.Errorf("core: compile: %w", err)
 			}
 			m.comm[int32(e)*m.nLinks+l] = d

@@ -101,8 +101,8 @@ type Graph struct {
 	ops   map[string]*Op
 	order []string // insertion order, for deterministic iteration
 	edges map[EdgeKey]*Edge
-	succs map[string][]string // insertion-ordered successor names
-	preds map[string][]string // insertion-ordered predecessor names
+	out   map[string][]*Edge // insertion-ordered edges out of each op
+	in    map[string][]*Edge // insertion-ordered edges into each op
 }
 
 // New returns an empty algorithm graph with the given name.
@@ -111,8 +111,8 @@ func New(name string) *Graph {
 		name:  name,
 		ops:   make(map[string]*Op),
 		edges: make(map[EdgeKey]*Edge),
-		succs: make(map[string][]string),
-		preds: make(map[string][]string),
+		out:   make(map[string][]*Edge),
+		in:    make(map[string][]*Edge),
 	}
 }
 
@@ -161,9 +161,10 @@ func (g *Graph) Connect(src, dst string) error {
 		return fmt.Errorf("graph: duplicate dependency %s", key)
 	}
 	_ = so
-	g.edges[key] = &Edge{key: key, delayed: do.kind == KindMem}
-	g.succs[src] = append(g.succs[src], dst)
-	g.preds[dst] = append(g.preds[dst], src)
+	e := &Edge{key: key, delayed: do.kind == KindMem}
+	g.edges[key] = e
+	g.out[src] = append(g.out[src], e)
+	g.in[dst] = append(g.in[dst], e)
 	return nil
 }
 
@@ -203,34 +204,36 @@ func (g *Graph) Edge(key EdgeKey) *Edge { return g.edges[key] }
 func (g *Graph) Edges() []*Edge {
 	out := make([]*Edge, 0, len(g.edges))
 	for _, src := range g.order {
-		for _, dst := range g.succs[src] {
-			out = append(out, g.edges[EdgeKey{Src: src, Dst: dst}])
-		}
+		out = append(out, g.out[src]...)
 	}
 	return out
 }
 
 // Succs returns the names of the successors of op, in insertion order.
 func (g *Graph) Succs(op string) []string {
-	out := make([]string, len(g.succs[op]))
-	copy(out, g.succs[op])
+	out := make([]string, len(g.out[op]))
+	for i, e := range g.out[op] {
+		out[i] = e.key.Dst
+	}
 	return out
 }
 
 // Preds returns the names of the predecessors of op, in insertion order.
 func (g *Graph) Preds(op string) []string {
-	out := make([]string, len(g.preds[op]))
-	copy(out, g.preds[op])
+	out := make([]string, len(g.in[op]))
+	for i, e := range g.in[op] {
+		out[i] = e.key.Src
+	}
 	return out
 }
 
 // StrictPreds returns the predecessors of op through non-delayed edges only:
 // the operations that must complete before op can start within one iteration.
 func (g *Graph) StrictPreds(op string) []string {
-	out := make([]string, 0, len(g.preds[op]))
-	for _, p := range g.preds[op] {
-		if !g.edges[EdgeKey{Src: p, Dst: op}].delayed {
-			out = append(out, p)
+	out := make([]string, 0, len(g.in[op]))
+	for _, e := range g.in[op] {
+		if !e.delayed {
+			out = append(out, e.key.Src)
 		}
 	}
 	if len(out) == 0 {
@@ -241,10 +244,10 @@ func (g *Graph) StrictPreds(op string) []string {
 
 // StrictSuccs returns the successors of op through non-delayed edges only.
 func (g *Graph) StrictSuccs(op string) []string {
-	out := make([]string, 0, len(g.succs[op]))
-	for _, s := range g.succs[op] {
-		if !g.edges[EdgeKey{Src: op, Dst: s}].delayed {
-			out = append(out, s)
+	out := make([]string, 0, len(g.out[op]))
+	for _, e := range g.out[op] {
+		if !e.delayed {
+			out = append(out, e.key.Dst)
 		}
 	}
 	if len(out) == 0 {
@@ -258,7 +261,7 @@ func (g *Graph) StrictSuccs(op string) []string {
 func (g *Graph) Sources() []string {
 	var out []string
 	for _, n := range g.order {
-		if len(g.preds[n]) == 0 {
+		if len(g.in[n]) == 0 {
 			out = append(out, n)
 		}
 	}
@@ -269,7 +272,7 @@ func (g *Graph) Sources() []string {
 func (g *Graph) Sinks() []string {
 	var out []string
 	for _, n := range g.order {
-		if len(g.succs[n]) == 0 {
+		if len(g.out[n]) == 0 {
 			out = append(out, n)
 		}
 	}
@@ -353,7 +356,7 @@ func (g *Graph) Validate() error {
 		op := g.ops[n]
 		switch op.kind {
 		case KindExtIO:
-			in, out := len(g.preds[n]), len(g.succs[n])
+			in, out := len(g.in[n]), len(g.out[n])
 			if in > 0 && out > 0 {
 				return fmt.Errorf("graph %q: extio %q has both predecessors and successors; it must be a sensor (source) or an actuator (sink)", g.name, n)
 			}
@@ -361,7 +364,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph %q: extio %q is disconnected", g.name, n)
 			}
 		case KindMem:
-			if len(g.succs[n]) == 0 {
+			if len(g.out[n]) == 0 {
 				return fmt.Errorf("graph %q: mem %q has no consumer", g.name, n)
 			}
 		}

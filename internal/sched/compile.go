@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"ftsched/internal/arch"
 	"ftsched/internal/graph"
@@ -119,11 +122,105 @@ type QueueEntry struct {
 	Hop    int32 // hop ordinal within the sender's route
 }
 
-// Compile interns and flattens s into a Compiled form. The graph,
-// architecture and constraints must be the ones the schedule was produced
-// from; names they do not know and placements without a WCET are reported
-// as errors.
+// Compile interns and flattens s into a Compiled form in one pass over its
+// processor and link slots. The graph, architecture and constraints must be
+// the ones the schedule was produced from; names they do not know and
+// placements without a WCET are reported as errors, the first one found.
+//
+// The result is rebuilt on every call: a Schedule, graph, architecture and
+// spec are all mutable, so a memoized form could go stale.
 func Compile(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) (*Compiled, error) {
+	p := index(s, g, a, sp)
+	if err := p.flatten(); err != nil {
+		return nil, err
+	}
+	return p.c, nil
+}
+
+// CompileValid validates s as Validate does and, when it is well-formed,
+// compiles it from the same pass: one walk over the slots instead of a
+// validation and a compilation. A validation failure is an *InvalidError;
+// any other error is Compile's.
+func CompileValid(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) (*Compiled, error) {
+	p := index(s, g, a, sp)
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	if err := p.flatten(); err != nil {
+		return nil, err
+	}
+	return p.c, nil
+}
+
+// pass is one walk over a schedule's slots with every name interned: the
+// instances in Compiled order, the comm slots grouped into transfers, and
+// each declared link's active hops in static order. Compile flattens it and
+// Validate checks it.
+//
+// Names the problem does not declare still get IDs, after the declared
+// ones, so a malformed schedule is indexed in full: Validate reports every
+// violation, Compile the first. The processors and operations of op slots
+// are appended to c.ProcNames and c.OpNames (and mapped by procX and opX);
+// undeclared links get IDs from nL on, in name order. Any of them makes
+// Compile fail, so a returned Compiled only holds declared names.
+type pass struct {
+	s  *Schedule
+	g  *graph.Graph
+	a  *arch.Architecture
+	sp *spec.Spec
+	c  *Compiled
+
+	// The declared processor, operation, link and edge counts.
+	nP, nO, nL, nE int32
+	opID           map[string]int32
+	procX, opX     map[string]int32
+	linkX          []string // undeclared link names, by ID - nL
+
+	// Per declared edge: its ID by its endpoints' op IDs, its endpoints and
+	// whether it is delayed.
+	edgeID           map[[2]int32]int32
+	edgeSrc, edgeDst []int32
+	delayed          []bool
+	// The strict inputs of declared op o are preds[predStart[o]:predStart[o+1]].
+	predStart []int32
+	preds     []Pred
+	// The endpoints of declared link l are ends[endStart[l]:endStart[l+1]];
+	// attached[l*nP+p] reports whether l attaches processor p.
+	endStart, ends []int32
+	attached       []bool
+
+	// Per instance: its slot and its WCET (+Inf when forbidden, or when the
+	// processor or operation is undeclared).
+	slots []*OpSlot
+	exec  []float64
+	// dupes reports two slots of one operation on one processor.
+	dupes bool
+
+	// recs holds the comm slots by link name, each link in LinkSlots order.
+	// Transfer t is recs[xfer[xferStart[t]:xferStart[t+1]]], its hops by
+	// index: transfers by ID, ties by position in recs, as Transfers.
+	recs      []commRec
+	xfer      []int32
+	xferStart []int32
+	// The active hops of declared link l, in static communication order,
+	// are recs[queue[queueStart[l]:queueStart[l+1]]].
+	queue      []int32
+	queueStart []int32
+
+	err error // the first error Compile reports
+}
+
+// commRec is one comm slot with its names interned: link is the link's ID
+// (from nL on if undeclared), edge is -1 for a pair that is not a graph
+// edge, and from, to, src and dst (From, To, SrcProc and DstProc) are -1
+// for a processor neither the architecture nor an op slot names.
+type commRec struct {
+	slot                           *CommSlot
+	link, edge, from, to, src, dst int32
+}
+
+// index walks s once and interns everything Compile and Validate read.
+func index(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) *pass {
 	c := &Compiled{
 		Mode:      s.Mode,
 		ProcNames: a.ProcessorNames(),
@@ -132,66 +229,18 @@ func Compile(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) (
 	}
 	c.procID = intern(c.ProcNames)
 	c.linkID = intern(c.LinkNames)
-	opID := intern(c.OpNames)
-	edgeID := make(map[graph.EdgeKey]int32, g.NumEdges())
-	for _, e := range g.Edges() {
-		edgeID[e.Key()] = int32(len(c.Edges))
-		c.Edges = append(c.Edges, e.Key())
+	p := &pass{
+		s: s, g: g, a: a, sp: sp, c: c,
+		nP:   int32(len(c.ProcNames)),
+		nO:   int32(len(c.OpNames)),
+		nL:   int32(len(c.LinkNames)),
+		opID: intern(c.OpNames),
 	}
-	nP := len(c.ProcNames)
-
-	for _, p := range s.Procs() {
-		if _, ok := c.procID[p]; !ok {
-			return nil, fmt.Errorf("sched: schedule uses unknown processor %q", p)
-		}
-	}
-	c.InstAt = make([]int32, len(c.OpNames)*nP)
-	for i := range c.InstAt {
-		c.InstAt[i] = -1
-	}
-	c.SeqStart = make([]int32, nP+1)
-	for pid, p := range c.ProcNames {
-		c.SeqStart[pid] = int32(len(c.Insts))
-		for _, sl := range s.ProcSlots(p) {
-			oid, ok := opID[sl.Op]
-			if !ok {
-				return nil, fmt.Errorf("sched: schedule places unknown operation %q", sl.Op)
-			}
-			if math.IsInf(sp.Exec(sl.Op, p), 1) {
-				return nil, fmt.Errorf("sched: operation %q has no WCET on processor %q", sl.Op, p)
-			}
-			c.InstAt[int(oid)*nP+pid] = int32(len(c.Insts))
-			c.PredStart = append(c.PredStart, int32(len(c.Preds)))
-			for _, pred := range g.StrictPreds(sl.Op) {
-				key := graph.EdgeKey{Src: pred, Dst: sl.Op}
-				eid, ok := edgeID[key]
-				if !ok {
-					return nil, fmt.Errorf("sched: dependency %s is not a graph edge", key)
-				}
-				c.Preds = append(c.Preds, Pred{Op: opID[pred], Edge: eid})
-			}
-			c.Insts = append(c.Insts, Inst{Op: oid, Proc: int32(pid), Replica: sl.Replica, Start: sl.Start, End: sl.End})
-		}
-	}
-	c.SeqStart[nP] = int32(len(c.Insts))
-	c.PredStart = append(c.PredStart, int32(len(c.Preds)))
-	c.compileReplicas()
-	if err := c.compileDeliveries(s, a, opID, edgeID); err != nil {
-		return nil, err
-	}
-
-	outs := g.Outputs()
-	if len(outs) == 0 {
-		outs = g.Sinks()
-	}
-	for _, out := range outs {
-		oid, ok := opID[out]
-		if !ok {
-			return nil, fmt.Errorf("sched: output %q is not a graph operation", out)
-		}
-		c.Outputs = append(c.Outputs, oid)
-	}
-	return c, nil
+	p.indexGraph()
+	p.indexArch()
+	p.indexInsts()
+	p.indexComms()
+	return p
 }
 
 // intern maps each name to its index.
@@ -201,6 +250,270 @@ func intern(names []string) map[string]int32 {
 		id[n] = int32(i)
 	}
 	return id
+}
+
+// fail records err as Compile's error unless an earlier one is recorded.
+func (p *pass) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (p *pass) indexGraph() {
+	edges := p.g.Edges()
+	p.nE = int32(len(edges))
+	if len(edges) > 0 {
+		p.c.Edges = make([]graph.EdgeKey, len(edges))
+	}
+	p.edgeID = make(map[[2]int32]int32, len(edges))
+	p.edgeSrc = make([]int32, len(edges))
+	p.edgeDst = make([]int32, len(edges))
+	p.delayed = make([]bool, len(edges))
+	for i, e := range edges {
+		k := e.Key()
+		p.c.Edges[i] = k
+		p.edgeSrc[i], p.edgeDst[i] = p.opID[k.Src], p.opID[k.Dst]
+		p.edgeID[[2]int32{p.edgeSrc[i], p.edgeDst[i]}] = int32(i)
+		p.delayed[i] = e.Delayed()
+	}
+	// StrictPreds order.
+	p.predStart = make([]int32, p.nO+1)
+	for o, name := range p.c.OpNames {
+		for _, pred := range p.g.Preds(name) {
+			src := p.opID[pred]
+			if e := p.edgeID[[2]int32{src, int32(o)}]; !p.delayed[e] {
+				p.preds = append(p.preds, Pred{Op: src, Edge: e})
+			}
+		}
+		p.predStart[o+1] = int32(len(p.preds))
+	}
+}
+
+// edge returns the ID of the graph edge k, or -1.
+func (p *pass) edge(k graph.EdgeKey) int32 {
+	src, ok := p.opID[k.Src]
+	if !ok {
+		return -1
+	}
+	dst, ok := p.opID[k.Dst]
+	if !ok {
+		return -1
+	}
+	if id, ok := p.edgeID[[2]int32{src, dst}]; ok {
+		return id
+	}
+	return -1
+}
+
+// procOf returns the ID of a declared or op-slot processor, or -1.
+func (p *pass) procOf(name string) int32 {
+	if id, ok := p.c.procID[name]; ok {
+		return id
+	}
+	if id, ok := p.procX[name]; ok {
+		return id
+	}
+	return -1
+}
+
+// producer returns the instance of r's edge source on r's source
+// processor, or -1.
+func (p *pass) producer(r *commRec) int32 {
+	if r.src < 0 {
+		return -1
+	}
+	op := int32(-1)
+	if r.edge >= 0 {
+		op = p.edgeSrc[r.edge]
+	} else if id, ok := p.opID[r.slot.Edge.Src]; ok {
+		op = id
+	} else if id, ok := p.opX[r.slot.Edge.Src]; ok {
+		op = id
+	}
+	if op < 0 {
+		return -1
+	}
+	return p.c.InstAt[int(op)*len(p.c.ProcNames)+int(r.src)]
+}
+
+func (p *pass) indexArch() {
+	p.endStart = make([]int32, p.nL+1)
+	p.attached = make([]bool, int(p.nL)*int(p.nP))
+	for l, name := range p.c.LinkNames {
+		for _, e := range p.a.Link(name).Endpoints() {
+			if pid, ok := p.c.procID[e]; ok {
+				p.ends = append(p.ends, pid)
+				p.attached[l*int(p.nP)+int(pid)] = true
+			}
+		}
+		p.endStart[l+1] = int32(len(p.ends))
+	}
+}
+
+// attaches reports whether declared link l attaches processor proc.
+func (p *pass) attaches(l, proc int32) bool {
+	return proc >= 0 && proc < p.nP && p.attached[l*p.nP+proc]
+}
+
+// indexInsts interns the op slots: declared processors in declaration
+// order, then undeclared ones in name order, each in ProcSlots order. Only
+// the declared processors' slots can fail Compile past an undeclared
+// processor, as in a walk that stops at the first error.
+func (p *pass) indexInsts() {
+	c := p.c
+	for _, name := range p.s.Procs() {
+		if _, ok := c.procID[name]; !ok {
+			if p.procX == nil {
+				p.procX = make(map[string]int32)
+			}
+			p.procX[name] = int32(len(c.ProcNames))
+			c.ProcNames = append(c.ProcNames, name)
+			p.fail("sched: schedule uses unknown processor %q", name)
+		}
+	}
+	n := p.s.NumOpSlots()
+	if n > 0 {
+		c.Insts = make([]Inst, 0, n)
+	}
+	p.slots = make([]*OpSlot, 0, n)
+	p.exec = make([]float64, 0, n)
+	c.PredStart = make([]int32, 0, n+1)
+	c.SeqStart = make([]int32, len(c.ProcNames)+1)
+	for pid, name := range c.ProcNames {
+		c.SeqStart[pid] = int32(len(c.Insts))
+		if len(p.s.procs[name]) == 0 {
+			continue
+		}
+		declared := int32(pid) < p.nP
+		for _, sl := range p.s.ProcSlots(name) {
+			op, ok := p.opID[sl.Op]
+			if !ok {
+				op = p.undeclaredOp(sl.Op)
+				if declared {
+					p.fail("sched: schedule places unknown operation %q", sl.Op)
+				}
+			}
+			d := math.Inf(1)
+			c.PredStart = append(c.PredStart, int32(len(c.Preds)))
+			if op < p.nO {
+				if declared {
+					if d = p.sp.Exec(sl.Op, name); math.IsInf(d, 1) {
+						p.fail("sched: operation %q has no WCET on processor %q", sl.Op, name)
+					}
+				}
+				c.Preds = append(c.Preds, p.preds[p.predStart[op]:p.predStart[op+1]]...)
+			}
+			c.Insts = append(c.Insts, Inst{Op: op, Proc: int32(pid), Replica: sl.Replica, Start: sl.Start, End: sl.End})
+			p.slots = append(p.slots, sl)
+			p.exec = append(p.exec, d)
+		}
+	}
+	c.SeqStart[len(c.ProcNames)] = int32(len(c.Insts))
+	c.PredStart = append(c.PredStart, int32(len(c.Preds)))
+
+	nP := len(c.ProcNames)
+	c.InstAt = make([]int32, len(c.OpNames)*nP)
+	for i := range c.InstAt {
+		c.InstAt[i] = -1
+	}
+	for i, in := range c.Insts {
+		k := int(in.Op)*nP + int(in.Proc)
+		if c.InstAt[k] >= 0 {
+			p.dupes = true
+		}
+		c.InstAt[k] = int32(i)
+	}
+	c.compileReplicas()
+}
+
+// undeclaredOp interns an operation the graph does not declare.
+func (p *pass) undeclaredOp(name string) int32 {
+	if id, ok := p.opX[name]; ok {
+		return id
+	}
+	if p.opX == nil {
+		p.opX = make(map[string]int32)
+	}
+	id := int32(len(p.c.OpNames))
+	p.opX[name] = id
+	p.c.OpNames = append(p.c.OpNames, name)
+	return id
+}
+
+// indexComms interns the comm slots, groups them into transfers and sorts
+// each declared link's active hops into its static communication order
+// (SendsBefore), stably from LinkSlots order.
+func (p *pass) indexComms() {
+	links := p.s.Links()
+	n := 0
+	for _, name := range links {
+		n += len(p.s.links[name])
+	}
+	p.recs = make([]commRec, 0, n)
+	span := make([]int32, 2*p.nL) // declared link l's recs are [span[2l], span[2l+1])
+	for _, name := range links {
+		lid, declared := p.c.linkID[name]
+		if !declared {
+			lid = p.nL + int32(len(p.linkX))
+			p.linkX = append(p.linkX, name)
+		}
+		lo := int32(len(p.recs))
+		for _, sl := range p.s.LinkSlots(name) {
+			r := commRec{slot: sl, link: lid, edge: p.edge(sl.Edge), from: p.procOf(sl.From), to: p.procOf(sl.To)}
+			// A first hop starts at its source and a final hop ends at its
+			// destination.
+			if r.src = r.from; sl.SrcProc != sl.From {
+				r.src = p.procOf(sl.SrcProc)
+			}
+			if r.dst = r.to; sl.DstProc != sl.To {
+				r.dst = p.procOf(sl.DstProc)
+			}
+			p.recs = append(p.recs, r)
+		}
+		if declared {
+			span[2*lid], span[2*lid+1] = lo, int32(len(p.recs))
+		}
+	}
+
+	p.groupTransfers()
+	for i, r := range p.xfer {
+		if i == 0 || p.recs[r].slot.TransferID != p.recs[p.xfer[i-1]].slot.TransferID {
+			p.xferStart = append(p.xferStart, int32(i))
+		}
+	}
+	p.xferStart = append(p.xferStart, int32(len(p.xfer)))
+
+	p.queueStart = make([]int32, p.nL+1)
+	for l := int32(0); l < p.nL; l++ {
+		p.queueStart[l] = int32(len(p.queue))
+		for r := span[2*l]; r < span[2*l+1]; r++ {
+			if !p.recs[r].slot.Passive {
+				p.queue = append(p.queue, r)
+			}
+		}
+		q := p.queue[p.queueStart[l]:]
+		sort.SliceStable(q, func(i, j int) bool { return SendsBefore(p.recs[q[i]].slot, p.recs[q[j]].slot) })
+	}
+	p.queueStart[p.nL] = int32(len(p.queue))
+}
+
+// groupTransfers orders the recs by transfer ID, then hop, ties by
+// position.
+func (p *pass) groupTransfers() {
+	p.xfer = make([]int32, len(p.recs))
+	for i := range p.xfer {
+		p.xfer[i] = int32(i)
+	}
+	slices.SortFunc(p.xfer, func(a, b int32) int {
+		x, y := p.recs[a].slot, p.recs[b].slot
+		if x.TransferID != y.TransferID {
+			return cmp.Compare(x.TransferID, y.TransferID)
+		}
+		if x.Hop != y.Hop {
+			return cmp.Compare(x.Hop, y.Hop)
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // compileReplicas groups the instances by operation, ranked like Replicas.
@@ -218,15 +531,17 @@ func (c *Compiled) compileReplicas() {
 		c.OpInsts[fill[in.Op]] = int32(i)
 		fill[in.Op]++
 	}
+	// slices.SortFunc runs sort.Slice's algorithm, so ties (only possible
+	// in malformed schedules) land where Replicas-ordered callers saw them.
+	byRank := func(i, j int32) int {
+		a, b := &c.Insts[i], &c.Insts[j]
+		if a.Replica != b.Replica {
+			return cmp.Compare(a.Replica, b.Replica)
+		}
+		return strings.Compare(c.ProcNames[a.Proc], c.ProcNames[b.Proc])
+	}
 	for op := range c.OpNames {
-		reps := c.OpInsts[c.OpInstStart[op]:c.OpInstStart[op+1]]
-		sort.Slice(reps, func(i, j int) bool {
-			a, b := &c.Insts[reps[i]], &c.Insts[reps[j]]
-			if a.Replica != b.Replica {
-				return a.Replica < b.Replica
-			}
-			return c.ProcNames[a.Proc] < c.ProcNames[b.Proc]
-		})
+		slices.SortFunc(c.OpInsts[c.OpInstStart[op]:c.OpInstStart[op+1]], byRank)
 	}
 }
 
@@ -250,82 +565,199 @@ func SendsBefore(a, b *CommSlot) bool {
 	return a.Hop < b.Hop
 }
 
-// compileDeliveries flattens s.Deliveries and sorts every link's active hops
-// into its static communication order (SendsBefore).
-func (c *Compiled) compileDeliveries(s *Schedule, a *arch.Architecture, opID map[string]int32, edgeID map[graph.EdgeKey]int32) error {
-	type staticHop struct {
-		entry QueueEntry
-		slot  *CommSlot
+// flatten builds the deliveries, senders, hops and link queues from the
+// pass, or returns the first error in the order of a walk over the
+// processors, then the deliveries.
+//
+// Deliveries group transfers by edge and destination (by edge and bus for a
+// broadcast) in order of first appearance by transfer ID, their senders
+// sorted stably by rank: the order of Schedule.Deliveries.
+func (p *pass) flatten() error {
+	if p.err != nil {
+		return p.err
 	}
-	nP := len(c.ProcNames)
-	perLink := make([][]staticHop, len(c.LinkNames))
-	for _, d := range s.Deliveries() {
-		di := int32(len(c.Deliveries))
-		eid, ok := edgeID[d.Edge]
-		if !ok {
-			return fmt.Errorf("sched: delivery of %s is not a graph edge", d.Edge)
-		}
-		srcOp := opID[d.Edge.Src]
-		dl := DenseDelivery{Edge: eid, DstOp: opID[d.Edge.Dst], Chain: d.Chain, SendLo: int32(len(c.Senders))}
-		for _, sd := range d.Senders {
-			pid, ok := c.procID[sd.Proc]
+	c := p.c
+	type key struct{ edge, bus, dst int32 }
+	nT := len(p.xferStart) - 1
+	hops := func(t int32) []int32 { return p.xfer[p.xferStart[t]:p.xferStart[t+1]] }
+	first := func(t int32) *CommSlot { return p.recs[p.xfer[p.xferStart[t]]].slot }
+	last := func(t int32) *CommSlot { return p.recs[p.xfer[p.xferStart[t+1]-1]].slot }
+
+	// Undeclared edges and destinations get keys of their own, so a
+	// malformed delivery groups as its names do.
+	var edgeX map[graph.EdgeKey]int32
+	var dstX map[string]int32
+	head := make([]int32, p.nE) // latest delivery of each edge, chained by next
+	for i := range head {
+		head[i] = -1
+	}
+	var keys []key
+	var next, firstOf []int32
+	deliv := make([]int32, nT)
+	for t := int32(0); t < int32(nT); t++ {
+		f := &p.recs[p.xfer[p.xferStart[t]]]
+		k := key{edge: f.edge, bus: -1, dst: -1}
+		if k.edge < 0 {
+			id, ok := edgeX[f.slot.Edge]
 			if !ok {
-				return fmt.Errorf("sched: sender on unknown processor %q", sd.Proc)
+				if edgeX == nil {
+					edgeX = make(map[graph.EdgeKey]int32)
+				}
+				id = int32(len(head))
+				edgeX[f.slot.Edge] = id
+				head = append(head, -1)
+			}
+			k.edge = id
+		}
+		if f.slot.Broadcast {
+			k.bus = f.link
+		} else {
+			dst := last(t).DstProc
+			if k.dst = p.recs[p.xfer[p.xferStart[t+1]-1]].dst; k.dst < 0 {
+				id, ok := dstX[dst]
+				if !ok {
+					if dstX == nil {
+						dstX = make(map[string]int32)
+					}
+					id = p.nP + int32(len(dstX))
+					dstX[dst] = id
+				}
+				k.dst = id
+			}
+		}
+		d := head[k.edge]
+		for d >= 0 && keys[d] != k {
+			d = next[d]
+		}
+		if d < 0 {
+			d = int32(len(keys))
+			keys = append(keys, k)
+			firstOf = append(firstOf, t)
+			next = append(next, head[k.edge])
+			head[k.edge] = d
+		}
+		deliv[t] = d
+	}
+
+	// Each delivery's transfers, in transfer order, then stably by rank.
+	sendStart := make([]int32, len(keys)+1)
+	for _, d := range deliv {
+		sendStart[d+1]++
+	}
+	for d := range keys {
+		sendStart[d+1] += sendStart[d]
+	}
+	order := make([]int32, nT)
+	fill := append([]int32(nil), sendStart[:len(keys)]...)
+	for t, d := range deliv {
+		order[fill[d]] = int32(t)
+		fill[d]++
+	}
+	for d := range keys {
+		seg := order[sendStart[d]:sendStart[d+1]]
+		for i := 1; i < len(seg); i++ {
+			for j := i; j > 0 && first(seg[j]).SenderRank < first(seg[j-1]).SenderRank; j-- {
+				seg[j], seg[j-1] = seg[j-1], seg[j]
+			}
+		}
+	}
+
+	nP := int(p.nP)
+	recSender := make([]int32, len(p.recs))
+	recHop := make([]int32, len(p.recs))
+	if len(keys) > 0 {
+		nRcv := 0
+		for _, k := range keys {
+			if k.bus >= 0 && k.bus < p.nL {
+				nRcv += int(p.endStart[k.bus+1] - p.endStart[k.bus])
+			} else {
+				nRcv++
+			}
+		}
+		c.Deliveries = make([]DenseDelivery, 0, len(keys))
+		c.Senders = make([]DenseSender, 0, nT)
+		c.Hops = make([]Hop, 0, len(p.recs))
+		c.Receivers = make([]int32, 0, nRcv)
+	}
+	for d, k := range keys {
+		if k.edge >= p.nE {
+			return fmt.Errorf("sched: delivery of %s is not a graph edge", first(firstOf[d]).Edge)
+		}
+		srcOp := p.edgeSrc[k.edge]
+		dl := DenseDelivery{Edge: k.edge, DstOp: p.edgeDst[k.edge], Chain: c.Mode == ModeFT1, SendLo: int32(len(c.Senders))}
+		for _, t := range order[sendStart[d]:sendStart[d+1]] {
+			f := first(t)
+			pid := p.recs[p.xfer[p.xferStart[t]]].src
+			if pid < 0 {
+				return fmt.Errorf("sched: sender on unknown processor %q", f.SrcProc)
 			}
 			si := int32(len(c.Senders))
 			cs := DenseSender{
-				Delivery: di,
+				Delivery: int32(d),
 				Proc:     pid,
-				Rank:     int32(sd.Rank),
+				Rank:     int32(f.SenderRank),
 				SrcOp:    srcOp,
 				SrcInst:  c.InstAt[int(srcOp)*nP+int(pid)],
-				Deadline: sd.Deadline,
-				Passive:  sd.Passive,
+				Deadline: math.Inf(1),
+				Passive:  f.Passive,
 				HopLo:    int32(len(c.Hops)),
 			}
-			for i, h := range sd.Hops {
-				lid, ok := c.linkID[h.Link]
-				if !ok {
-					return fmt.Errorf("sched: hop over unknown link %q", h.Link)
+			if c.Mode == ModeFT1 {
+				// The statically computed worst-case arrival of the transfer
+				// is the detection deadline the receivers wait for (Section
+				// 6.1).
+				cs.Deadline = last(t).End
+			}
+			for i, r := range hops(t) {
+				h := &p.recs[r]
+				if h.link >= p.nL {
+					return fmt.Errorf("sched: hop over unknown link %q", h.slot.Link)
 				}
-				fid, ok := c.procID[h.From]
-				if !ok {
-					return fmt.Errorf("sched: hop from unknown processor %q", h.From)
+				if h.from < 0 {
+					return fmt.Errorf("sched: hop from unknown processor %q", h.slot.From)
 				}
-				c.Hops = append(c.Hops, Hop{Link: lid, From: fid, Dur: h.Duration()})
-				if !h.Passive {
-					perLink[lid] = append(perLink[lid], staticHop{
-						entry: QueueEntry{Sender: si, Hop: int32(i)},
-						slot:  h,
-					})
-				}
+				c.Hops = append(c.Hops, Hop{Link: h.link, From: h.from, Dur: h.slot.Duration()})
+				recSender[r], recHop[r] = si, int32(i)
 			}
 			cs.HopHi = int32(len(c.Hops))
 			c.Senders = append(c.Senders, cs)
 		}
 		dl.SendHi = int32(len(c.Senders))
 		dl.RcvLo = int32(len(c.Receivers))
-		// A broadcast's bus is known: its hops passed the link check above.
-		for _, p := range d.Receivers(a) {
-			pid, ok := c.procID[p]
-			if !ok {
-				return fmt.Errorf("sched: delivery to unknown processor %q", p)
-			}
-			c.Receivers = append(c.Receivers, pid)
+		switch {
+		case k.bus >= 0:
+			// A broadcast's bus is known: its hops passed the link check.
+			c.Receivers = append(c.Receivers, p.ends[p.endStart[k.bus]:p.endStart[k.bus+1]]...)
+		case k.dst < p.nP:
+			c.Receivers = append(c.Receivers, k.dst)
+		default:
+			return fmt.Errorf("sched: delivery to unknown processor %q", last(firstOf[d]).DstProc)
 		}
 		dl.RcvHi = int32(len(c.Receivers))
 		c.Deliveries = append(c.Deliveries, dl)
 	}
-	c.QueueStart = make([]int32, len(c.LinkNames)+1)
-	for lid, hops := range perLink {
-		c.QueueStart[lid] = int32(len(c.Queue))
-		sort.SliceStable(hops, func(i, j int) bool { return SendsBefore(hops[i].slot, hops[j].slot) })
-		for _, h := range hops {
-			c.Queue = append(c.Queue, h.entry)
-			c.QueueDates = append(c.QueueDates, h.slot.Start)
-		}
+
+	c.QueueStart = p.queueStart
+	if len(p.queue) > 0 {
+		c.Queue = make([]QueueEntry, len(p.queue))
+		c.QueueDates = make([]float64, len(p.queue))
 	}
-	c.QueueStart[len(c.LinkNames)] = int32(len(c.Queue))
+	for i, r := range p.queue {
+		c.Queue[i] = QueueEntry{Sender: recSender[r], Hop: recHop[r]}
+		c.QueueDates[i] = p.recs[r].slot.Start
+	}
+
+	outs := p.g.Outputs()
+	if len(outs) == 0 {
+		outs = p.g.Sinks()
+	}
+	for _, out := range outs {
+		oid, ok := p.opID[out]
+		if !ok {
+			return fmt.Errorf("sched: output %q is not a graph operation", out)
+		}
+		c.Outputs = append(c.Outputs, oid)
+	}
 	return nil
 }
 

@@ -213,6 +213,11 @@ func (s *Schedule) ProcSlots(proc string) []*OpSlot {
 func (s *Schedule) LinkSlots(link string) []*CommSlot {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
+	return s.linkSlotsLocked(link)
+}
+
+// linkSlotsLocked is LinkSlots with memoMu held.
+func (s *Schedule) linkSlotsLocked(link string) []*CommSlot {
 	if out, ok := s.sortedLinkSlots[link]; ok {
 		return out
 	}
@@ -249,6 +254,11 @@ func (s *Schedule) Procs() []string {
 func (s *Schedule) Links() []string {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
+	return s.linksLocked()
+}
+
+// linksLocked is Links with memoMu held.
+func (s *Schedule) linksLocked() []string {
 	if s.linkNames != nil {
 		return s.linkNames
 	}
@@ -325,8 +335,10 @@ func (s *Schedule) ReplicaOn(op, proc string) *OpSlot {
 }
 
 // Transfers returns all comm slots grouped by transfer, each group sorted by
-// hop, groups sorted by transfer ID. The result is memoized until the next
-// AddCommSlot; callers must not modify it.
+// hop, groups sorted by transfer ID. Slots sharing a transfer and hop, which
+// only a malformed schedule has, keep the order of their links' names and
+// then LinkSlots. The result is memoized until the next AddCommSlot; callers
+// must not modify it.
 func (s *Schedule) Transfers() [][]*CommSlot {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
@@ -334,8 +346,8 @@ func (s *Schedule) Transfers() [][]*CommSlot {
 		return s.transfers
 	}
 	byID := map[int][]*CommSlot{}
-	for _, slots := range s.links { //ftlint:order-insensitive grouping only; ids and hops are both sorted below, and each (transfer, hop) pair is unique
-		for _, c := range slots {
+	for _, l := range s.linksLocked() {
+		for _, c := range s.linkSlotsLocked(l) {
 			byID[c.TransferID] = append(byID[c.TransferID], c)
 		}
 	}
@@ -347,7 +359,7 @@ func (s *Schedule) Transfers() [][]*CommSlot {
 	out := make([][]*CommSlot, 0, len(ids))
 	for _, id := range ids {
 		hops := byID[id]
-		sort.Slice(hops, func(i, j int) bool { return hops[i].Hop < hops[j].Hop })
+		sort.SliceStable(hops, func(i, j int) bool { return hops[i].Hop < hops[j].Hop })
 		out = append(out, hops)
 	}
 	s.transfers = out[:len(out):len(out)]

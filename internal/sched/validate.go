@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -12,11 +13,43 @@ import (
 
 // Validate checks that the schedule is a well-formed implementation of the
 // algorithm g on the architecture a under the constraints sp, with the
-// data-availability semantics of its Mode. It returns a single error
-// aggregating every violation found.
+// data-availability semantics of its Mode. It returns a single
+// *InvalidError aggregating every violation found.
+//
+// The checks run on the schedule's compiled form (Compile's pass, built
+// here from the slots), indexing flat per-instance, per-(edge, processor)
+// and per-link arrays; names the problem does not declare are interned too,
+// so a malformed schedule still gets a full report.
 func (s *Schedule) Validate(g *graph.Graph, a *arch.Architecture, sp *spec.Spec) error {
-	v := &validator{s: s, g: g, a: a, sp: sp}
-	v.index()
+	return index(s, g, a, sp).validate()
+}
+
+// InvalidError is the error Validate returns: every violation of a
+// malformed schedule.
+type InvalidError struct {
+	Mode Mode
+	K    int
+	// Violations are sorted, so the report reads the same across runs.
+	Violations []string
+}
+
+func (e *InvalidError) Error() string {
+	return fmt.Sprintf("schedule (%s, K=%d) invalid:\n  %s", e.Mode, e.K, strings.Join(e.Violations, "\n  "))
+}
+
+// checker runs the validity checks on a pass.
+type checker struct {
+	*pass
+	errs []string
+	// rows holds each declared edge's spec.CommRow, fetched on first use.
+	rows []map[string]float64
+	// See groupByEdge.
+	edgeStart, byEdge, dst []int32
+}
+
+func (p *pass) validate() error {
+	v := &checker{pass: p, rows: make([]map[string]float64, p.nE)}
+	v.groupByEdge()
 	v.checkReplication()
 	v.checkOpSlots()
 	v.checkProcSequencing()
@@ -28,120 +61,108 @@ func (s *Schedule) Validate(g *graph.Graph, a *arch.Architecture, sp *spec.Spec)
 	if len(v.errs) == 0 {
 		return nil
 	}
-	// Sort the aggregated violations so the error reads the same across
-	// runs: several checks walk map-backed collections whose iteration
-	// order would otherwise leak into the message.
 	sort.Strings(v.errs)
-	return fmt.Errorf("schedule (%s, K=%d) invalid:\n  %s", s.Mode, s.K, strings.Join(v.errs, "\n  "))
+	return &InvalidError{Mode: p.s.Mode, K: p.s.K, Violations: v.errs}
 }
 
-type validator struct {
-	s    *Schedule
-	g    *graph.Graph
-	a    *arch.Architecture
-	sp   *spec.Spec
-	errs []string
-
-	transfers [][]*CommSlot               // cached s.Transfers()
-	replicaOn map[[2]string]*OpSlot       // (op, proc) -> slot
-	delivered map[deliveryKey][]*CommSlot // active final hops per (edge, proc)
-}
-
-type deliveryKey struct {
-	edge graph.EdgeKey
-	proc string
-}
-
-// index precomputes the lookups the per-slot checks need, keeping the
-// validator linear in the schedule size.
-func (v *validator) index() {
-	v.transfers = v.s.Transfers()
-	v.replicaOn = make(map[[2]string]*OpSlot, v.s.NumOpSlots())
-	for _, p := range v.s.Procs() {
-		for _, sl := range v.s.ProcSlots(p) {
-			v.replicaOn[[2]string{sl.Op, p}] = sl
-		}
-	}
-	v.delivered = make(map[deliveryKey][]*CommSlot)
-	for _, hops := range v.transfers {
-		last := hops[len(hops)-1]
-		if last.Passive {
-			continue
-		}
-		if last.DstProc != "" {
-			key := deliveryKey{edge: last.Edge, proc: last.DstProc}
-			v.delivered[key] = append(v.delivered[key], last)
-			continue
-		}
-		if last.Broadcast {
-			if l := v.a.Link(last.Link); l != nil {
-				for _, p := range l.Endpoints() {
-					key := deliveryKey{edge: last.Edge, proc: p}
-					v.delivered[key] = append(v.delivered[key], last)
-				}
-			}
-		}
-	}
-}
-
-func (v *validator) errorf(format string, args ...any) {
+func (v *checker) errorf(format string, args ...any) {
 	v.errs = append(v.errs, fmt.Sprintf(format, args...))
 }
 
+// replicas returns op's instances in Replicas order: by rank, then
+// processor name, then insertion order on the processor. The compiled
+// order differs only on ties, which need two slots of op on one processor.
+func (v *checker) replicas(op int) []int32 {
+	c := v.c
+	reps := c.OpInsts[c.OpInstStart[op]:c.OpInstStart[op+1]]
+	if !v.dupes {
+		return reps
+	}
+	added := func(i int32) int {
+		for j, sl := range v.s.procs[c.ProcNames[c.Insts[i].Proc]] {
+			if sl == v.slots[i] {
+				return j
+			}
+		}
+		return -1
+	}
+	reps = append([]int32(nil), reps...)
+	sort.Slice(reps, func(i, j int) bool {
+		a, b := &c.Insts[reps[i]], &c.Insts[reps[j]]
+		if a.Replica != b.Replica {
+			return a.Replica < b.Replica
+		}
+		if a.Proc != b.Proc {
+			return c.ProcNames[a.Proc] < c.ProcNames[b.Proc]
+		}
+		return added(reps[i]) < added(reps[j])
+	})
+	return reps
+}
+
 // checkReplication verifies the replica structure required by the mode.
-func (v *validator) checkReplication() {
-	for _, op := range v.g.OpNames() {
-		reps := v.s.Replicas(op)
+func (v *checker) checkReplication() {
+	c := v.c
+	seen := make([]int32, len(c.ProcNames)) // op+1 on the processors holding a replica of op
+	for op := 0; op < int(v.nO); op++ {
+		name := c.OpNames[op]
+		reps := v.replicas(op)
 		if len(reps) == 0 {
-			v.errorf("operation %q is not scheduled", op)
+			v.errorf("operation %q is not scheduled", name)
 			continue
 		}
 		want := 1
 		if v.s.Mode != ModeBasic {
 			want = v.s.K + 1
-			if allowed := len(v.sp.AllowedProcs(op)); allowed < want {
+			if allowed := v.sp.NumAllowed(name); allowed < want {
 				want = allowed
 			}
 		}
 		if len(reps) != want {
-			v.errorf("operation %q has %d replicas, want %d", op, len(reps), want)
+			v.errorf("operation %q has %d replicas, want %d", name, len(reps), want)
 		}
-		procs := map[string]bool{}
 		for i, r := range reps {
-			if r.Replica != i {
-				v.errorf("operation %q: replica ranks not contiguous (%d at position %d)", op, r.Replica, i)
+			in := &c.Insts[r]
+			if in.Replica != i {
+				v.errorf("operation %q: replica ranks not contiguous (%d at position %d)", name, in.Replica, i)
 			}
-			if procs[r.Proc] {
-				v.errorf("operation %q has two replicas on processor %q", op, r.Proc)
+			if seen[in.Proc] == int32(op)+1 {
+				v.errorf("operation %q has two replicas on processor %q", name, c.ProcNames[in.Proc])
 			}
-			procs[r.Proc] = true
+			seen[in.Proc] = int32(op) + 1
 		}
 		for i := 1; i < len(reps); i++ {
-			if !timeLE(reps[i-1].End, reps[i].End) {
+			prev, cur := &c.Insts[reps[i-1]], &c.Insts[reps[i]]
+			if !timeLE(prev.End, cur.End) {
 				v.errorf("operation %q: replica %d ends at %g after replica %d at %g; ranks must follow completion order",
-					op, i-1, reps[i-1].End, i, reps[i].End)
+					name, i-1, prev.End, i, cur.End)
 			}
 		}
 	}
 }
 
 // checkOpSlots verifies placement legality and durations.
-func (v *validator) checkOpSlots() {
-	for _, p := range v.s.Procs() {
-		if !v.a.HasProcessor(p) {
+func (v *checker) checkOpSlots() {
+	c := v.c
+	for pid, p := range c.ProcNames {
+		lo, hi := c.SeqStart[pid], c.SeqStart[pid+1]
+		if lo == hi {
+			continue
+		}
+		if int32(pid) >= v.nP {
 			v.errorf("slot on unknown processor %q", p)
 			continue
 		}
-		for _, sl := range v.s.ProcSlots(p) {
-			if !v.g.HasOp(sl.Op) {
+		for i := lo; i < hi; i++ {
+			sl := v.slots[i]
+			if c.Insts[i].Op >= v.nO {
 				v.errorf("slot for unknown operation %q on %q", sl.Op, p)
 				continue
 			}
 			if sl.Start < -1e-9 {
 				v.errorf("operation %q on %q starts at %g < 0", sl.Op, p, sl.Start)
 			}
-			d := v.sp.Exec(sl.Op, p)
-			if !v.sp.CanRun(sl.Op, p) {
+			if d := v.exec[i]; math.IsInf(d, 1) {
 				v.errorf("operation %q scheduled on forbidden processor %q", sl.Op, p)
 			} else if !timeEq(sl.Duration(), d) {
 				v.errorf("operation %q on %q lasts %g, spec says %g", sl.Op, p, sl.Duration(), d)
@@ -151,14 +172,14 @@ func (v *validator) checkOpSlots() {
 }
 
 // checkProcSequencing verifies each computation unit runs one op at a time.
-func (v *validator) checkProcSequencing() {
-	for _, p := range v.s.Procs() {
-		slots := v.s.ProcSlots(p)
-		for i := 1; i < len(slots); i++ {
-			if !timeLE(slots[i-1].End, slots[i].Start) {
+func (v *checker) checkProcSequencing() {
+	c := v.c
+	for pid, p := range c.ProcNames {
+		for i := c.SeqStart[pid] + 1; i < c.SeqStart[pid+1]; i++ {
+			a, b := v.slots[i-1], v.slots[i]
+			if !timeLE(a.End, b.Start) {
 				v.errorf("processor %q: %q [%g,%g] overlaps %q [%g,%g]",
-					p, slots[i-1].Op, slots[i-1].Start, slots[i-1].End,
-					slots[i].Op, slots[i].Start, slots[i].End)
+					p, a.Op, a.Start, a.End, b.Op, b.Start, b.End)
 			}
 		}
 	}
@@ -168,35 +189,43 @@ func (v *validator) checkProcSequencing() {
 // imposed by the link arbiter (Section 4.3), in the order the executive
 // sends them (SendsBefore): each transfer must end before the next one in
 // that order starts, or the executive would run the next one late.
-func (v *validator) checkLinkSequencing() {
-	for _, l := range v.s.Links() {
-		if v.a.Link(l) == nil {
-			v.errorf("comm slot on unknown link %q", l)
-			continue
-		}
-		var active []*CommSlot
-		for _, c := range v.s.LinkSlots(l) {
-			if !c.Passive {
-				active = append(active, c)
-			}
-		}
-		sort.SliceStable(active, func(i, j int) bool { return SendsBefore(active[i], active[j]) })
-		for i := 1; i < len(active); i++ {
-			if !timeLE(active[i-1].End, active[i].Start) {
+func (v *checker) checkLinkSequencing() {
+	for _, l := range v.linkX {
+		v.errorf("comm slot on unknown link %q", l)
+	}
+	for lid, l := range v.c.LinkNames {
+		for i := v.queueStart[lid] + 1; i < v.queueStart[lid+1]; i++ {
+			a, b := v.recs[v.queue[i-1]].slot, v.recs[v.queue[i]].slot
+			if !timeLE(a.End, b.Start) {
 				v.errorf("link %q: transfer %s [%g,%g] overlaps %s [%g,%g]",
-					l, active[i-1].Edge, active[i-1].Start, active[i-1].End,
-					active[i].Edge, active[i].Start, active[i].End)
+					l, a.Edge, a.Start, a.End, b.Edge, b.Start, b.End)
 			}
 		}
 	}
 }
 
+// comm returns the spec's duration of r's edge over r's link.
+func (v *checker) comm(r *commRec) (float64, error) {
+	c := r.slot
+	if e := r.edge; e >= 0 {
+		if v.rows[e] == nil {
+			v.rows[e] = v.sp.CommRow(c.Edge)
+		}
+		if d, ok := v.rows[e][c.Link]; ok {
+			return d, nil
+		}
+	}
+	return v.sp.Comm(c.Edge, c.Link)
+}
+
 // checkTransfers verifies hop chains: correct endpoints, durations, and
 // causality along multi-hop routes, and that hop 0 starts after the sending
 // replica has produced the data.
-func (v *validator) checkTransfers() {
-	for _, hops := range v.transfers {
-		first := hops[0]
+func (v *checker) checkTransfers() {
+	for t := 0; t+1 < len(v.xferStart); t++ {
+		hops := v.xfer[v.xferStart[t]:v.xferStart[t+1]]
+		r0 := &v.recs[hops[0]]
+		first := r0.slot
 		if first.Hop != 0 {
 			v.errorf("transfer %d of %s: first hop has index %d", first.TransferID, first.Edge, first.Hop)
 			continue
@@ -205,41 +234,41 @@ func (v *validator) checkTransfers() {
 			v.errorf("transfer %d of %s: hop 0 starts at %q, not at source processor %q",
 				first.TransferID, first.Edge, first.From, first.SrcProc)
 		}
-		sender := v.replicaOn[[2]string{first.Edge.Src, first.SrcProc}]
-		if sender == nil {
+		if sender := v.producer(r0); sender < 0 {
 			v.errorf("transfer %d of %s: no replica of %q on source processor %q",
 				first.TransferID, first.Edge, first.Edge.Src, first.SrcProc)
-		} else if !timeLE(sender.End, first.Start) {
+		} else if end := v.c.Insts[sender].End; !timeLE(end, first.Start) {
 			v.errorf("transfer %d of %s: hop 0 starts at %g before producer ends at %g",
-				first.TransferID, first.Edge, first.Start, sender.End)
+				first.TransferID, first.Edge, first.Start, end)
 		}
-		for i, c := range hops {
+		for i, ri := range hops {
+			r := &v.recs[ri]
+			c := r.slot
 			if c.Hop != i {
 				v.errorf("transfer %d of %s: hop indices not contiguous", c.TransferID, c.Edge)
 				break
 			}
-			link := v.a.Link(c.Link)
-			if link == nil {
+			if r.link >= v.nL {
 				continue // reported by checkLinkSequencing
 			}
-			if !link.Connects(c.From) {
+			if !v.attaches(r.link, r.from) {
 				v.errorf("transfer %d of %s: hop %d uses link %q not attached to sender %q",
 					c.TransferID, c.Edge, i, c.Link, c.From)
 			}
 			// A broadcast has no single To; every processor on the bus
 			// receives the value.
-			if !c.Broadcast && !link.Connects(c.To) {
+			if !c.Broadcast && !v.attaches(r.link, r.to) {
 				v.errorf("transfer %d of %s: hop %d uses link %q not attached to receiver %q",
 					c.TransferID, c.Edge, i, c.Link, c.To)
 			}
-			if d, err := v.sp.Comm(c.Edge, c.Link); err != nil {
+			if d, err := v.comm(r); err != nil {
 				v.errorf("transfer %d: %v", c.TransferID, err)
 			} else if !timeEq(c.Duration(), d) {
 				v.errorf("transfer %d of %s: hop %d lasts %g, spec says %g on %q",
 					c.TransferID, c.Edge, i, c.Duration(), d, c.Link)
 			}
 			if i > 0 {
-				prev := hops[i-1]
+				prev := v.recs[hops[i-1]].slot
 				if prev.To != c.From {
 					v.errorf("transfer %d of %s: hop %d starts at %q but hop %d ended at %q",
 						c.TransferID, c.Edge, i, c.From, i-1, prev.To)
@@ -250,7 +279,7 @@ func (v *validator) checkTransfers() {
 				}
 			}
 		}
-		last := hops[len(hops)-1]
+		last := v.recs[hops[len(hops)-1]].slot
 		if last.DstProc != "" && last.To != last.DstProc {
 			v.errorf("transfer %d of %s: final hop reaches %q, not destination %q",
 				last.TransferID, last.Edge, last.To, last.DstProc)
@@ -258,44 +287,111 @@ func (v *validator) checkTransfers() {
 	}
 }
 
-// arrivalAt returns the earliest failure-free availability date of edge's
-// value on proc, and whether it is available at all. Local availability (a
-// replica of the producer on proc) wins over any transfer.
-func (v *validator) arrivalAt(e graph.EdgeKey, proc string, consumer *OpSlot) (float64, bool) {
-	if local := v.replicaOn[[2]string{e.Src, proc}]; local != nil {
-		return local.End, true
-	}
-	best := 0.0
-	found := false
-	for _, last := range v.delivered[deliveryKey{edge: e, proc: proc}] {
-		if !found || last.End < best {
-			best = last.End
-			found = true
+// lastHop returns transfer t's final hop.
+func (v *checker) lastHop(t int32) *commRec {
+	return &v.recs[v.xfer[v.xferStart[t+1]-1]]
+}
+
+// groupByEdge groups the transfers by their final hop's edge, the key the
+// data-availability and FT2 checks look deliveries up by: the transfers
+// ending with declared edge e are byEdge[edgeStart[e]:edgeStart[e+1]], in
+// transfer order. dst[t] is procOf of transfer t's final DstProc.
+func (v *checker) groupByEdge() {
+	nT := int32(len(v.xferStart) - 1)
+	v.edgeStart = make([]int32, v.nE+1)
+	v.dst = make([]int32, nT)
+	for t := int32(0); t < nT; t++ {
+		r := v.lastHop(t)
+		v.dst[t] = r.dst
+		if r.edge >= 0 {
+			v.edgeStart[r.edge+1]++
 		}
 	}
-	_ = consumer
+	for e := int32(0); e < v.nE; e++ {
+		v.edgeStart[e+1] += v.edgeStart[e]
+	}
+	v.byEdge = make([]int32, v.edgeStart[v.nE])
+	fill := append([]int32(nil), v.edgeStart[:v.nE]...)
+	for t := int32(0); t < nT; t++ {
+		if e := v.lastHop(t).edge; e >= 0 {
+			v.byEdge[fill[e]] = t
+			fill[e]++
+		}
+	}
+}
+
+// arrival returns the earliest failure-free availability date of edge e's
+// value on processor p, and whether it is available at all: a replica of
+// the producer on p wins over any transfer; otherwise the earliest active
+// final hop delivering e to p, or broadcasting it on a bus attaching p.
+func (v *checker) arrival(e, p int32) (float64, bool) {
+	c := v.c
+	if local := c.InstAt[int(v.edgeSrc[e])*len(c.ProcNames)+int(p)]; local >= 0 {
+		return c.Insts[local].End, true
+	}
+	best, found := 0.0, false
+	for _, t := range v.byEdge[v.edgeStart[e]:v.edgeStart[e+1]] {
+		r := v.lastHop(t)
+		last := r.slot
+		switch {
+		case last.Passive:
+			continue
+		case last.DstProc != "":
+			if v.dst[t] != p {
+				continue
+			}
+		case !last.Broadcast || r.link >= v.nL || !v.attaches(r.link, p):
+			continue
+		}
+		if !found || last.End < best {
+			best, found = last.End, true
+		}
+	}
 	return best, found
+}
+
+// checkDataAvailability verifies that every replica starts only after each
+// of its (non-delayed) inputs is available on its processor under the mode's
+// semantics.
+func (v *checker) checkDataAvailability() {
+	c := v.c
+	for i, in := range c.Insts {
+		if in.Op >= v.nO {
+			continue
+		}
+		for _, pred := range c.Preds[c.PredStart[i]:c.PredStart[i+1]] {
+			at, ok := v.arrival(pred.Edge, in.Proc)
+			op, p, e := c.OpNames[in.Op], c.ProcNames[in.Proc], c.Edges[pred.Edge]
+			if !ok {
+				v.errorf("operation %q on %q never receives input %s", op, p, e)
+				continue
+			}
+			if !timeLE(at, in.Start) {
+				v.errorf("operation %q on %q starts at %g before input %s arrives at %g",
+					op, p, in.Start, e, at)
+			}
+		}
+	}
 }
 
 // checkPassiveTimeouts verifies the structure of FT1's timeout chains: a
 // passive reservation only exists in ModeFT1, is sent by a backup rank, and
 // activates no earlier than its failover deadline.
-func (v *validator) checkPassiveTimeouts() {
-	for _, l := range v.s.Links() {
-		for _, c := range v.s.LinkSlots(l) {
-			if !c.Passive {
-				continue
-			}
-			if v.s.Mode != ModeFT1 {
-				v.errorf("passive transfer of %s in a %s schedule", c.Edge, v.s.Mode)
-			}
-			if c.SenderRank < 1 {
-				v.errorf("passive transfer of %s has sender rank %d, want >= 1", c.Edge, c.SenderRank)
-			}
-			if c.Hop == 0 && c.Start < c.Timeout-1e-9 {
-				v.errorf("passive transfer of %s starts at %g before its failover deadline %g",
-					c.Edge, c.Start, c.Timeout)
-			}
+func (v *checker) checkPassiveTimeouts() {
+	for i := range v.recs {
+		c := v.recs[i].slot
+		if !c.Passive {
+			continue
+		}
+		if v.s.Mode != ModeFT1 {
+			v.errorf("passive transfer of %s in a %s schedule", c.Edge, v.s.Mode)
+		}
+		if c.SenderRank < 1 {
+			v.errorf("passive transfer of %s has sender rank %d, want >= 1", c.Edge, c.SenderRank)
+		}
+		if c.Hop == 0 && c.Start < c.Timeout-1e-9 {
+			v.errorf("passive transfer of %s starts at %g before its failover deadline %g",
+				c.Edge, c.Start, c.Timeout)
 		}
 	}
 }
@@ -304,72 +400,69 @@ func (v *validator) checkPassiveTimeouts() {
 // an FT2 schedule, a consumer replica colocated with any replica of its
 // producer receives no transfers at all for that dependency; otherwise it
 // receives one transfer from every replica of the producer.
-func (v *validator) checkFT2CommReplication() {
+func (v *checker) checkFT2CommReplication() {
 	if v.s.Mode != ModeFT2 {
 		return
 	}
-	// senders[edge][dstProc] = set of source processors with a transfer.
-	senders := map[graph.EdgeKey]map[string]map[string]bool{}
-	for _, hops := range v.transfers {
-		last := hops[len(hops)-1]
-		if last.DstProc == "" {
-			continue
+	c := v.c
+	nP := len(c.ProcNames)
+	// src[t] identifies transfer t's sending processor by name: a name no
+	// op slot uses gets an ID from nP on, so distinct names stay distinct.
+	src := make([]int32, len(v.dst))
+	var srcX map[string]int32
+	for t := range src {
+		r := v.lastHop(int32(t))
+		name := r.slot.SrcProc
+		if src[t] = r.src; src[t] < 0 {
+			id, ok := srcX[name]
+			if !ok {
+				if srcX == nil {
+					srcX = make(map[string]int32)
+				}
+				id = int32(nP + len(srcX))
+				srcX[name] = id
+			}
+			src[t] = id
 		}
-		byDst, ok := senders[last.Edge]
-		if !ok {
-			byDst = map[string]map[string]bool{}
-			senders[last.Edge] = byDst
-		}
-		if byDst[last.DstProc] == nil {
-			byDst[last.DstProc] = map[string]bool{}
-		}
-		byDst[last.DstProc][last.SrcProc] = true
 	}
-	for _, e := range v.g.Edges() {
-		if e.Delayed() {
+	seen := make([]int32, nP+len(srcX))
+	stamp := int32(0)
+	for e := int32(0); e < v.nE; e++ {
+		if v.delayed[e] {
 			continue // state updates are delivered, not start-constraining
 		}
-		prodProcs := map[string]bool{}
-		for _, rep := range v.s.Replicas(e.Src()) {
-			prodProcs[rep.Proc] = true
-		}
-		for _, cons := range v.s.Replicas(e.Dst()) {
-			got := len(senders[e.Key()][cons.Proc])
-			if prodProcs[cons.Proc] {
-				if got != 0 {
-					v.errorf("FT2: consumer of %s on %q is colocated with a producer replica but receives %d transfers",
-						e.Key(), cons.Proc, got)
-				}
-				continue
-			}
-			if got != len(prodProcs) {
-				v.errorf("FT2: consumer of %s on %q receives from %d senders, want %d (one per producer replica)",
-					e.Key(), cons.Proc, got, len(prodProcs))
+		prod, cons := v.edgeSrc[e], v.edgeDst[e]
+		stamp++
+		nProd := 0
+		for _, r := range c.OpInsts[c.OpInstStart[prod]:c.OpInstStart[prod+1]] {
+			if p := c.Insts[r].Proc; seen[p] != stamp {
+				seen[p] = stamp
+				nProd++
 			}
 		}
-	}
-}
-
-// checkDataAvailability verifies that every replica starts only after each
-// of its (non-delayed) inputs is available on its processor under the mode's
-// semantics.
-func (v *validator) checkDataAvailability() {
-	for _, p := range v.s.Procs() {
-		for _, sl := range v.s.ProcSlots(p) {
-			if !v.g.HasOp(sl.Op) {
-				continue
-			}
-			for _, pred := range v.g.StrictPreds(sl.Op) {
-				e := graph.EdgeKey{Src: pred, Dst: sl.Op}
-				at, ok := v.arrivalAt(e, p, sl)
-				if !ok {
-					v.errorf("operation %q on %q never receives input %s", sl.Op, p, e)
+		for _, r := range c.OpInsts[c.OpInstStart[cons]:c.OpInstStart[cons+1]] {
+			p := c.Insts[r].Proc
+			stamp++
+			got := 0
+			for _, t := range v.byEdge[v.edgeStart[e]:v.edgeStart[e+1]] {
+				if v.dst[t] != p || v.lastHop(t).slot.DstProc == "" {
 					continue
 				}
-				if !timeLE(at, sl.Start) {
-					v.errorf("operation %q on %q starts at %g before input %s arrives at %g",
-						sl.Op, p, sl.Start, e, at)
+				if seen[src[t]] != stamp {
+					seen[src[t]] = stamp
+					got++
 				}
+			}
+			if c.InstAt[int(prod)*nP+int(p)] >= 0 {
+				if got != 0 {
+					v.errorf("FT2: consumer of %s on %q is colocated with a producer replica but receives %d transfers",
+						c.Edges[e], c.ProcNames[p], got)
+				}
+				continue
+			}
+			if got != nProd {
+				v.errorf("FT2: consumer of %s on %q receives from %d senders, want %d (one per producer replica)",
+					c.Edges[e], c.ProcNames[p], got, nProd)
 			}
 		}
 	}

@@ -94,6 +94,12 @@ func (s *Spec) Comm(e graph.EdgeKey, link string) (float64, error) {
 	return 0, fmt.Errorf("spec: no communication duration for %s over link %q", e, link)
 }
 
+// CommRow returns the transfer durations of edge e by link name, or nil if
+// none was specified. The map belongs to the spec: callers must not modify
+// it. It serves callers that look up one edge over many links, hashing the
+// edge key once.
+func (s *Spec) CommRow(e graph.EdgeKey) map[string]float64 { return s.comm[e] }
+
 // RouteComm returns the total transfer duration of edge e over the route r
 // (the sum of per-hop durations, since each hop is a store-and-forward
 // transfer executed by the communication units along the path).
@@ -120,6 +126,18 @@ func (s *Spec) AllowedProcs(op string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// NumAllowed returns the number of processors on which op may execute,
+// len(AllowedProcs(op)) without building the list.
+func (s *Spec) NumAllowed(op string) int {
+	n := 0
+	for _, d := range s.exec[op] {
+		if !math.IsInf(d, 1) {
+			n++
+		}
+	}
+	return n
 }
 
 // CanRun reports whether op may execute on proc.
@@ -187,9 +205,11 @@ func (s *Spec) Validate(g *graph.Graph, a *arch.Architecture) error {
 			}
 		}
 	}
+	links := a.LinkNames()
 	for _, e := range g.Edges() {
-		for _, l := range a.LinkNames() {
-			if _, err := s.Comm(e.Key(), l); err != nil {
+		row := s.comm[e.Key()]
+		for _, l := range links {
+			if _, ok := row[l]; !ok {
 				errs = append(errs, fmt.Sprintf("dependency %s has no duration on link %q", e.Key(), l))
 			}
 		}
