@@ -14,7 +14,7 @@ func TestDemoGeneration(t *testing.T) {
 	for _, frag := range []string{
 		"// Code generated by ftsched (ft1 schedule, K=1",
 		"package main",
-		"var procSequences",
+		"var tables = Tables{",
 		"func main() {",
 	} {
 		if !strings.Contains(s, frag) {

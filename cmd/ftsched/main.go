@@ -159,15 +159,15 @@ func run(args []string, out io.Writer) error {
 				strings.Join(st.Procs, " "), report.Cell(st.Start), report.Cell(st.End))
 		}
 	}
-	if err := res.Schedule.Validate(g, a, sp); err != nil {
-		return fmt.Errorf("internal error, schedule failed validation: %w", err)
-	}
 	var cert *certify.Verdict
 	if *doCertify {
+		// CertifyWith validates the schedule as it compiles it.
 		cert, err = certify.CertifyWith(res.Schedule, g, a, sp, *k, certify.Options{Workers: *certWorkers, Obs: sink})
 		if err != nil {
 			return err
 		}
+	} else if err := res.Schedule.Validate(g, a, sp); err != nil {
+		return fmt.Errorf("internal error, schedule failed validation: %w", err)
 	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, sink, res.Schedule); err != nil {

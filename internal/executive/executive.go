@@ -19,338 +19,76 @@
 // right before it would execute a given operation of a given iteration.
 // Memory operations (mems) keep per-replica state across iterations and
 // consume their delayed inputs at iteration boundaries.
+//
+// runtime.go is the executive itself, standard library only, over the flat
+// Tables of one schedule; NewTables builds them from a sched.Schedule and a
+// graph.Graph. Package gen embeds runtime.go (RuntimeSource) in the
+// standalone programs it emits, so they and Run share one runtime.
 package executive
 
 import (
-	"fmt"
-	"sync"
+	_ "embed"
+	"slices"
 
 	"ftsched/internal/graph"
 	"ftsched/internal/sched"
 )
 
-// Value is the data flowing along the algorithm graph's dependencies.
-type Value any
-
-// OpFunc computes one operation: it receives the iteration number and the
-// operation's inputs keyed by predecessor name, and returns the operation's
-// output. Functions must be deterministic (Section 4.2: two executions of
-// an operation in the same iteration produce the same value) and safe for
-// concurrent use (replicas run in parallel).
-type OpFunc func(iteration int, inputs map[string]Value) Value
-
-// Program binds operation names to their implementations.
-type Program struct {
-	fns     map[string]OpFunc
-	memInit map[string]Value
-}
-
-// NewProgram returns an empty program.
-func NewProgram() *Program {
-	return &Program{fns: make(map[string]OpFunc), memInit: make(map[string]Value)}
-}
-
-// Bind attaches the implementation of op.
-func (p *Program) Bind(op string, fn OpFunc) *Program {
-	p.fns[op] = fn
-	return p
-}
-
-// InitMem sets the initial value of a mem operation; every replica starts
-// from the same value (Section 5.4, Item 2).
-func (p *Program) InitMem(op string, v Value) *Program {
-	p.memInit[op] = v
-	return p
-}
-
-// KillSpec crashes a processor immediately before it executes Op in the
-// given iteration (fail-stop: the processor does nothing from then on).
-type KillSpec struct {
-	Proc      string
-	Iteration int
-	Op        string
-}
-
-// Config tunes a run.
-type Config struct {
-	// Iterations is the number of reactive-loop iterations (default 1).
-	Iterations int
-	// Kills are the crash injections.
-	Kills []KillSpec
-}
-
-// IterationOutputs reports one iteration of the executive.
-type IterationOutputs struct {
-	// Values holds, for each output extio that was produced, the value of
-	// its earliest-ranked surviving replica.
-	Values map[string]Value
-	// Produced maps every output extio to whether some replica produced it.
-	Produced map[string]bool
-	// Completed is true when every output was produced.
-	Completed bool
-}
-
-// Result is the outcome of Run.
-type Result struct {
-	Iterations []IterationOutputs
-	// CrashedProcs lists the processors killed during the run, sorted by
-	// name.
-	CrashedProcs []string
-}
-
-// promise is a single-assignment result of one operation replica.
-type promise struct {
-	done chan struct{}
-	val  Value
-	ok   bool
-}
-
-func newPromise() *promise { return &promise{done: make(chan struct{})} }
-
-func (p *promise) fulfill(v Value) {
-	p.val = v
-	p.ok = true
-	close(p.done)
-}
-
-func (p *promise) fail() { close(p.done) }
-
-// wait blocks until the promise resolves and reports the value.
-func (p *promise) wait() (Value, bool) {
-	<-p.done
-	return p.val, p.ok
-}
+// RuntimeSource is the text of runtime.go.
+//
+//go:embed runtime.go
+var RuntimeSource string
 
 // Run executes the schedule's distributed executive for the program.
 func Run(s *sched.Schedule, g *graph.Graph, prog *Program, cfg Config) (*Result, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
 	}
-	for _, op := range g.OpNames() {
-		if g.Op(op).Kind() == graph.KindMem {
-			continue // mems are realized by the executive itself
-		}
-		if prog.fns[op] == nil {
-			return nil, fmt.Errorf("executive: operation %q has no bound function", op)
-		}
-	}
-	for _, k := range cfg.Kills {
-		if s.ReplicaOn(k.Op, k.Proc) == nil {
-			return nil, fmt.Errorf("executive: kill spec targets %q on %q, which the schedule does not place there", k.Op, k.Proc)
-		}
-		if k.Iteration < 0 || k.Iteration >= cfg.Iterations {
-			return nil, fmt.Errorf("executive: kill spec for %q has iteration %d outside [0, %d)", k.Proc, k.Iteration, cfg.Iterations)
-		}
-	}
+	return NewTables(s, g).run(prog, cfg)
+}
 
-	e := &executive{
-		s: s, g: g, prog: prog, cfg: cfg,
-		crashed: make(map[string]bool),
-		memVals: make(map[memKey]Value),
+// NewTables flattens the schedule and the graph into the runtime's tables.
+// Operations are in graph insertion order; the outputs are the graph's
+// output extios, or its sinks when it has none.
+func NewTables(s *sched.Schedule, g *graph.Graph) *Tables {
+	t := &Tables{Procs: s.Procs(), Ops: g.OpNames(), Delayed: make([][]int, g.NumOps())}
+	opIdx := make(map[string]int, len(t.Ops))
+	for i, op := range t.Ops {
+		opIdx[op] = i
 	}
-	// Initialize every mem replica with the program's initial value.
+	ops := func(names []string) []int {
+		out := make([]int, len(names))
+		for i, n := range names {
+			out[i] = opIdx[n]
+		}
+		return out
+	}
+	for _, p := range t.Procs {
+		var seq []int
+		for _, sl := range s.ProcSlots(p) {
+			seq = append(seq, opIdx[sl.Op])
+		}
+		t.Seqs = append(t.Seqs, seq)
+	}
 	for _, op := range g.Ops() {
-		if op.Kind() != graph.KindMem {
-			continue
-		}
-		init, ok := prog.memInit[op.Name()]
-		if !ok {
-			return nil, fmt.Errorf("executive: mem %q has no initial value", op.Name())
-		}
+		var procs []int
 		for _, rep := range s.Replicas(op.Name()) {
-			e.memVals[memKey{op: op.Name(), proc: rep.Proc}] = init
+			procs = append(procs, slices.Index(t.Procs, rep.Proc))
+		}
+		t.Replicas = append(t.Replicas, procs)
+		t.Strict = append(t.Strict, ops(g.StrictPreds(op.Name())))
+		t.Mem = append(t.Mem, op.Kind() == graph.KindMem)
+	}
+	for _, e := range g.Edges() {
+		if e.Delayed() {
+			dst := opIdx[e.Dst()]
+			t.Delayed[dst] = append(t.Delayed[dst], opIdx[e.Src()])
 		}
 	}
-
-	res := &Result{}
-	for it := 0; it < cfg.Iterations; it++ {
-		res.Iterations = append(res.Iterations, e.runIteration(it))
-	}
-	for p := range e.crashed {
-		res.CrashedProcs = append(res.CrashedProcs, p)
-	}
-	sortStrings(res.CrashedProcs)
-	return res, nil
-}
-
-type memKey struct {
-	op, proc string
-}
-
-// executive holds the cross-iteration state of one run.
-type executive struct {
-	s    *sched.Schedule
-	g    *graph.Graph
-	prog *Program
-	cfg  Config
-
-	crashed map[string]bool
-	memVals map[memKey]Value
-}
-
-// runIteration spawns one goroutine per live processor and collects the
-// outputs once all of them finish (crashing counts as finishing).
-func (e *executive) runIteration(it int) IterationOutputs {
-	// Fresh promises for every replica instance of this iteration.
-	promises := make(map[memKey]*promise)
-	for _, p := range e.s.Procs() {
-		for _, slot := range e.s.ProcSlots(p) {
-			promises[memKey{op: slot.Op, proc: p}] = newPromise()
-		}
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards crashed and memVals during the iteration
-	for _, p := range e.s.Procs() {
-		mu.Lock()
-		dead := e.crashed[p]
-		mu.Unlock()
-		if dead {
-			// A dead processor resolves all its promises as failed so no
-			// consumer blocks on it.
-			for _, slot := range e.s.ProcSlots(p) {
-				promises[memKey{op: slot.Op, proc: p}].fail()
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(proc string) {
-			defer wg.Done()
-			e.runProcessor(proc, it, promises, &mu)
-		}(p)
-	}
-	wg.Wait()
-
-	// Consume delayed edges: each surviving mem replica updates its state
-	// from the freshest producer value it can resolve (already resolved:
-	// every promise is settled once the WaitGroup clears).
-	for _, edge := range e.g.Edges() {
-		if !edge.Delayed() {
-			continue
-		}
-		for _, rep := range e.s.Replicas(edge.Dst()) {
-			if e.crashed[rep.Proc] {
-				continue
-			}
-			if v, ok := e.resolveInput(edge.Key(), rep.Proc, promises); ok {
-				e.memVals[memKey{op: edge.Dst(), proc: rep.Proc}] = v
-			}
-		}
-	}
-
-	out := IterationOutputs{
-		Values:    make(map[string]Value),
-		Produced:  make(map[string]bool),
-		Completed: true,
-	}
-	outs := e.g.Outputs()
+	outs := g.Outputs()
 	if len(outs) == 0 {
-		// No output extios: report the graph's sinks instead.
-		outs = e.g.Sinks()
+		outs = g.Sinks()
 	}
-	for _, o := range outs {
-		produced := false
-		for _, rep := range e.s.Replicas(o) {
-			if v, ok := promises[memKey{op: o, proc: rep.Proc}].wait(); ok {
-				out.Values[o] = v
-				produced = true
-				break
-			}
-		}
-		out.Produced[o] = produced
-		if !produced {
-			out.Completed = false
-		}
-	}
-	return out
-}
-
-// runProcessor executes one processor's static sequence for one iteration.
-func (e *executive) runProcessor(proc string, it int, promises map[memKey]*promise, mu *sync.Mutex) {
-	slots := e.s.ProcSlots(proc)
-	for i, slot := range slots {
-		if e.shouldCrash(proc, it, slot.Op) {
-			mu.Lock()
-			e.crashed[proc] = true
-			mu.Unlock()
-			// Fail-stop: every remaining promise of this processor resolves
-			// as failed, which is how other processors detect the crash.
-			for _, rest := range slots[i:] {
-				promises[memKey{op: rest.Op, proc: proc}].fail()
-			}
-			return
-		}
-		pr := promises[memKey{op: slot.Op, proc: proc}]
-		op := e.g.Op(slot.Op)
-		if op.Kind() == graph.KindMem {
-			// A mem outputs its current state (written at the previous
-			// iteration's boundary).
-			mu.Lock()
-			v := e.memVals[memKey{op: slot.Op, proc: proc}]
-			mu.Unlock()
-			pr.fulfill(v)
-			continue
-		}
-		inputs := make(map[string]Value)
-		aborted := false
-		for _, pred := range e.g.StrictPreds(slot.Op) {
-			v, ok := e.resolveInput(graph.EdgeKey{Src: pred, Dst: slot.Op}, proc, promises)
-			if !ok {
-				aborted = true
-				break
-			}
-			inputs[pred] = v
-		}
-		if aborted {
-			// More failures than the schedule tolerates: this replica
-			// cannot compute; resolve as failed so consumers fail over.
-			pr.fail()
-			continue
-		}
-		pr.fulfill(e.prog.fns[slot.Op](it, inputs))
-	}
-}
-
-// resolveInput implements the receive side of the executive: a local
-// replica of the producer wins; otherwise the producer's replicas are
-// consulted in election order, failing over past crashed or aborted ones
-// (rank order gives the basic executive its single source, and both
-// fault-tolerant executives their K-failure tolerance; values are identical
-// across replicas by the determinism assumption, so any surviving rank is
-// correct).
-func (e *executive) resolveInput(edge graph.EdgeKey, proc string, promises map[memKey]*promise) (Value, bool) {
-	if pr, ok := promises[memKey{op: edge.Src, proc: proc}]; ok {
-		if v, ok := pr.wait(); ok {
-			return v, true
-		}
-		// The local replica aborted; fall through to remote replicas.
-	}
-	for _, rep := range e.s.Replicas(edge.Src) {
-		if rep.Proc == proc {
-			continue
-		}
-		if v, ok := promises[memKey{op: edge.Src, proc: rep.Proc}].wait(); ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// shouldCrash reports whether a kill spec targets this execution point.
-func (e *executive) shouldCrash(proc string, it int, op string) bool {
-	for _, k := range e.cfg.Kills {
-		if k.Proc == proc && k.Iteration == it && k.Op == op {
-			return true
-		}
-	}
-	return false
-}
-
-// sortStrings is a tiny local sort to avoid importing sort for one call.
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	t.Outputs = ops(outs)
+	return t
 }

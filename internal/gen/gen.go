@@ -3,20 +3,24 @@
 // automatically a real-time distributed executive implementing this
 // schedule" (Section 4.1).
 //
-// The generated program is self-contained (standard library only): the
-// schedule's processor sequences, replica election orders, and dependency
-// tables are baked in as data; one goroutine per processor executes its
-// sequence, resolving inputs with the mode's failover policy over
-// single-assignment promises; crashes are injected from the command line
-// (-kill proc:iteration:op). Operations run a demonstration payload (a
-// deterministic integer fold) that the user replaces with real code.
+// The program uses the standard library only. It is internal/executive's
+// runtime.go verbatim (package clause and imports rewritten), the
+// schedule's executive.Tables as a literal, and a short main that runs the
+// demonstration payload (executive.DemoProgram, to be replaced with real
+// code) under -iterations and -kill proc:iteration:op crash injections.
 package gen
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"go/format"
+	"go/parser"
+	"go/token"
+	"slices"
+	"strconv"
 	"strings"
 
+	"ftsched/internal/executive"
 	"ftsched/internal/graph"
 	"ftsched/internal/sched"
 )
@@ -27,7 +31,7 @@ type Options struct {
 	Package string
 }
 
-// Generate renders the schedule's executive as Go source.
+// Generate renders the schedule's executive as gofmt-formatted Go source.
 func Generate(s *sched.Schedule, g *graph.Graph, opts Options) (string, error) {
 	if opts.Package == "" {
 		opts.Package = "main"
@@ -40,8 +44,19 @@ func Generate(s *sched.Schedule, g *graph.Graph, opts Options) (string, error) {
 			return "", fmt.Errorf("gen: operation %q is not scheduled", op)
 		}
 	}
+	fset := token.NewFileSet()
+	rt, err := parser.ParseFile(fset, "runtime.go", executive.RuntimeSource, parser.ImportsOnly)
+	if err != nil {
+		return "", fmt.Errorf("gen: embedded runtime: %w", err)
+	}
+	imports := []string{"flag", "fmt", "os", "strconv", "strings"} // main uses these
+	for _, imp := range rt.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		imports = append(imports, path)
+	}
+	slices.Sort(imports)
 
-	var b strings.Builder
+	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by ftsched (%s schedule, K=%d, makespan %.3f). DO NOT EDIT.\n",
 		s.Mode, s.K, s.Makespan())
 	b.WriteString(`// A self-contained distributed executive: one goroutine per processor
@@ -52,331 +67,82 @@ func Generate(s *sched.Schedule, g *graph.Graph, opts Options) (string, error) {
 //
 //	go run <this file> -iterations 3 -kill P2:1:B
 `)
-	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-	b.WriteString(`import (
-	"flag"
-	"fmt"
-	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-)
-
-`)
-	writeTables(&b, s, g)
-	b.WriteString(runtimeSource)
-	return b.String(), nil
-}
-
-// writeTables bakes the schedule and graph structure into Go data.
-func writeTables(b *strings.Builder, s *sched.Schedule, g *graph.Graph) {
-	fmt.Fprintf(b, "// procSequences lists each processor's operations in schedule order.\n")
-	fmt.Fprintf(b, "var procSequences = map[string][]string{\n")
-	for _, p := range s.Procs() {
-		var ops []string
-		for _, sl := range s.ProcSlots(p) {
-			ops = append(ops, sl.Op)
-		}
-		fmt.Fprintf(b, "\t%q: %s,\n", p, goStrings(ops))
+	fmt.Fprintf(&b, "package %s\n\nimport (\n", opts.Package)
+	for _, path := range slices.Compact(imports) {
+		fmt.Fprintf(&b, "%q\n", path)
 	}
-	fmt.Fprintf(b, "}\n\n")
-
-	fmt.Fprintf(b, "// replicaOrder lists each operation's processors in election order\n// (main first).\n")
-	fmt.Fprintf(b, "var replicaOrder = map[string][]string{\n")
-	for _, op := range g.OpNames() {
-		var procs []string
-		for _, rep := range s.Replicas(op) {
-			procs = append(procs, rep.Proc)
-		}
-		fmt.Fprintf(b, "\t%q: %s,\n", op, goStrings(procs))
-	}
-	fmt.Fprintf(b, "}\n\n")
-
-	fmt.Fprintf(b, "// strictPreds lists each operation's same-iteration inputs.\n")
-	fmt.Fprintf(b, "var strictPreds = map[string][]string{\n")
-	for _, op := range g.OpNames() {
-		fmt.Fprintf(b, "\t%q: %s,\n", op, goStrings(g.StrictPreds(op)))
-	}
-	fmt.Fprintf(b, "}\n\n")
-
-	fmt.Fprintf(b, "// delayedPreds lists the state updates consumed at iteration boundaries.\n")
-	fmt.Fprintf(b, "var delayedPreds = map[string][]string{\n")
-	for _, op := range g.OpNames() {
-		var delayed []string
-		for _, pred := range g.Preds(op) {
-			if e := g.Edge(graph.EdgeKey{Src: pred, Dst: op}); e != nil && e.Delayed() {
-				delayed = append(delayed, pred)
-			}
-		}
-		if len(delayed) > 0 {
-			fmt.Fprintf(b, "\t%q: %s,\n", op, goStrings(delayed))
-		}
-	}
-	fmt.Fprintf(b, "}\n\n")
-
-	var mems []string
-	for _, op := range g.Ops() {
-		if op.Kind() == graph.KindMem {
-			mems = append(mems, op.Name())
-		}
-	}
-	sort.Strings(mems)
-	fmt.Fprintf(b, "// memOps marks the operations holding state between iterations.\n")
-	fmt.Fprintf(b, "var memOps = %s\n\n", goStringSet(mems))
-
-	outs := g.Outputs()
-	if len(outs) == 0 {
-		outs = g.Sinks()
-	}
-	fmt.Fprintf(b, "// outputs are the operations whose values the program reports.\n")
-	fmt.Fprintf(b, "var outputs = %s\n\n", goStrings(outs))
-}
-
-// goStrings renders a []string literal.
-func goStrings(xs []string) string {
-	if len(xs) == 0 {
-		return "[]string{}"
-	}
-	quoted := make([]string, len(xs))
-	for i, x := range xs {
-		quoted[i] = fmt.Sprintf("%q", x)
-	}
-	return "[]string{" + strings.Join(quoted, ", ") + "}"
-}
-
-// goStringSet renders a map[string]bool literal.
-func goStringSet(xs []string) string {
-	if len(xs) == 0 {
-		return "map[string]bool{}"
-	}
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = fmt.Sprintf("%q: true", x)
-	}
-	return "map[string]bool{" + strings.Join(parts, ", ") + "}"
-}
-
-// runtimeSource is the fixed half of the generated program: the promise
-// machinery, the per-processor sequencer, and the command line.
-const runtimeSource = `// value is the demonstration payload; replace compute() with real code.
-type value = int64
-
-// compute is the demonstration operation body: a deterministic fold of the
-// iteration number and the inputs.
-func compute(op string, iteration int, inputs map[string]value) value {
-	acc := int64(iteration + 1)
-	for _, name := range sortedKeys(inputs) {
-		acc = acc*31 + inputs[name]
-	}
-	for _, c := range op {
-		acc = acc*31 + int64(c)
-	}
-	return acc
-}
-
-func sortedKeys(m map[string]value) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// promise is a single-assignment operation result.
-type promise struct {
-	done chan struct{}
-	val  value
-	ok   bool
-}
-
-func newPromise() *promise { return &promise{done: make(chan struct{})} }
-
-func (p *promise) fulfill(v value) { p.val = v; p.ok = true; close(p.done) }
-func (p *promise) fail()           { close(p.done) }
-func (p *promise) wait() (value, bool) {
-	<-p.done
-	return p.val, p.ok
-}
-
-type instanceKey struct{ op, proc string }
-
-type killSpec struct {
-	proc      string
-	iteration int
-	op        string
-}
-
-type killFlags []killSpec
-
-func (k *killFlags) String() string { return fmt.Sprint(*k) }
-func (k *killFlags) Set(v string) error {
-	parts := strings.Split(v, ":")
-	if len(parts) != 3 {
-		return fmt.Errorf("kill %q: want proc:iteration:op", v)
-	}
-	it, err := strconv.Atoi(parts[1])
+	b.WriteString(")")
+	b.WriteString(executive.RuntimeSource[fset.Position(rt.End()).Offset:])
+	writeTables(&b, executive.NewTables(s, g))
+	b.WriteString(mainSource)
+	src, err := format.Source(b.Bytes())
 	if err != nil {
-		return fmt.Errorf("kill %q: %v", v, err)
+		return "", fmt.Errorf("gen: %w", err)
 	}
-	*k = append(*k, killSpec{proc: parts[0], iteration: it, op: parts[2]})
-	return nil
+	return string(src), nil
 }
 
-type executive struct {
-	crashed map[string]bool
-	memVals map[instanceKey]value
-	kills   []killSpec
-	mu      sync.Mutex
+// writeTables prints t as the program's tables variable. Each index row
+// carries a comment naming what it indexes.
+func writeTables(b *bytes.Buffer, t *executive.Tables) {
+	fmt.Fprintf(b, "\n// tables is the schedule this program executes.\nvar tables = Tables{\nProcs: %#v,\nOps: %#v,\n", t.Procs, t.Ops)
+	// label renders a name for a comment, escaped as in a Go string.
+	label := func(name string) string { return strings.Trim(strconv.Quote(name), `"`) }
+	rows := func(field string, rows [][]int, rowNames, names []string) {
+		fmt.Fprintf(b, "%s: [][]int{\n", field)
+		for i, row := range rows {
+			nums, comment := make([]string, len(row)), label(rowNames[i])+":"
+			for j, x := range row {
+				nums[j], comment = strconv.Itoa(x), comment+" "+label(names[x])
+			}
+			fmt.Fprintf(b, "{%s}, // %s\n", strings.Join(nums, ", "), strings.TrimSuffix(comment, ":"))
+		}
+		b.WriteString("},\n")
+	}
+	rows("Seqs", t.Seqs, t.Procs, t.Ops)
+	rows("Replicas", t.Replicas, t.Ops, t.Procs)
+	rows("Strict", t.Strict, t.Ops, t.Ops)
+	rows("Delayed", t.Delayed, t.Ops, t.Ops)
+	fmt.Fprintf(b, "Mem: %#v,\nOutputs: %#v,\n}\n", t.Mem, t.Outputs)
 }
 
-func (e *executive) shouldCrash(proc string, it int, op string) bool {
-	for _, k := range e.kills {
-		if k.proc == proc && k.iteration == it && k.op == op {
-			return true
-		}
-	}
-	return false
-}
-
-// resolveInput walks the producer's replicas in election order.
-func resolveInput(pred, proc string, promises map[instanceKey]*promise) (value, bool) {
-	if pr, ok := promises[instanceKey{pred, proc}]; ok {
-		if v, ok := pr.wait(); ok {
-			return v, true
-		}
-	}
-	for _, rp := range replicaOrder[pred] {
-		if rp == proc {
-			continue
-		}
-		if v, ok := promises[instanceKey{pred, rp}].wait(); ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func (e *executive) runProcessor(proc string, it int, promises map[instanceKey]*promise) {
-	seq := procSequences[proc]
-	for i, op := range seq {
-		if e.shouldCrash(proc, it, op) {
-			e.mu.Lock()
-			e.crashed[proc] = true
-			e.mu.Unlock()
-			for _, rest := range seq[i:] {
-				promises[instanceKey{rest, proc}].fail()
-			}
-			fmt.Printf("  [%s] CRASH before %s\n", proc, op)
-			return
-		}
-		pr := promises[instanceKey{op, proc}]
-		if memOps[op] {
-			e.mu.Lock()
-			v := e.memVals[instanceKey{op, proc}]
-			e.mu.Unlock()
-			pr.fulfill(v)
-			continue
-		}
-		inputs := make(map[string]value)
-		ok := true
-		for _, pred := range strictPreds[op] {
-			v, got := resolveInput(pred, proc, promises)
-			if !got {
-				ok = false
-				break
-			}
-			inputs[pred] = v
-		}
-		if !ok {
-			pr.fail()
-			continue
-		}
-		pr.fulfill(compute(op, it, inputs))
-	}
-}
-
-func (e *executive) runIteration(it int) bool {
-	promises := make(map[instanceKey]*promise)
-	for proc, seq := range procSequences {
-		for _, op := range seq {
-			promises[instanceKey{op, proc}] = newPromise()
-		}
-	}
-	var wg sync.WaitGroup
-	procs := make([]string, 0, len(procSequences))
-	for p := range procSequences {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
-	for _, p := range procs {
-		e.mu.Lock()
-		dead := e.crashed[p]
-		e.mu.Unlock()
-		if dead {
-			for _, op := range procSequences[p] {
-				promises[instanceKey{op, p}].fail()
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(proc string) {
-			defer wg.Done()
-			e.runProcessor(proc, it, promises)
-		}(p)
-	}
-	wg.Wait()
-	// Iteration boundary: surviving mems consume their delayed inputs.
-	for op, preds := range delayedPreds {
-		for _, rp := range replicaOrder[op] {
-			if e.crashed[rp] {
-				continue
-			}
-			for _, pred := range preds {
-				if v, ok := resolveInput(pred, rp, promises); ok {
-					e.memVals[instanceKey{op, rp}] = v
-				}
-			}
-		}
-	}
-	completed := true
-	for _, out := range outputs {
-		produced := false
-		for _, rp := range replicaOrder[out] {
-			if v, ok := promises[instanceKey{out, rp}].wait(); ok {
-				fmt.Printf("  output %s = %d (from %s)\n", out, v, rp)
-				produced = true
-				break
-			}
-		}
-		if !produced {
-			fmt.Printf("  output %s LOST\n", out)
-			completed = false
-		}
-	}
-	return completed
-}
-
+// mainSource is the emitted program's entry point.
+const mainSource = `
 func main() {
 	iterations := flag.Int("iterations", 1, "reactive-loop iterations to run")
-	var kills killFlags
-	flag.Var(&kills, "kill", "crash as proc:iteration:op (repeatable)")
+	var kills []KillSpec
+	flag.Func("kill", "crash as proc:iteration:op (repeatable)", func(v string) error {
+		parts := strings.Split(v, ":")
+		if len(parts) != 3 {
+			return fmt.Errorf("want proc:iteration:op")
+		}
+		it, err := strconv.Atoi(parts[1])
+		kills = append(kills, KillSpec{Proc: parts[0], Iteration: it, Op: parts[2]})
+		return err
+	})
 	flag.Parse()
 
-	e := &executive{
-		crashed: make(map[string]bool),
-		memVals: make(map[instanceKey]value),
-		kills:   kills,
+	res, err := tables.run(DemoProgram(&tables), Config{Iterations: *iterations, Kills: kills})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	allOK := true
-	for it := 0; it < *iterations; it++ {
-		fmt.Printf("iteration %d:\n", it)
-		if !e.runIteration(it) {
-			allOK = false
+	lost := false
+	for i, out := range res.Iterations {
+		fmt.Printf("iteration %d:\n", i)
+		for _, c := range out.crashes {
+			fmt.Printf("  [%s] CRASH before %s\n", c.Proc, c.Op)
 		}
+		for _, o := range tables.Outputs {
+			if name := tables.Ops[o]; out.Produced[name] {
+				fmt.Printf("  output %s = %d (from %s)\n", name, out.Values[name], out.from[name])
+			} else {
+				fmt.Printf("  output %s LOST\n", name)
+			}
+		}
+		lost = lost || !out.Completed
 	}
-	if !allOK {
+	if lost {
 		fmt.Println("some outputs were lost")
 		os.Exit(1)
 	}
