@@ -130,6 +130,10 @@ var CriticalPackages = map[string]bool{
 	"sim":      true,
 	"campaign": true,
 	"serve":    true,
+	// The constraints tables and the pressure table built from their
+	// averages: a float sum in map order would reach the schedule.
+	"spec":     true,
+	"pressure": true,
 }
 
 // IsCriticalPackage reports whether the import path names a

@@ -45,6 +45,7 @@ func (k LinkKind) String() string {
 // the communication units implied by its link attachments.
 type Processor struct {
 	name string
+	id   int32 // index in declaration order
 }
 
 // Name returns the processor's unique name.
@@ -55,6 +56,7 @@ type Link struct {
 	name      string
 	kind      LinkKind
 	endpoints []string // processor names, insertion order
+	id        int32    // index in declaration order
 }
 
 // Name returns the link's unique name.
@@ -124,7 +126,7 @@ func (a *Architecture) AddProcessor(name string) error {
 	if _, ok := a.procs[name]; ok {
 		return fmt.Errorf("arch: duplicate processor %q", name)
 	}
-	a.procs[name] = &Processor{name: name}
+	a.procs[name] = &Processor{name: name, id: int32(len(a.procOrder))}
 	a.procOrder = append(a.procOrder, name)
 	a.routes = nil
 	a.buses = nil
@@ -166,7 +168,7 @@ func (a *Architecture) addLink(name string, kind LinkKind, eps []string) error {
 	}
 	cp := make([]string, len(eps))
 	copy(cp, eps)
-	a.links[name] = &Link{name: name, kind: kind, endpoints: cp}
+	a.links[name] = &Link{name: name, kind: kind, endpoints: cp, id: int32(len(a.linkOrder))}
 	a.linkOrder = append(a.linkOrder, name)
 	for _, p := range eps {
 		a.attach[p] = append(a.attach[p], name)
@@ -187,6 +189,24 @@ func (a *Architecture) Processor(name string) *Processor { return a.procs[name] 
 
 // HasProcessor reports whether the named processor exists.
 func (a *Architecture) HasProcessor(name string) bool { _, ok := a.procs[name]; return ok }
+
+// ProcID returns the ID of the named processor, its index in declaration
+// order (the order of ProcessorNames), or -1 if absent.
+func (a *Architecture) ProcID(name string) int32 {
+	if p := a.procs[name]; p != nil {
+		return p.id
+	}
+	return -1
+}
+
+// LinkID returns the ID of the named link, its index in declaration order
+// (the order of LinkNames), or -1 if absent.
+func (a *Architecture) LinkID(name string) int32 {
+	if l := a.links[name]; l != nil {
+		return l.id
+	}
+	return -1
+}
 
 // Processors returns all processors in insertion order.
 func (a *Architecture) Processors() []*Processor {

@@ -838,15 +838,16 @@ func (b *builder) carveStep() ([]evaluation, error) {
 }
 
 // evaluateCands evaluates every carved candidate. The calling goroutine
-// claims candidates through one shared atomic index, joined by Workers-1
-// pool goroutines when there are that many candidates to share. An
-// evaluation writes only its own evaluation and the route-memo entries of
-// its own in-edges, and no two candidates share an in-edge, so results are
-// the same for every worker count and claim order.
+// claims candidates through one shared atomic index, joined by up to
+// Workers-1 pool goroutines when there are that many candidates to share
+// and the step's work reaches poolMinWork. An evaluation writes only its
+// own evaluation and the route-memo entries of its own in-edges, and no
+// two candidates share an in-edge, so results are the same for every
+// worker count and claim order.
 func (b *builder) evaluateCands(evals []evaluation) {
 	var next atomic.Int32
 	var wg sync.WaitGroup
-	if workers := min(b.workers, len(evals)); workers > 1 {
+	if workers := min(b.workers, len(evals)); workers > 1 && b.stepWork(evals) >= poolMinWork {
 		b.ins.poolBatches.Inc()
 		b.ins.poolEvals.Add(int64(len(evals)))
 		b.ins.poolWorkers.Add(int64(workers))
@@ -860,6 +861,27 @@ func (b *builder) evaluateCands(evals []evaluation) {
 	}
 	b.claimEvals(evals, &next)
 	wg.Wait()
+}
+
+// poolMinWork is the step work (see stepWork) from which the pool pays
+// for its goroutines; smaller steps are evaluated serially (DESIGN.md
+// §8.5). Tests lower it to run small problems on the pool.
+var poolMinWork = 2048
+
+// stepWork estimates the work of evaluating one step's candidates: the
+// arrivals evaluateOne computes, one per allowed processor and in-edge of
+// each candidate (one per processor without in-edges), times the
+// transfers one arrival plans: every replica of the producer sends under
+// FT2, one sender does under Basic and FT1.
+func (b *builder) stepWork(evals []evaluation) int {
+	w := 0
+	for i := range evals {
+		w += len(evals[i].scored) * max(1, len(b.m.predEdges[evals[i].op]))
+	}
+	if b.mode == sched.ModeFT2 {
+		w *= b.maxRepl
+	}
+	return w
 }
 
 // claimEvals evaluates candidates claimed from next until none is left.

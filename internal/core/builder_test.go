@@ -8,7 +8,9 @@ import (
 
 	"ftsched/internal/arch"
 	"ftsched/internal/graph"
+	"ftsched/internal/sched"
 	"ftsched/internal/spec"
+	"ftsched/internal/workload"
 )
 
 func TestEarliestGap(t *testing.T) {
@@ -403,5 +405,27 @@ func TestQuickFT1ActiveSendersAreMains(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewBuilderAllocs pins the allocations of a schedule's set-up
+// (validation, pressure table, compilation, state) on the design
+// workload's 300-operation FT2 full-mesh problem: two per operation, for
+// the graph's per-operation lists, and a constant, never one per edge or
+// edge × link pair.
+func TestNewBuilderAllocs(t *testing.T) {
+	in, err := workload.RandomInstance(rand.New(rand.NewSource(7919*6+3)), 300, 8, false, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := newBuilder(in.Graph, in.Arch, in.Spec, sched.ModeFT2, 1, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	limit := 2*in.Graph.NumOps() + 256
+	t.Logf("%d ops, %d edges: %.0f allocs (limit %d)", in.Graph.NumOps(), in.Graph.NumEdges(), allocs, limit)
+	if allocs > float64(limit) {
+		t.Errorf("newBuilder made %.0f allocations, pinned at %d", allocs, limit)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ftsched/internal/arch"
 	"ftsched/internal/graph"
@@ -16,7 +17,9 @@ import (
 // predecessor edges, pressure tails) is a flat array indexed by those IDs.
 //
 // Compilation runs once per schedule, after validation; from then on the
-// greedy loop performs no map lookup and no string hash. The ID spaces are:
+// greedy loop performs no map lookup and no string hash. The ID spaces are
+// the problem's own (graph.OpID, graph.EdgeID, arch.ProcID, arch.LinkID),
+// through which spec.View reads the constraints:
 //
 //	op:   index into g.OpNames()          (declaration order)
 //	proc: index into a.ProcessorNames()   (declaration order)
@@ -106,36 +109,24 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 	m.nProcs = int32(len(m.procNames))
 	m.nLinks = int32(len(m.linkNames))
 
-	opID := make(map[string]int32, m.nOps)
-	for i, op := range m.opNames {
-		opID[op] = int32(i)
-	}
-	linkID := make(map[string]int32, m.nLinks)
-	for i, l := range m.linkNames {
-		linkID[l] = int32(i)
-	}
-	procID := make(map[string]int32, m.nProcs)
-	for i, p := range m.procNames {
-		procID[p] = int32(i)
-	}
-
 	// Execution table and allowed processors, declaration order.
+	v := sp.View(g, a)
 	m.exec = make([]float64, int(m.nOps)*int(m.nProcs))
 	m.allowed = make([][]int32, m.nOps)
 	allowedArena := make([]int32, 0, int(m.nOps)*int(m.nProcs))
 	for o := int32(0); o < m.nOps; o++ {
 		start := len(allowedArena)
 		for p := int32(0); p < m.nProcs; p++ {
-			d := sp.Exec(m.opNames[o], m.procNames[p])
+			d := v.Exec(o, p)
 			m.exec[o*m.nProcs+p] = d
-			if sp.CanRun(m.opNames[o], m.procNames[p]) {
+			if !math.IsInf(d, 1) {
 				allowedArena = append(allowedArena, p)
 			}
 		}
 		m.allowed[o] = allowedArena[start:len(allowedArena):len(allowedArena)]
 	}
 
-	// Edge interning and the total communication table.
+	// The edges, in ID order, and the total communication table.
 	edges := g.Edges()
 	m.nEdges = int32(len(edges))
 	m.edgeKeys = make([]graph.EdgeKey, m.nEdges)
@@ -145,11 +136,10 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 	for e, edge := range edges {
 		key := edge.Key()
 		m.edgeKeys[e] = key
-		m.edgeSrc[e] = opID[key.Src]
-		m.edgeDst[e] = opID[key.Dst]
-		row := sp.CommRow(key)
+		m.edgeSrc[e] = g.OpID(key.Src)
+		m.edgeDst[e] = g.OpID(key.Dst)
 		for l := int32(0); l < m.nLinks; l++ {
-			d, ok := row[m.linkNames[l]]
+			d, ok := v.Comm(int32(e), l)
 			if !ok {
 				_, err := sp.Comm(key, m.linkNames[l])
 				return nil, fmt.Errorf("core: compile: %w", err)
@@ -161,23 +151,30 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 		}
 	}
 
-	// Predecessor edges and strict successors, graph insertion order.
+	// Predecessor edges and strict successors, graph insertion order, each
+	// list carved from one arena: there are at most nEdges of either.
 	m.predEdges = make([][]predEdge, m.nOps)
 	m.succs = make([][]int32, m.nOps)
-	edgeID := make(map[graph.EdgeKey]int32, m.nEdges)
-	for e, key := range m.edgeKeys {
-		edgeID[key] = int32(e)
-	}
+	predArena := make([]predEdge, 0, m.nEdges)
+	succArena := make([]int32, 0, m.nEdges)
 	for o := int32(0); o < m.nOps; o++ {
 		name := m.opNames[o]
+		start := len(predArena)
 		for _, pred := range g.StrictPreds(name) {
-			m.predEdges[o] = append(m.predEdges[o], predEdge{
-				pred: opID[pred],
-				edge: edgeID[graph.EdgeKey{Src: pred, Dst: name}],
+			predArena = append(predArena, predEdge{
+				pred: g.OpID(pred),
+				edge: g.EdgeID(graph.EdgeKey{Src: pred, Dst: name}),
 			})
 		}
+		if len(predArena) > start {
+			m.predEdges[o] = predArena[start:len(predArena):len(predArena)]
+		}
+		start = len(succArena)
 		for _, succ := range g.StrictSuccs(name) {
-			m.succs[o] = append(m.succs[o], opID[succ])
+			succArena = append(succArena, g.OpID(succ))
+		}
+		if len(succArena) > start {
+			m.succs[o] = succArena[start:len(succArena):len(succArena)]
 		}
 	}
 
@@ -191,7 +188,7 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 			idx := s*m.nProcs + d
 			m.bus[idx] = -1
 			if b := a.BusBetween(m.procNames[s], m.procNames[d]); b != "" {
-				m.bus[idx] = linkID[b]
+				m.bus[idx] = a.LinkID(b)
 			}
 			if s == d {
 				continue
@@ -202,7 +199,7 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 			}
 			hops := make([]denseHop, len(route))
 			for i, h := range route {
-				hops[i] = denseHop{link: linkID[h.Link], to: procID[h.To]}
+				hops[i] = denseHop{link: a.LinkID(h.Link), to: a.ProcID(h.To)}
 			}
 			m.routes[idx] = hops
 		}

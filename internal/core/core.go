@@ -72,7 +72,8 @@ type Options struct {
 	NoPressure bool
 	// Workers bounds the worker pool used for the candidate evaluations of
 	// micro-step mSn.1, seeded runs included. 0 uses GOMAXPROCS; 1
-	// evaluates serially. The schedule is identical for every value: each
+	// evaluates serially. Steps with little work run serially whatever the
+	// bound (DESIGN.md §8.5). The schedule is identical for every value: each
 	// evaluation writes only its own result slot and the route-memo
 	// entries of its candidate's in-edges, and seeded runs draw their
 	// tie-breaking shuffles serially in candidate order afterwards.

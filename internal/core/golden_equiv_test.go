@@ -131,6 +131,7 @@ func dumpSchedule(s *sched.Schedule) string {
 // makespan, to the last bit. Run with -update to regenerate the dumps (only
 // legitimate when the heuristic itself intentionally changes).
 func TestGoldenEquivalence(t *testing.T) {
+	forcePool(t)
 	for _, c := range goldenMatrix() {
 		t.Run(c.name, func(t *testing.T) {
 			in := c.instance(t)
@@ -170,6 +171,14 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// forcePool runs every step with two or more candidates on the worker
+// pool until the test ends, so the small golden problems exercise it too.
+func forcePool(t *testing.T) {
+	saved := poolMinWork
+	poolMinWork = 0
+	t.Cleanup(func() { poolMinWork = saved })
 }
 
 // diffLines reports the first few differing lines between two dumps.

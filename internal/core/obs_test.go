@@ -12,6 +12,7 @@ import (
 // uninstrumented one. Under -race this doubles as the data-race proof for
 // counters incremented from Options.Workers pool goroutines.
 func TestObsEquivalence(t *testing.T) {
+	forcePool(t)
 	for _, c := range goldenMatrix() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

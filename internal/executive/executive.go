@@ -41,7 +41,7 @@ var RuntimeSource string
 
 // Run executes the schedule's distributed executive for the program.
 func Run(s *sched.Schedule, g *graph.Graph, prog *Program, cfg Config) (*Result, error) {
-	if cfg.Iterations <= 0 {
+	if cfg.Iterations == 0 {
 		cfg.Iterations = 1
 	}
 	return NewTables(s, g).run(prog, cfg)

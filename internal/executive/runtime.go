@@ -50,7 +50,8 @@ type KillSpec struct {
 
 // Config tunes a run.
 type Config struct {
-	// Iterations is the number of reactive-loop iterations (default 1).
+	// Iterations is the number of reactive-loop iterations, at least 1;
+	// Run reads the zero value as 1.
 	Iterations int
 	// Kills are the crash injections.
 	Kills []KillSpec
@@ -131,6 +132,9 @@ type runner struct {
 // run validates the program and the crash injections against the tables,
 // then executes cfg.Iterations iterations.
 func (t *Tables) run(prog *Program, cfg Config) (*Result, error) {
+	if cfg.Iterations < 1 {
+		return nil, fmt.Errorf("executive: %d iterations: want at least 1", cfg.Iterations)
+	}
 	for i, op := range t.Ops {
 		if !t.Mem[i] && prog.fns[op] == nil {
 			return nil, fmt.Errorf("executive: operation %q has no bound function", op)

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -324,6 +325,34 @@ func TestGeneratedProgramRejectsBadKill(t *testing.T) {
 		out, errOut, code := runProgram(t, bin, "-kill", fmt.Sprintf("%s:%d:%s", k.Proc, k.Iteration, k.Op))
 		if code == 0 || out != "" || errOut != wantErr.Error()+"\n" {
 			t.Errorf("kill %+v: exit status %d, stdout %q, stderr %q; want a failure with %q", k, code, out, errOut, wantErr)
+		}
+	}
+}
+
+// TestGeneratedProgramRejectsBadIterations: fewer than one iteration
+// fails with the runtime's message and exit status 2, crash injections or
+// not, instead of reporting a run in which nothing ran.
+func TestGeneratedProgramRejectsBadIterations(t *testing.T) {
+	src, r := generateFor(t, core.FT1, 1)
+	bin := buildProgram(t, src)
+	in := paperex.BusInstance()
+	prog := executive.DemoProgram(executive.NewTables(r.Schedule, in.Graph))
+	for _, args := range [][]string{
+		{"-iterations", "0"},
+		{"-iterations", "-2"},
+		{"-iterations", "-2", "-kill", "P1:0:I"},
+	} {
+		n, _ := strconv.Atoi(args[1])
+		want := fmt.Sprintf("executive: %d iterations: want at least 1", n)
+		if n != 0 {
+			// Run reads only the zero value as one iteration.
+			if _, err := executive.Run(r.Schedule, in.Graph, prog, executive.Config{Iterations: n}); err == nil || err.Error() != want {
+				t.Fatalf("executive.Run with %d iterations: error %v, want %q", n, err, want)
+			}
+		}
+		out, errOut, code := runProgram(t, bin, args...)
+		if code != 2 || out != "" || errOut != want+"\n" {
+			t.Errorf("%v: exit status %d, stdout %q, stderr %q; want status 2 with %q", args, code, out, errOut, want)
 		}
 	}
 }

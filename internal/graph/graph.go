@@ -19,7 +19,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"sync/atomic"
 )
 
 // Kind identifies the class of an operation.
@@ -50,6 +50,7 @@ func (k Kind) String() string {
 type Op struct {
 	name string
 	kind Kind
+	id   int32 // index in insertion order
 }
 
 // Name returns the unique name of the operation.
@@ -77,6 +78,8 @@ func (e EdgeKey) String() string { return e.Src + "->" + e.Dst }
 type Edge struct {
 	key     EdgeKey
 	delayed bool
+	src     int32 // the source operation's ID
+	pos     int32 // index among the source's out-edges
 }
 
 // Key returns the (src, dst) pair identifying the edge.
@@ -103,6 +106,11 @@ type Graph struct {
 	edges map[EdgeKey]*Edge
 	out   map[string][]*Edge // insertion-ordered edges out of each op
 	in    map[string][]*Edge // insertion-ordered edges into each op
+
+	// edgeStart caches, per op ID, the ID of the op's first out-edge, with
+	// the edge count last (see EdgeID). Every mutation resets it; readers
+	// build it on first use, so concurrent readers stay race-free.
+	edgeStart *atomic.Pointer[[]int32]
 }
 
 // New returns an empty algorithm graph with the given name.
@@ -113,6 +121,8 @@ func New(name string) *Graph {
 		edges: make(map[EdgeKey]*Edge),
 		out:   make(map[string][]*Edge),
 		in:    make(map[string][]*Edge),
+
+		edgeStart: new(atomic.Pointer[[]int32]),
 	}
 }
 
@@ -137,8 +147,9 @@ func (g *Graph) add(name string, k Kind) error {
 	if _, ok := g.ops[name]; ok {
 		return fmt.Errorf("graph: duplicate operation %q", name)
 	}
-	g.ops[name] = &Op{name: name, kind: k}
+	g.ops[name] = &Op{name: name, kind: k, id: int32(len(g.order))}
 	g.order = append(g.order, name)
+	g.mutated()
 	return nil
 }
 
@@ -160,13 +171,16 @@ func (g *Graph) Connect(src, dst string) error {
 	if _, ok := g.edges[key]; ok {
 		return fmt.Errorf("graph: duplicate dependency %s", key)
 	}
-	_ = so
-	e := &Edge{key: key, delayed: do.kind == KindMem}
+	e := &Edge{key: key, delayed: do.kind == KindMem, src: so.id, pos: int32(len(g.out[src]))}
 	g.edges[key] = e
 	g.out[src] = append(g.out[src], e)
 	g.in[dst] = append(g.in[dst], e)
+	g.mutated()
 	return nil
 }
+
+// mutated drops the cached edge IDs.
+func (g *Graph) mutated() { g.edgeStart.Store(nil) }
 
 // NumOps returns the number of operations.
 func (g *Graph) NumOps() int { return len(g.ops) }
@@ -194,6 +208,42 @@ func (g *Graph) OpNames() []string {
 	out := make([]string, len(g.order))
 	copy(out, g.order)
 	return out
+}
+
+// OpID returns the ID of the named operation, its index in insertion
+// order (the order of OpNames), or -1 if absent. Op IDs, edge IDs and the
+// architecture's processor and link IDs are the one dense numbering every
+// compiled form of a problem indexes its tables by.
+func (g *Graph) OpID(name string) int32 {
+	if o := g.ops[name]; o != nil {
+		return o.id
+	}
+	return -1
+}
+
+// EdgeID returns the ID of the edge with the given key, its index in Edges
+// order, or -1 if absent.
+func (g *Graph) EdgeID(key EdgeKey) int32 {
+	e := g.edges[key]
+	if e == nil {
+		return -1
+	}
+	return g.edgeIDs()[e.src] + e.pos
+}
+
+// edgeIDs returns the ID of each op's first out-edge, building the table
+// after a mutation. Edges lists the out-edges op by op, so an edge's ID is
+// its source's entry plus its position among the source's out-edges.
+func (g *Graph) edgeIDs() []int32 {
+	if p := g.edgeStart.Load(); p != nil {
+		return *p
+	}
+	start := make([]int32, len(g.order)+1)
+	for i, n := range g.order {
+		start[i+1] = start[i] + int32(len(g.out[n]))
+	}
+	g.edgeStart.Store(&start)
+	return start
 }
 
 // Edge returns the edge with the given key, or nil if absent.
@@ -305,40 +355,72 @@ func (g *Graph) Outputs() []string {
 // respect to non-delayed edges (Kahn's algorithm; ties resolved by insertion
 // order). It returns an error if the non-delayed subgraph has a cycle.
 func (g *Graph) TopoOrder() ([]string, error) {
-	indeg := make(map[string]int, len(g.ops))
-	for _, n := range g.order {
-		indeg[n] = len(g.StrictPreds(n))
-	}
-	// ready is kept sorted by insertion index for determinism.
-	idx := make(map[string]int, len(g.order))
+	indeg := make([]int32, len(g.order))
+	// ready is a min-heap of op IDs, which are insertion indices.
+	var ready []int32
 	for i, n := range g.order {
-		idx[n] = i
-	}
-	var ready []string
-	for _, n := range g.order {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+		for _, e := range g.in[n] {
+			if !e.delayed {
+				indeg[i]++
+			}
+		}
+		if indeg[i] == 0 {
+			ready = append(ready, int32(i))
 		}
 	}
 	out := make([]string, 0, len(g.ops))
 	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
+		n := g.order[ready[0]]
+		ready = popMin(ready)
 		out = append(out, n)
-		var unlocked []string
-		for _, s := range g.StrictSuccs(n) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				unlocked = append(unlocked, s)
+		for _, e := range g.out[n] {
+			if e.delayed {
+				continue
+			}
+			s := g.ops[e.key.Dst].id
+			if indeg[s]--; indeg[s] == 0 {
+				ready = pushMin(ready, s)
 			}
 		}
-		ready = append(ready, unlocked...)
-		sort.Slice(ready, func(i, j int) bool { return idx[ready[i]] < idx[ready[j]] })
 	}
 	if len(out) != len(g.ops) {
 		return nil, fmt.Errorf("graph %q: cycle among non-delayed dependencies", g.name)
 	}
 	return out, nil
+}
+
+// pushMin and popMin keep h a binary min-heap.
+func pushMin(h []int32, v int32) []int32 {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+func popMin(h []int32) []int32 {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l] < h[m] {
+			m = l
+		}
+		if r < len(h) && h[r] < h[m] {
+			m = r
+		}
+		if m == i {
+			return h
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // Validate checks the structural well-formedness of the graph:

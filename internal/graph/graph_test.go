@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -450,4 +452,73 @@ func TestQuickJSONRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestIDs checks that op IDs follow insertion order and edge IDs follow
+// Edges order, also after a mutation moves later edges' IDs.
+func TestIDs(t *testing.T) {
+	g := New("ids")
+	for _, n := range []string{"A", "B", "C", "D"} {
+		if err := g.AddComp(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func() {
+		t.Helper()
+		for i, n := range g.OpNames() {
+			if id := g.OpID(n); id != int32(i) {
+				t.Errorf("OpID(%s) = %d, want %d", n, id, i)
+			}
+		}
+		for i, e := range g.Edges() {
+			if id := g.EdgeID(e.Key()); id != int32(i) {
+				t.Errorf("EdgeID(%s) = %d, want %d", e.Key(), id, i)
+			}
+		}
+		if g.OpID("Z") != -1 || g.EdgeID(EdgeKey{Src: "D", Dst: "A"}) != -1 {
+			t.Error("unknown names must have ID -1")
+		}
+	}
+	for _, e := range [][2]string{{"B", "C"}, {"C", "D"}} {
+		if err := g.Connect(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+	// An edge out of A comes first in Edges order: the others move up.
+	if err := g.Connect("A", "D"); err != nil {
+		t.Fatal(err)
+	}
+	check()
+}
+
+// TestEdgeIDConcurrentReaders reads edge IDs from several goroutines right
+// after a mutation, when the first reads rebuild the cached table (run
+// with -race).
+func TestEdgeIDConcurrentReaders(t *testing.T) {
+	g := New("concurrent")
+	for i := 0; i < 50; i++ {
+		if err := g.AddComp(fmt.Sprintf("o%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 49; i > 0; i-- {
+		if err := g.Connect(fmt.Sprintf("o%d", i-1), fmt.Sprintf("o%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edges := g.Edges()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, e := range edges {
+				if id := g.EdgeID(e.Key()); id != int32(i) {
+					t.Errorf("EdgeID(%s) = %d, want %d", e.Key(), id, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -55,8 +55,12 @@ func LongestPaths(g *Graph, c CostFunc) (*PathInfo, error) {
 	}
 	for _, n := range order {
 		head := 0.0
-		for _, p := range g.StrictPreds(n) {
-			v := info.Head[p] + c.OpCost(p) + c.EdgeCost(EdgeKey{Src: p, Dst: n})
+		for _, e := range g.in[n] {
+			if e.delayed {
+				continue
+			}
+			p := e.key.Src
+			v := info.Head[p] + c.OpCost(p) + c.EdgeCost(e.key)
 			if v > head {
 				head = v
 			}
@@ -66,8 +70,12 @@ func LongestPaths(g *Graph, c CostFunc) (*PathInfo, error) {
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		tail := 0.0
-		for _, s := range g.StrictSuccs(n) {
-			v := info.Tail[s] + c.OpCost(s) + c.EdgeCost(EdgeKey{Src: n, Dst: s})
+		for _, e := range g.out[n] {
+			if e.delayed {
+				continue
+			}
+			s := e.key.Dst
+			v := info.Tail[s] + c.OpCost(s) + c.EdgeCost(e.key)
 			if v > tail {
 				tail = v
 			}

@@ -43,7 +43,7 @@ func Compute(g *graph.Graph, sp *spec.Spec) (*Table, error) {
 		return nil, fmt.Errorf("pressure: %w", err)
 	}
 	bad := ""
-	for op, e := range info.Tail {
+	for op, e := range info.Tail { //ftlint:order-insensitive keeps the least name, whatever the order
 		if (math.IsInf(e, 1) || math.IsNaN(e)) && (bad == "" || op < bad) {
 			bad = op
 		}

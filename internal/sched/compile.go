@@ -170,15 +170,16 @@ type pass struct {
 	sp *spec.Spec
 	c  *Compiled
 
+	// The constraints by the problem's IDs, which are the IDs of the
+	// declared names (graph.OpID, graph.EdgeID, arch.ProcID, arch.LinkID).
+	view *spec.View
+
 	// The declared processor, operation, link and edge counts.
 	nP, nO, nL, nE int32
-	opID           map[string]int32
 	procX, opX     map[string]int32
 	linkX          []string // undeclared link names, by ID - nL
 
-	// Per declared edge: its ID by its endpoints' op IDs, its endpoints and
-	// whether it is delayed.
-	edgeID           map[[2]int32]int32
+	// Per declared edge: its endpoints and whether it is delayed.
 	edgeSrc, edgeDst []int32
 	delayed          []bool
 	// The strict inputs of declared op o are preds[predStart[o]:predStart[o+1]].
@@ -227,14 +228,12 @@ func index(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) *pa
 		LinkNames: a.LinkNames(),
 		OpNames:   g.OpNames(),
 	}
-	c.procID = intern(c.ProcNames)
-	c.linkID = intern(c.LinkNames)
 	p := &pass{
 		s: s, g: g, a: a, sp: sp, c: c,
+		view: sp.View(g, a),
 		nP:   int32(len(c.ProcNames)),
 		nO:   int32(len(c.OpNames)),
 		nL:   int32(len(c.LinkNames)),
-		opID: intern(c.OpNames),
 	}
 	p.indexGraph()
 	p.indexArch()
@@ -265,49 +264,30 @@ func (p *pass) indexGraph() {
 	if len(edges) > 0 {
 		p.c.Edges = make([]graph.EdgeKey, len(edges))
 	}
-	p.edgeID = make(map[[2]int32]int32, len(edges))
 	p.edgeSrc = make([]int32, len(edges))
 	p.edgeDst = make([]int32, len(edges))
 	p.delayed = make([]bool, len(edges))
 	for i, e := range edges {
 		k := e.Key()
 		p.c.Edges[i] = k
-		p.edgeSrc[i], p.edgeDst[i] = p.opID[k.Src], p.opID[k.Dst]
-		p.edgeID[[2]int32{p.edgeSrc[i], p.edgeDst[i]}] = int32(i)
+		p.edgeSrc[i], p.edgeDst[i] = p.g.OpID(k.Src), p.g.OpID(k.Dst)
 		p.delayed[i] = e.Delayed()
 	}
 	// StrictPreds order.
 	p.predStart = make([]int32, p.nO+1)
 	for o, name := range p.c.OpNames {
 		for _, pred := range p.g.Preds(name) {
-			src := p.opID[pred]
-			if e := p.edgeID[[2]int32{src, int32(o)}]; !p.delayed[e] {
-				p.preds = append(p.preds, Pred{Op: src, Edge: e})
+			if e := p.g.EdgeID(graph.EdgeKey{Src: pred, Dst: name}); !p.delayed[e] {
+				p.preds = append(p.preds, Pred{Op: p.g.OpID(pred), Edge: e})
 			}
 		}
 		p.predStart[o+1] = int32(len(p.preds))
 	}
 }
 
-// edge returns the ID of the graph edge k, or -1.
-func (p *pass) edge(k graph.EdgeKey) int32 {
-	src, ok := p.opID[k.Src]
-	if !ok {
-		return -1
-	}
-	dst, ok := p.opID[k.Dst]
-	if !ok {
-		return -1
-	}
-	if id, ok := p.edgeID[[2]int32{src, dst}]; ok {
-		return id
-	}
-	return -1
-}
-
 // procOf returns the ID of a declared or op-slot processor, or -1.
 func (p *pass) procOf(name string) int32 {
-	if id, ok := p.c.procID[name]; ok {
+	if id := p.a.ProcID(name); id >= 0 {
 		return id
 	}
 	if id, ok := p.procX[name]; ok {
@@ -325,7 +305,7 @@ func (p *pass) producer(r *commRec) int32 {
 	op := int32(-1)
 	if r.edge >= 0 {
 		op = p.edgeSrc[r.edge]
-	} else if id, ok := p.opID[r.slot.Edge.Src]; ok {
+	} else if id := p.g.OpID(r.slot.Edge.Src); id >= 0 {
 		op = id
 	} else if id, ok := p.opX[r.slot.Edge.Src]; ok {
 		op = id
@@ -341,7 +321,7 @@ func (p *pass) indexArch() {
 	p.attached = make([]bool, int(p.nL)*int(p.nP))
 	for l, name := range p.c.LinkNames {
 		for _, e := range p.a.Link(name).Endpoints() {
-			if pid, ok := p.c.procID[e]; ok {
+			if pid := p.a.ProcID(e); pid >= 0 {
 				p.ends = append(p.ends, pid)
 				p.attached[l*int(p.nP)+int(pid)] = true
 			}
@@ -362,7 +342,7 @@ func (p *pass) attaches(l, proc int32) bool {
 func (p *pass) indexInsts() {
 	c := p.c
 	for _, name := range p.s.Procs() {
-		if _, ok := c.procID[name]; !ok {
+		if p.a.ProcID(name) < 0 {
 			if p.procX == nil {
 				p.procX = make(map[string]int32)
 			}
@@ -386,8 +366,8 @@ func (p *pass) indexInsts() {
 		}
 		declared := int32(pid) < p.nP
 		for _, sl := range p.s.ProcSlots(name) {
-			op, ok := p.opID[sl.Op]
-			if !ok {
+			op := p.g.OpID(sl.Op)
+			if op < 0 {
 				op = p.undeclaredOp(sl.Op)
 				if declared {
 					p.fail("sched: schedule places unknown operation %q", sl.Op)
@@ -397,7 +377,7 @@ func (p *pass) indexInsts() {
 			c.PredStart = append(c.PredStart, int32(len(c.Preds)))
 			if op < p.nO {
 				if declared {
-					if d = p.sp.Exec(sl.Op, name); math.IsInf(d, 1) {
+					if d = p.view.Exec(op, int32(pid)); math.IsInf(d, 1) {
 						p.fail("sched: operation %q has no WCET on processor %q", sl.Op, name)
 					}
 				}
@@ -452,14 +432,15 @@ func (p *pass) indexComms() {
 	p.recs = make([]commRec, 0, n)
 	span := make([]int32, 2*p.nL) // declared link l's recs are [span[2l], span[2l+1])
 	for _, name := range links {
-		lid, declared := p.c.linkID[name]
+		lid := p.a.LinkID(name)
+		declared := lid >= 0
 		if !declared {
 			lid = p.nL + int32(len(p.linkX))
 			p.linkX = append(p.linkX, name)
 		}
 		lo := int32(len(p.recs))
 		for _, sl := range p.s.LinkSlots(name) {
-			r := commRec{slot: sl, link: lid, edge: p.edge(sl.Edge), from: p.procOf(sl.From), to: p.procOf(sl.To)}
+			r := commRec{slot: sl, link: lid, edge: p.g.EdgeID(sl.Edge), from: p.procOf(sl.From), to: p.procOf(sl.To)}
 			// A first hop starts at its source and a final hop ends at its
 			// destination.
 			if r.src = r.from; sl.SrcProc != sl.From {
@@ -752,12 +733,14 @@ func (p *pass) flatten() error {
 		outs = p.g.Sinks()
 	}
 	for _, out := range outs {
-		oid, ok := p.opID[out]
-		if !ok {
+		oid := p.g.OpID(out)
+		if oid < 0 {
 			return fmt.Errorf("sched: output %q is not a graph operation", out)
 		}
 		c.Outputs = append(c.Outputs, oid)
 	}
+	c.procID = intern(c.ProcNames)
+	c.linkID = intern(c.LinkNames)
 	return nil
 }
 

@@ -41,14 +41,12 @@ func (e *InvalidError) Error() string {
 type checker struct {
 	*pass
 	errs []string
-	// rows holds each declared edge's spec.CommRow, fetched on first use.
-	rows []map[string]float64
 	// See groupByEdge.
 	edgeStart, byEdge, dst []int32
 }
 
 func (p *pass) validate() error {
-	v := &checker{pass: p, rows: make([]map[string]float64, p.nE)}
+	v := &checker{pass: p}
 	v.groupByEdge()
 	v.checkReplication()
 	v.checkOpSlots()
@@ -206,16 +204,12 @@ func (v *checker) checkLinkSequencing() {
 
 // comm returns the spec's duration of r's edge over r's link.
 func (v *checker) comm(r *commRec) (float64, error) {
-	c := r.slot
-	if e := r.edge; e >= 0 {
-		if v.rows[e] == nil {
-			v.rows[e] = v.sp.CommRow(c.Edge)
-		}
-		if d, ok := v.rows[e][c.Link]; ok {
+	if r.edge >= 0 && r.link < v.nL {
+		if d, ok := v.view.Comm(r.edge, r.link); ok {
 			return d, nil
 		}
 	}
-	return v.sp.Comm(c.Edge, c.Link)
+	return v.sp.Comm(r.slot.Edge, r.slot.Link)
 }
 
 // checkTransfers verifies hop chains: correct endpoints, durations, and

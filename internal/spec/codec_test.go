@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -126,19 +127,20 @@ func checkCodec(t *testing.T, name string, sp *spec.Spec) {
 		t.Fatalf("%s: reference decode: %v", name, err)
 	}
 	again, _ := back.MarshalJSON()
-	refAgain, _ := spec.RefMarshal(ref)
+	refAgain, _ := spec.RefMarshalMaps(ref)
 	if !bytes.Equal(again, refAgain) {
 		t.Fatalf("%s: decoded table changed on re-encoding", name)
 	}
 }
 
-// rowAllocs bounds the allocations of one table row: its map, presized
-// from the longest row so far, and that map's internal arrays.
-const rowAllocs = 4
+// growthAllocs bounds the allocations of the tables themselves: their
+// name lists, maps and matrices grow by doubling, or are reserved from
+// the document's size, so their count is logarithmic in the table's size.
+const growthAllocs = 128
 
 // TestDecodeAllocs pins the decoder's allocations on a fixed document to
-// one per distinct name plus a few per table row and a constant, never one
-// per entry.
+// one per distinct name plus the tables' growth, never one per row or
+// entry.
 func TestDecodeAllocs(t *testing.T) {
 	inst, data := meshInstance(t)
 	names := inst.Graph.NumOps() + inst.Arch.NumProcessors() + inst.Arch.NumLinks()
@@ -150,7 +152,7 @@ func TestDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	limit := names + rowAllocs*rows + 64
+	limit := names + growthAllocs
 	t.Logf("%d bytes, %d entries, %d names, %d rows: %.0f allocs (limit %d)",
 		len(data), entries, names, rows, allocs, limit)
 	if allocs > float64(limit) {
@@ -179,6 +181,36 @@ func BenchmarkSpecDecodeReference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := spec.RefUnmarshal(data); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAvgExecDeterministic pins the averages the pressure table is built
+// from: on the design workload's mesh shape, repeated calls return the
+// same bits, and those of the sum over the processors in declaration
+// order.
+func TestAvgExecDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		inst, err := workload.RandomInstance(rand.New(rand.NewSource(seed)), 100, 8, false, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs := inst.Arch.ProcessorNames()
+		for _, op := range inst.Graph.OpNames() {
+			sum, n := 0.0, 0
+			for _, p := range procs {
+				if d := inst.Spec.Exec(op, p); !math.IsInf(d, 1) {
+					sum += d
+					n++
+				}
+			}
+			want := math.Float64bits(sum / float64(n))
+			for i := 0; i < 3; i++ {
+				if got := math.Float64bits(inst.Spec.AvgExec(op)); got != want {
+					t.Fatalf("seed %d: AvgExec(%s) call %d = %v, want the declaration-order mean %v",
+						seed, op, i, math.Float64frombits(got), math.Float64frombits(want))
+				}
+			}
 		}
 	}
 }

@@ -84,7 +84,7 @@ func checkDecodeDifferential(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON, err := refMarshal(&got)
+	gotJSON, err := refMarshal(mapsOf(&got))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,76 +24,123 @@ import (
 // link. An exec duration is written in %g form, Inf as 1e999; an empty
 // table is written as null.
 func (s *Spec) MarshalJSON() ([]byte, error) {
+	var buf []cell // one row's cells, reused across rows
+	ops, procRank := s.exec.byName(strings.Compare)
+	edges, linkRank := s.comm.byName(compareEdges)
+
 	// Size the buffer exactly, so a document kept in memory carries no
 	// slack.
-	ops := make([]string, 0, len(s.exec))
 	var num [32]byte
 	size, n := len(`{"exec":,"comm":}`), 0
-	for op, row := range s.exec {
-		ops = append(ops, op)
-		n += len(row)
-		size += len(row) * (len(`{"op":,"proc":,"duration":}`) + wire.StringLen(op))
-		for p, d := range row {
-			size += wire.StringLen(p) + len(appendExecDuration(num[:0], d))
-		}
+	procLen := nameLens(s.exec.cols.names)
+	for r, op := range s.exec.rows.names {
+		s.exec.each(int32(r), func(c int32, d float64) {
+			n++
+			size += len(`{"op":,"proc":,"duration":}`) + wire.StringLen(op) + procLen[c] + len(appendExecDuration(num[:0], d))
+		})
 	}
 	size += wire.ListLen(n)
-	sort.Strings(ops)
-	edges := make([]graph.EdgeKey, 0, len(s.comm))
 	n = 0
-	for e, row := range s.comm {
-		edges = append(edges, e)
-		n += len(row)
-		size += len(row) * (len(`{"src":,"dst":,"link":,"duration":}`) + wire.StringLen(e.Src) + wire.StringLen(e.Dst))
-		for l, d := range row {
-			size += wire.StringLen(l) + wire.FloatLen(d)
-		}
+	linkLen := nameLens(s.comm.cols.names)
+	for r, e := range s.comm.rows.names {
+		ends := len(`{"src":,"dst":,"link":,"duration":}`) + wire.StringLen(e.Src) + wire.StringLen(e.Dst)
+		s.comm.each(int32(r), func(c int32, d float64) {
+			n++
+			size += ends + linkLen[c] + wire.FloatLen(d)
+		})
 	}
 	size += wire.ListLen(n)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
 
 	b := make([]byte, 0, size)
-	var names []string // one row's inner keys, reused across rows
 	b = append(b, `{"exec":`...)
 	list := len(b)
-	for _, op := range ops {
-		names = sortedKeys(names, s.exec[op])
-		for _, p := range names {
+	for _, r := range ops {
+		op := s.exec.rows.names[r]
+		buf = s.exec.sortedRow(buf, r, procRank)
+		for _, cl := range buf {
 			b = wire.AppendSep(b, list)
 			b = append(b, `{"op":`...)
 			b = wire.AppendString(b, op)
 			b = append(b, `,"proc":`...)
-			b = wire.AppendString(b, p)
+			b = wire.AppendString(b, s.exec.cols.names[cl.col])
 			b = append(b, `,"duration":`...)
-			b = appendExecDuration(b, s.exec[op][p])
+			b = appendExecDuration(b, cl.v)
 			b = append(b, '}')
 		}
 	}
 	b = wire.EndList(b, list)
 	b = append(b, `,"comm":`...)
 	list = len(b)
-	for _, e := range edges {
-		names = sortedKeys(names, s.comm[e])
-		for _, l := range names {
+	for _, r := range edges {
+		e := s.comm.rows.names[r]
+		buf = s.comm.sortedRow(buf, r, linkRank)
+		for _, cl := range buf {
 			b = wire.AppendSep(b, list)
 			b = append(b, `{"src":`...)
 			b = wire.AppendString(b, e.Src)
 			b = append(b, `,"dst":`...)
 			b = wire.AppendString(b, e.Dst)
 			b = append(b, `,"link":`...)
-			b = wire.AppendString(b, l)
+			b = wire.AppendString(b, s.comm.cols.names[cl.col])
 			b = append(b, `,"duration":`...)
-			b = wire.AppendFloat(b, s.comm[e][l])
+			b = wire.AppendFloat(b, cl.v)
 			b = append(b, '}')
 		}
 	}
 	b = wire.EndList(b, list)
 	return append(b, '}'), nil
+}
+
+// compareEdges orders dependencies by source, then destination.
+func compareEdges(a, b graph.EdgeKey) int {
+	if c := strings.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Dst, b.Dst)
+}
+
+// nameLens returns the encoded length of each name.
+func nameLens(names []string) []int {
+	lens := make([]int, len(names))
+	for i, n := range names {
+		lens[i] = wire.StringLen(n)
+	}
+	return lens
+}
+
+// cell is one entry of a table row.
+type cell struct {
+	col int32
+	v   float64
+}
+
+// byName returns the table's rows in name order, and each column's
+// position in name order.
+func (t *table[R]) byName(cmpRows func(a, b R) int) (rows []int32, colRank []int32) {
+	rows = make([]int32, len(t.rows.names))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	slices.SortFunc(rows, func(a, b int32) int { return cmpRows(t.rows.names[a], t.rows.names[b]) })
+	cols := make([]int32, len(t.cols.names))
+	for i := range cols {
+		cols[i] = int32(i)
+	}
+	slices.SortFunc(cols, func(a, b int32) int { return strings.Compare(t.cols.names[a], t.cols.names[b]) })
+	colRank = make([]int32, len(cols))
+	for rank, c := range cols {
+		colRank[c] = int32(rank)
+	}
+	return rows, colRank
+}
+
+// sortedRow refills buf with the cells of row r in column name order, as
+// given by colRank.
+func (t *table[R]) sortedRow(buf []cell, r int32, colRank []int32) []cell {
+	buf = buf[:0]
+	t.each(r, func(c int32, v float64) { buf = append(buf, cell{c, v}) })
+	slices.SortFunc(buf, func(a, b cell) int { return int(colRank[a.col] - colRank[b.col]) })
+	return buf
 }
 
 // appendExecDuration writes an execution duration in %g form, Inf as
@@ -103,16 +150,6 @@ func appendExecDuration(b []byte, d float64) []byte {
 		return append(b, `1e999`...)
 	}
 	return strconv.AppendFloat(b, d, 'g', -1, 64)
-}
-
-// sortedKeys refills buf with the keys of row in order.
-func sortedKeys(buf []string, row map[string]float64) []string {
-	buf = buf[:0]
-	for k := range row {
-		buf = append(buf, k)
-	}
-	sort.Strings(buf)
-	return buf
 }
 
 // Member names of the spec document, as wire.Field matches them.
@@ -149,10 +186,18 @@ var errReplay = errors.New("spec: decode: repeated table member")
 type specDecoder struct {
 	d      *wire.Decoder
 	sp     *Spec
+	size   int64 // the document's length
 	replay bool
 	seen   [2]bool
 
 	execErr, commErr error // first failing entry of each table
+
+	// The first comm entry, its offset and the entries of its row so far,
+	// until the comm table is reserved (see reserveComm).
+	firstComm    commEntry
+	firstCommOff int64
+	firstCommN   int64
+	commSized    bool
 
 	// The previous entry of each table and the last comm duration, which
 	// the next entry is likely to repeat.
@@ -187,7 +232,7 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 }
 
 func decodeSpec(data []byte, replay bool) (*Spec, error) {
-	x := &specDecoder{d: wire.NewDecoder(data), sp: New(), replay: replay}
+	x := &specDecoder{d: wire.NewDecoder(data), sp: New(), replay: replay, size: int64(len(data))}
 	if err := x.document(); err != nil {
 		var syn *wire.SyntaxError
 		var num *strconv.NumError
@@ -340,7 +385,9 @@ func (x *specDecoder) commList() error {
 		}
 		if !x.replay {
 			var c commEntry
+			off := x.d.Offset()
 			if err = x.commEntry(&c); err == nil {
+				x.reserveComm(off, c)
 				x.applyComm(c)
 			}
 			continue
@@ -467,6 +514,33 @@ func (x *specDecoder) commDuration(c *commEntry) error {
 	c.dur = x.prevDur
 	return nil
 }
+
+// reserveComm sizes the comm table when the entry read at off starts its
+// second row. Documents list the comm table row by row, so the rest of
+// the document holds about as many rows as the first row's length in
+// bytes fits; reserving them spares the table its growth copies. Only a
+// first row whose entries are at least as long as the shortest canonical
+// entry is trusted, so the reservation never exceeds a cell and a row
+// name per such entry the input could still hold; a wrong estimate only
+// wastes or misses capacity.
+func (x *specDecoder) reserveComm(off int64, c commEntry) {
+	switch {
+	case x.commSized:
+	case x.firstCommOff == 0:
+		x.firstComm, x.firstCommOff, x.firstCommN = c, off, 1
+	case c.src == x.firstComm.src && c.dst == x.firstComm.dst:
+		x.firstCommN++
+	default:
+		x.commSized = true
+		if rowBytes := off - x.firstCommOff; rowBytes >= x.firstCommN*minCommEntry {
+			x.sp.comm.reserve(int((x.size-x.firstCommOff)/rowBytes) + 1)
+		}
+	}
+}
+
+// minCommEntry is the length of the shortest comm entry MarshalJSON
+// writes.
+const minCommEntry = int64(len(`{"src":"","dst":"","link":"","duration":0},`))
 
 // applyExec and applyComm add an entry to the table, keeping the first
 // failure of each table.

@@ -23,22 +23,18 @@ var Inf = math.Inf(1)
 
 // Spec holds the distribution constraints for one (algorithm, architecture)
 // pair. Create one with New and fill it with SetExec / SetComm.
+//
+// Each table is a dense row-major matrix over the spec's own numbering of
+// its names, in order of first use: exec rows are operations and columns
+// processors, comm rows dependencies and columns links (see table). A View
+// reads both through a problem's IDs.
 type Spec struct {
-	exec map[string]map[string]float64        // op -> proc -> duration
-	comm map[graph.EdgeKey]map[string]float64 // edge -> link -> duration
-	// commRow is the longest comm row so far. A new row is made with room
-	// for that many links: on a point-to-point architecture every
-	// dependency is costed on every link.
-	commRow int
+	exec table[string]        // op -> proc -> duration
+	comm table[graph.EdgeKey] // edge -> link -> duration
 }
 
 // New returns an empty constraints table.
-func New() *Spec {
-	return &Spec{
-		exec: make(map[string]map[string]float64),
-		comm: make(map[graph.EdgeKey]map[string]float64),
-	}
-}
+func New() *Spec { return &Spec{} }
 
 // SetExec records the execution duration of op on proc. Use Inf to forbid
 // the placement. Durations must not be negative or NaN.
@@ -46,12 +42,7 @@ func (s *Spec) SetExec(op, proc string, d float64) error {
 	if math.IsNaN(d) || d < 0 {
 		return fmt.Errorf("spec: exec(%s, %s) = %v: duration must be >= 0", op, proc, d)
 	}
-	row, ok := s.exec[op]
-	if !ok {
-		row = make(map[string]float64)
-		s.exec[op] = row
-	}
-	row[proc] = d
+	s.exec.set(op, proc, d)
 	return nil
 }
 
@@ -62,23 +53,15 @@ func (s *Spec) SetComm(e graph.EdgeKey, link string, d float64) error {
 	if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
 		return fmt.Errorf("spec: comm(%s, %s) = %v: duration must be finite and >= 0", e, link, d)
 	}
-	row, ok := s.comm[e]
-	if !ok {
-		row = make(map[string]float64, s.commRow)
-		s.comm[e] = row
-	}
-	row[link] = d
-	s.commRow = max(s.commRow, len(row))
+	s.comm.set(e, link, d)
 	return nil
 }
 
 // Exec returns the execution duration of op on proc; absent entries are Inf
 // (placement forbidden), mirroring the paper's convention.
 func (s *Spec) Exec(op, proc string) float64 {
-	if row, ok := s.exec[op]; ok {
-		if d, ok := row[proc]; ok {
-			return d
-		}
+	if d, ok := s.exec.lookup(op, proc); ok {
+		return d
 	}
 	return Inf
 }
@@ -86,19 +69,11 @@ func (s *Spec) Exec(op, proc string) float64 {
 // Comm returns the transfer duration of edge e over link, or an error if the
 // pair was never specified (unlike Exec there is no meaningful default).
 func (s *Spec) Comm(e graph.EdgeKey, link string) (float64, error) {
-	if row, ok := s.comm[e]; ok {
-		if d, ok := row[link]; ok {
-			return d, nil
-		}
+	if d, ok := s.comm.lookup(e, link); ok {
+		return d, nil
 	}
 	return 0, fmt.Errorf("spec: no communication duration for %s over link %q", e, link)
 }
-
-// CommRow returns the transfer durations of edge e by link name, or nil if
-// none was specified. The map belongs to the spec: callers must not modify
-// it. It serves callers that look up one edge over many links, hashing the
-// edge key once.
-func (s *Spec) CommRow(e graph.EdgeKey) map[string]float64 { return s.comm[e] }
 
 // RouteComm returns the total transfer duration of edge e over the route r
 // (the sum of per-hop durations, since each hop is a store-and-forward
@@ -118,12 +93,16 @@ func (s *Spec) RouteComm(e graph.EdgeKey, r arch.Route) (float64, error) {
 // AllowedProcs returns, sorted by name, the processors on which op may
 // execute (finite duration).
 func (s *Spec) AllowedProcs(op string) []string {
-	var out []string
-	for p, d := range s.exec[op] {
-		if !math.IsInf(d, 1) {
-			out = append(out, p)
-		}
+	r := s.exec.rows.index(op)
+	if r < 0 {
+		return nil
 	}
+	var out []string
+	s.exec.each(r, func(c int32, d float64) {
+		if !math.IsInf(d, 1) {
+			out = append(out, s.exec.cols.names[c])
+		}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -131,11 +110,18 @@ func (s *Spec) AllowedProcs(op string) []string {
 // NumAllowed returns the number of processors on which op may execute,
 // len(AllowedProcs(op)) without building the list.
 func (s *Spec) NumAllowed(op string) int {
+	return s.numAllowed(s.exec.rows.index(op))
+}
+
+// numAllowed counts the finite cells of exec row r, 0 for r < 0.
+func (s *Spec) numAllowed(r int32) int {
 	n := 0
-	for _, d := range s.exec[op] {
-		if !math.IsInf(d, 1) {
-			n++
-		}
+	if r >= 0 {
+		s.exec.each(r, func(_ int32, d float64) {
+			if !math.IsInf(d, 1) {
+				n++
+			}
+		})
 	}
 	return n
 }
@@ -146,13 +132,17 @@ func (s *Spec) CanRun(op, proc string) bool { return !math.IsInf(s.Exec(op, proc
 // AvgExec returns the mean execution duration of op over its allowed
 // processors, used by the static phase of the schedule-pressure computation
 // on heterogeneous architectures. It returns Inf if no processor can run op.
+// The durations are summed in the order their processors were first given
+// to the spec, so repeated calls return the same bits.
 func (s *Spec) AvgExec(op string) float64 {
 	sum, n := 0.0, 0
-	for _, d := range s.exec[op] {
-		if !math.IsInf(d, 1) {
-			sum += d
-			n++
-		}
+	if r := s.exec.rows.index(op); r >= 0 {
+		s.exec.each(r, func(_ int32, d float64) {
+			if !math.IsInf(d, 1) {
+				sum += d
+				n++
+			}
+		})
 	}
 	if n == 0 {
 		return Inf
@@ -162,16 +152,20 @@ func (s *Spec) AvgExec(op string) float64 {
 
 // AvgComm returns the mean transfer duration of edge e over the links it was
 // specified for, or 0 if none were specified (a purely local dependency).
+// The durations are summed in the order their links were first given to
+// the spec.
 func (s *Spec) AvgComm(e graph.EdgeKey) float64 {
-	row := s.comm[e]
-	if len(row) == 0 {
+	sum, n := 0.0, 0
+	if r := s.comm.rows.index(e); r >= 0 {
+		s.comm.each(r, func(_ int32, d float64) {
+			sum += d
+			n++
+		})
+	}
+	if n == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, d := range row {
-		sum += d
-	}
-	return sum / float64(len(row))
+	return sum / float64(n)
 }
 
 // Validate checks the constraints against an algorithm and an architecture:
@@ -180,45 +174,120 @@ func (s *Spec) AvgComm(e graph.EdgeKey) float64 {
 // so any route is costable.
 func (s *Spec) Validate(g *graph.Graph, a *arch.Architecture) error {
 	var errs []string
-	for op, row := range s.exec {
-		if !g.HasOp(op) {
+	v := s.View(g, a)
+	known := make([]bool, max(len(s.exec.cols.names), len(s.comm.cols.names)))
+	for c, p := range s.exec.cols.names {
+		known[c] = a.ProcID(p) >= 0
+	}
+	for r, op := range s.exec.rows.names {
+		if g.OpID(op) < 0 {
 			errs = append(errs, fmt.Sprintf("exec table references unknown operation %q", op))
 		}
-		for p := range row {
-			if !a.HasProcessor(p) {
-				errs = append(errs, fmt.Sprintf("exec table references unknown processor %q (op %q)", p, op))
+		s.exec.each(int32(r), func(c int32, _ float64) {
+			if !known[c] {
+				errs = append(errs, fmt.Sprintf("exec table references unknown processor %q (op %q)", s.exec.cols.names[c], op))
 			}
-		}
+		})
 	}
-	for _, op := range g.OpNames() {
-		if len(s.AllowedProcs(op)) == 0 {
+	for id, op := range g.OpNames() {
+		if s.numAllowed(v.opRow[id]) == 0 {
 			errs = append(errs, fmt.Sprintf("operation %q has no processor able to execute it", op))
 		}
 	}
-	for e, row := range s.comm {
-		if g.Edge(e) == nil {
+	for c, l := range s.comm.cols.names {
+		known[c] = a.LinkID(l) >= 0
+	}
+	for r, e := range s.comm.rows.names {
+		if g.EdgeID(e) < 0 {
 			errs = append(errs, fmt.Sprintf("comm table references unknown dependency %s", e))
 		}
-		for l := range row {
-			if a.Link(l) == nil {
-				errs = append(errs, fmt.Sprintf("comm table references unknown link %q (dependency %s)", l, e))
+		s.comm.each(int32(r), func(c int32, _ float64) {
+			if !known[c] {
+				errs = append(errs, fmt.Sprintf("comm table references unknown link %q (dependency %s)", s.comm.cols.names[c], e))
 			}
-		}
+		})
 	}
 	links := a.LinkNames()
-	for _, e := range g.Edges() {
-		row := s.comm[e.Key()]
-		for _, l := range links {
-			if _, ok := row[l]; !ok {
-				errs = append(errs, fmt.Sprintf("dependency %s has no duration on link %q", e.Key(), l))
+	for id, e := range g.Edges() {
+		for l, name := range links {
+			if _, ok := v.Comm(int32(id), int32(l)); !ok {
+				errs = append(errs, fmt.Sprintf("dependency %s has no duration on link %q", e.Key(), name))
 			}
 		}
 	}
 	if len(errs) > 0 {
-		sort.Strings(errs) // the tables are maps: fix the report's order
+		sort.Strings(errs) // fix the report's order
 		return fmt.Errorf("spec: invalid constraints:\n  %s", strings.Join(errs, "\n  "))
 	}
 	return nil
+}
+
+// View reads a spec's tables by the IDs of one problem: the graph's
+// operation and edge IDs (graph.OpID, graph.EdgeID) and the
+// architecture's processor and link IDs (arch.ProcID, arch.LinkID). Each
+// ID is mapped to the spec's own row or column once, when the view is
+// made, so a lookup hashes no name. The spec, graph and architecture must
+// not change while the view is in use.
+type View struct {
+	s                                *Spec
+	opRow, procCol, edgeRow, linkCol []int32 // -1 where the spec has no entry
+}
+
+// View maps the problem (g, a) onto the spec's tables.
+func (s *Spec) View(g *graph.Graph, a *arch.Architecture) *View {
+	nO, nP, nE, nL := g.NumOps(), a.NumProcessors(), g.NumEdges(), a.NumLinks()
+	ids := make([]int32, nO+nP+nE+nL)
+	for i := range ids {
+		ids[i] = -1
+	}
+	v := &View{
+		s:       s,
+		opRow:   ids[:nO:nO],
+		procCol: ids[nO : nO+nP : nO+nP],
+		edgeRow: ids[nO+nP : nO+nP+nE : nO+nP+nE],
+		linkCol: ids[nO+nP+nE:],
+	}
+	for r, op := range s.exec.rows.names {
+		if id := g.OpID(op); id >= 0 {
+			v.opRow[id] = int32(r)
+		}
+	}
+	for c, p := range s.exec.cols.names {
+		if id := a.ProcID(p); id >= 0 {
+			v.procCol[id] = int32(c)
+		}
+	}
+	for r, e := range s.comm.rows.names {
+		if id := g.EdgeID(e); id >= 0 {
+			v.edgeRow[id] = int32(r)
+		}
+	}
+	for c, l := range s.comm.cols.names {
+		if id := a.LinkID(l); id >= 0 {
+			v.linkCol[id] = int32(c)
+		}
+	}
+	return v
+}
+
+// Exec returns the execution duration of operation op on processor proc,
+// Inf where the spec has none, as Spec.Exec does.
+func (v *View) Exec(op, proc int32) float64 {
+	if r, c := v.opRow[op], v.procCol[proc]; r >= 0 && c >= 0 {
+		if d, ok := v.s.exec.get(r, c); ok {
+			return d
+		}
+	}
+	return Inf
+}
+
+// Comm returns the transfer duration of edge over link, and whether the
+// spec has one.
+func (v *View) Comm(edge, link int32) (float64, bool) {
+	if r, c := v.edgeRow[edge], v.linkCol[link]; r >= 0 && c >= 0 {
+		return v.s.comm.get(r, c)
+	}
+	return 0, false
 }
 
 // SetCommUniform assigns the same duration to edge e on every link of the
@@ -237,22 +306,7 @@ func (s *Spec) SetCommUniform(a *arch.Architecture, e graph.EdgeKey, d float64) 
 
 // Clone returns a deep copy of the constraints.
 func (s *Spec) Clone() *Spec {
-	c := New()
-	for op, row := range s.exec {
-		nr := make(map[string]float64, len(row))
-		for p, d := range row {
-			nr[p] = d
-		}
-		c.exec[op] = nr
-	}
-	for e, row := range s.comm {
-		nr := make(map[string]float64, len(row))
-		for l, d := range row {
-			nr[l] = d
-		}
-		c.comm[e] = nr
-	}
-	return c
+	return &Spec{exec: s.exec.clone(), comm: s.comm.clone()}
 }
 
 // AvgCost adapts the spec to graph.CostFunc using averaged durations, the
