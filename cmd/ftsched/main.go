@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"ftsched/internal/arch"
-	"ftsched/internal/benchrun"
 	"ftsched/internal/certify"
 	"ftsched/internal/core"
 	"ftsched/internal/graph"
@@ -53,10 +52,6 @@ func run(args []string, out io.Writer) error {
 		steps       = fs.Bool("steps", false, "print the heuristic's greedy steps (the paper's Figs. 14-16)")
 		doCertify   = fs.Bool("certify", false, "statically certify the schedule against K failures; exit non-zero on rejection")
 		certWorkers = fs.Int("certify-workers", 0, "certifier worker-pool bound; <=1 is sequential (the verdict is identical at any value)")
-
-		benchTier     = fs.String("bench", "", "run the benchmark harness on a tier (small, full, certify, sim, or sim-legacy) instead of scheduling")
-		benchOut      = fs.String("bench-out", "", "file the benchmark report is written to (default BENCH_sched.json; BENCH_certify.json, BENCH_sim.json, or BENCH_sim_baseline.json per tier)")
-		benchBaseline = fs.String("bench-baseline", "", "baseline report to compare against; exit non-zero on >2x regression")
 
 		tracePath = fs.String("trace", "", "write a Chrome-trace JSON (build-phase spans + schedule Gantt) to this file; open in Perfetto")
 		stats     = fs.Bool("stats", false, "print the observability counters and timers after the run")
@@ -95,10 +90,6 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(os.Stderr, "ftsched: memprofile:", err)
 			}
 		}()
-	}
-
-	if *benchTier != "" {
-		return runBench(*benchTier, benchOutPath(*benchTier, *benchOut), *benchBaseline, *certWorkers, out)
 	}
 
 	// The sink is created only when an exporter will consume it, so plain
@@ -221,26 +212,8 @@ func run(args []string, out io.Writer) error {
 func checkFlagCombos(fs *flag.FlagSet, format string) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["bench"] {
-		// The bench harness neither schedules one instance nor renders: every
-		// scheduling-run flag is meaningless alongside it.
-		for _, name := range []string{
-			"graph", "arch", "spec", "demo", "heuristic", "k", "seeds",
-			"format", "degraded", "steps", "certify", "trace", "stats",
-		} {
-			if set[name] {
-				return fmt.Errorf("usage: -%s applies to a scheduling run and contradicts -bench", name)
-			}
-		}
-	} else {
-		for _, name := range []string{"bench-out", "bench-baseline"} {
-			if set[name] {
-				return fmt.Errorf("usage: -%s requires -bench", name)
-			}
-		}
-	}
-	if set["certify-workers"] && !set["certify"] && !set["bench"] {
-		return fmt.Errorf("usage: -certify-workers requires -certify or -bench certify")
+	if set["certify-workers"] && !set["certify"] {
+		return fmt.Errorf("usage: -certify-workers requires -certify")
 	}
 	if set["demo"] {
 		for _, name := range []string{"graph", "arch", "spec"} {
@@ -266,65 +239,6 @@ func writeTrace(path string, sink *obs.Sink, s *sched.Schedule) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchOutPath resolves the report file: an explicit -bench-out wins,
-// otherwise each harness gets its own conventional file so the certify tier
-// never overwrites the scheduler baseline.
-func benchOutPath(tier, explicit string) string {
-	if explicit != "" {
-		return explicit
-	}
-	switch tier {
-	case "certify":
-		return "BENCH_certify.json"
-	case "sim":
-		return "BENCH_sim.json"
-	case "sim-legacy":
-		return "BENCH_sim_baseline.json"
-	}
-	return "BENCH_sched.json"
-}
-
-// runBench drives the benchmark harness: time the tier's cases, write the
-// report, and gate on the baseline when one is given.
-func runBench(tier, outPath, baselinePath string, workers int, out io.Writer) error {
-	cases, err := benchrun.Tier(tier)
-	if err != nil {
-		return err
-	}
-	if workers > 1 {
-		for i := range cases {
-			if cases[i].Kind == "certify" {
-				cases[i].Workers = workers
-			}
-		}
-	}
-	rep, err := benchrun.Run(tier, cases, out)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteFile(outPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d cases)\n", outPath, len(rep.Results))
-	if baselinePath != "" {
-		base, err := benchrun.Load(baselinePath)
-		if err != nil {
-			return err
-		}
-		// The per-case picture prints before the gate: a tripped gate still
-		// leaves the operator the report file and the full delta table.
-		fmt.Fprintf(out, "deltas vs %s:\n", baselinePath)
-		for _, line := range benchrun.Deltas(rep, base) {
-			fmt.Fprintf(out, "  %s\n", line)
-		}
-		if err := benchrun.Compare(rep, base, 2); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "no regression vs %s (2x gate)\n", baselinePath)
-	}
-	return nil
 }
 
 // certifyOutcome turns a rejected certificate into the command's error so

@@ -1,27 +1,13 @@
 package main
 
 import (
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 const testdata = "../../examples/testdata/"
-
-// TestBenchOutPath pins the tier-dependent report-file convention.
-func TestBenchOutPath(t *testing.T) {
-	cases := []struct{ tier, explicit, want string }{
-		{"small", "", "BENCH_sched.json"},
-		{"full", "", "BENCH_sched.json"},
-		{"certify", "", "BENCH_certify.json"},
-		{"certify", "custom.json", "custom.json"},
-		{"full", "custom.json", "custom.json"},
-	}
-	for _, c := range cases {
-		if got := benchOutPath(c.tier, c.explicit); got != c.want {
-			t.Errorf("benchOutPath(%q, %q) = %q, want %q", c.tier, c.explicit, got, c.want)
-		}
-	}
-}
 
 func TestDemoFT1(t *testing.T) {
 	var out strings.Builder
@@ -208,5 +194,24 @@ func TestCertifyFlagKeepsJSONStreamClean(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "certification") {
 		t.Errorf("certification report corrupts the JSON stream:\n%s", out.String())
+	}
+}
+
+// TestNegativeSeedsExits runs the built command: a negative -seeds is a
+// one-line error on stderr and exit status 1, not a crash.
+func TestNegativeSeedsExits(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ftsched")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ftsched: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-demo", "-seeds", "-1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 1 {
+		t.Fatalf("exit code %d (%v), want 1\nstderr: %s", code, err, stderr.String())
+	}
+	if want := "ftsched: core: negative seeds (-1)\n"; stderr.String() != want || stdout.Len() != 0 {
+		t.Errorf("stdout %q, stderr %q; want no output and stderr %q", stdout.String(), stderr.String(), want)
 	}
 }

@@ -77,15 +77,9 @@ func TestFlagComboErrors(t *testing.T) {
 		args []string
 		frag string // expected fragment of the usage error
 	}{
-		{[]string{"-bench", "small", "-trace", "x.json"}, "contradicts -bench"},
-		{[]string{"-bench", "small", "-stats"}, "contradicts -bench"},
-		{[]string{"-bench", "small", "-demo"}, "contradicts -bench"},
-		{[]string{"-bench", "small", "-heuristic", "ft2"}, "contradicts -bench"},
-		{[]string{"-bench", "small", "-k", "2"}, "contradicts -bench"},
-		{[]string{"-bench-out", "x.json"}, "requires -bench"},
-		{[]string{"-bench-baseline", "x.json"}, "requires -bench"},
-		{[]string{"-certify-workers", "4"}, "requires -certify or -bench"},
-		{[]string{"-demo", "-certify-workers", "4"}, "requires -certify or -bench"},
+		{[]string{"-bench", "small"}, "flag provided but not defined: -bench"},
+		{[]string{"-certify-workers", "4"}, "requires -certify"},
+		{[]string{"-demo", "-certify-workers", "4"}, "requires -certify"},
 		{[]string{"-demo", "-graph", "g.json"}, "contradicts -demo"},
 		{[]string{"-demo", "-stats", "-format", "json"}, "corrupt"},
 		{[]string{"-demo", "-stats", "-format", "svg"}, "corrupt"},

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -127,5 +129,24 @@ func TestErrors(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+}
+
+// TestNegativeSeedsExits runs the built command: a negative -seeds is a
+// one-line error on stderr and exit status 1, not a crash.
+func TestNegativeSeedsExits(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ftsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ftsim: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-demo", "-seeds", "-1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 1 {
+		t.Fatalf("exit code %d (%v), want 1\nstderr: %s", code, err, stderr.String())
+	}
+	if want := "ftsim: core: negative seeds (-1)\n"; stderr.String() != want || stdout.Len() != 0 {
+		t.Errorf("stdout %q, stderr %q; want no output and stderr %q", stdout.String(), stderr.String(), want)
 	}
 }

@@ -126,7 +126,6 @@ var CriticalPackages = map[string]bool{
 	"core":     true,
 	"sched":    true,
 	"certify":  true,
-	"benchrun": true,
 	"sim":      true,
 	"campaign": true,
 	"serve":    true,

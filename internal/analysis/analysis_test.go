@@ -141,14 +141,13 @@ func TestCheckSkipsTestFiles(t *testing.T) {
 
 func TestIsCriticalPackage(t *testing.T) {
 	cases := map[string]bool{
-		"ftsched/internal/core":     true,
-		"ftsched/internal/sched":    true,
-		"ftsched/internal/certify":  true,
-		"ftsched/internal/benchrun": true,
-		"core":                      true,
-		"ftsched/internal/obs":      false,
-		"ftsched/internal/corex":    false,
-		"sched/util":                false,
+		"ftsched/internal/core":    true,
+		"ftsched/internal/sched":   true,
+		"ftsched/internal/certify": true,
+		"core":                     true,
+		"ftsched/internal/obs":     false,
+		"ftsched/internal/corex":   false,
+		"sched/util":               false,
 	}
 	for path, want := range cases {
 		if got := IsCriticalPackage(path); got != want {

@@ -208,6 +208,10 @@ func (a *Architecture) LinkID(name string) int32 {
 	return -1
 }
 
+// LinkName returns the name of the link with the given ID, the inverse of
+// LinkID. It panics if id is not in [0, NumLinks()).
+func (a *Architecture) LinkName(id int32) string { return a.linkOrder[id] }
+
 // Processors returns all processors in insertion order.
 func (a *Architecture) Processors() []*Processor {
 	out := make([]*Processor, 0, len(a.procOrder))

@@ -307,6 +307,11 @@ func TestLinksOfAndAccessors(t *testing.T) {
 	if got := a.LinkNames(); !reflect.DeepEqual(got, []string{"L12", "L23"}) {
 		t.Errorf("LinkNames = %v", got)
 	}
+	for _, name := range a.LinkNames() {
+		if got := a.LinkName(a.LinkID(name)); got != name {
+			t.Errorf("LinkName(LinkID(%q)) = %q", name, got)
+		}
+	}
 }
 
 func TestClone(t *testing.T) {

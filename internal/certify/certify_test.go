@@ -1,6 +1,8 @@
 package certify_test
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"ftsched/internal/core"
 	"ftsched/internal/paperex"
 	"ftsched/internal/sched"
+	"ftsched/internal/workload"
 )
 
 func TestCertifyFT1BusPaperExample(t *testing.T) {
@@ -170,4 +173,49 @@ func TestCertifiedReportMentionsBounds(t *testing.T) {
 func timeNear(a, b float64) bool {
 	d := a - b
 	return d < 1e-6 && d > -1e-6
+}
+
+// TestCertifyAllocs pins the allocation count of one sequential
+// certification across frontier sizes (K=1..3, up to C(12,3) = 220
+// patterns) on bus and full-mesh schedules, at 1.25 times the count
+// recorded at d19295c. Unlike a time bound it does not depend on the host.
+func TestCertifyAllocs(t *testing.T) {
+	for _, c := range []struct {
+		h          core.Heuristic
+		bus        bool
+		ops, procs int
+		k          int
+		patterns   int
+		recorded   float64
+	}{
+		{core.FT1, true, 100, 8, 1, 8, 496},
+		{core.FT1, true, 100, 16, 2, 120, 3125},
+		{core.FT1, false, 100, 16, 2, 120, 3611},
+		{core.FT1, true, 60, 12, 3, 220, 5362},
+		{core.FT2, false, 60, 8, 2, 28, 732},
+	} {
+		name := fmt.Sprintf("%v/bus=%v/%dx%d/k%d", c.h, c.bus, c.ops, c.procs, c.k)
+		in, err := workload.RandomInstance(rand.New(rand.NewSource(int64(c.ops*100+c.procs))), c.ops, c.procs, c.bus, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Schedule(c.h, in.Graph, in.Arch, in.Spec, c.k, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var v *certify.Verdict
+		allocs := testing.AllocsPerRun(3, func() {
+			if v, err = certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, c.k, certify.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !v.Certified || v.PatternsChecked != c.patterns {
+			t.Errorf("%s: certified %v with %d patterns, want certified with %d", name, v.Certified, v.PatternsChecked, c.patterns)
+		}
+		limit := 1.25 * c.recorded
+		t.Logf("%s: %.0f allocs (limit %.0f)", name, allocs, limit)
+		if allocs > limit {
+			t.Errorf("%s: CertifyWith made %.0f allocations, pinned at %.0f", name, allocs, limit)
+		}
+	}
 }

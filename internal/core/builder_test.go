@@ -429,3 +429,49 @@ func TestNewBuilderAllocs(t *testing.T) {
 		t.Errorf("newBuilder made %.0f allocations, pinned at %d", allocs, limit)
 	}
 }
+
+// scheduleAllocs is the allocation count of one serial Schedule on each
+// 100-op random instance of TestScheduleAllocs, as recorded at d19295c.
+var scheduleAllocs = map[string]float64{
+	"4/bus/basic": 1008, "4/bus/ft1": 1504, "4/bus/ft2": 1592,
+	"4/mesh/basic": 1135, "4/mesh/ft1": 1802, "4/mesh/ft2": 1826,
+	"8/bus/basic": 1157, "8/bus/ft1": 1772, "8/bus/ft2": 1992,
+	"8/mesh/basic": 1614, "8/mesh/ft1": 2784, "8/mesh/ft2": 2871,
+}
+
+// TestScheduleAllocs pins the allocation count of a whole serial Schedule
+// at 1.25 times the recorded count: 100 ops (seed ops*100+procs, CCR 0.8)
+// on 4 and 8 processors, bus and full mesh, Basic K=0 and FT1/FT2 K=1.
+// Unlike a time bound it does not depend on the host.
+func TestScheduleAllocs(t *testing.T) {
+	const ops = 100
+	for _, procs := range []int{4, 8} {
+		for _, bus := range []bool{true, false} {
+			in, err := workload.RandomInstance(rand.New(rand.NewSource(int64(ops*100+procs))), ops, procs, bus, 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			family := "mesh"
+			if bus {
+				family = "bus"
+			}
+			for _, h := range []Heuristic{Basic, FT1, FT2} {
+				k := 1
+				if h == Basic {
+					k = 0
+				}
+				allocs := testing.AllocsPerRun(3, func() {
+					if _, err := Schedule(h, in.Graph, in.Arch, in.Spec, k, Options{Workers: 1}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				name := fmt.Sprintf("%d/%s/%v", procs, family, h)
+				limit := 1.25 * scheduleAllocs[name]
+				t.Logf("%s: %.0f allocs (limit %.0f)", name, allocs, limit)
+				if allocs > limit {
+					t.Errorf("%s: Schedule made %.0f allocations, pinned at %.0f", name, allocs, limit)
+				}
+			}
+		}
+	}
+}

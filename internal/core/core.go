@@ -247,6 +247,9 @@ func Schedule(h Heuristic, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, 
 // with the shortest makespan. Deterministic for fixed seeds count. A
 // deadline in opts only fails the search if no run meets it.
 func ScheduleTuned(h Heuristic, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, k, seeds int, opts Options) (*Result, error) {
+	if seeds < 0 {
+		return nil, fmt.Errorf("core: negative seeds (%d)", seeds)
+	}
 	deadline := opts.Deadline
 	opts.Deadline = 0
 	var best *Result

@@ -216,6 +216,19 @@ func TestNegativeK(t *testing.T) {
 	}
 }
 
+func TestNegativeSeeds(t *testing.T) {
+	in := paperex.BusInstance()
+	for _, opts := range []Options{{}, {Deadline: 100}} {
+		r, err := ScheduleTuned(FT1, in.Graph, in.Arch, in.Spec, 1, -1, opts)
+		if err == nil || r != nil {
+			t.Fatalf("deadline %g: ScheduleTuned with seeds -1 = (%v, %v), want an error", opts.Deadline, r, err)
+		}
+		if want := "core: negative seeds (-1)"; err.Error() != want {
+			t.Errorf("error %q, want %q", err, want)
+		}
+	}
+}
+
 func TestKZeroFTEquivalentStructure(t *testing.T) {
 	in := paperex.BusInstance()
 	for _, h := range []Heuristic{FT1, FT2} {

@@ -313,9 +313,9 @@ func Simulate(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.
 }
 
 // SimulateLegacy executes the schedule under the scenario with the original
-// string-keyed single-scenario engine. It is retained as the reference
-// implementation for differential tests and benchmarks (the compiled path
-// must stay reflect.DeepEqual to it); new callers should use Simulate.
+// string-keyed single-scenario engine. It is a test reference only: the
+// differential tests require the compiled path to stay reflect.DeepEqual to
+// it, and no command or benchmark runs it. Callers use Simulate.
 func SimulateLegacy(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, sc Scenario, cfg Config) (*Result, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1

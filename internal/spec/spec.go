@@ -296,8 +296,8 @@ func (s *Spec) SetCommUniform(a *arch.Architecture, e graph.EdgeKey, d float64) 
 	if a.NumLinks() == 0 {
 		return errors.New("spec: architecture has no links")
 	}
-	for _, l := range a.LinkNames() {
-		if err := s.SetComm(e, l, d); err != nil {
+	for id := range int32(a.NumLinks()) {
+		if err := s.SetComm(e, a.LinkName(id), d); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -246,6 +247,45 @@ func TestSetCommUniform(t *testing.T) {
 	}
 	if err := s.SetCommUniform(arch.New("empty"), e, 1); err == nil {
 		t.Error("no-links architecture must error")
+	}
+}
+
+// TestSetCommUniformReassignAllocs pins re-assigning existing edges on a
+// 28-link full mesh at zero allocations: SetCommUniform walks the
+// architecture's links without copying their names.
+func TestSetCommUniformReassignAllocs(t *testing.T) {
+	a := arch.New("mesh8")
+	for i := 0; i < 8; i++ {
+		if err := a.AddProcessor("P" + strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < i; j++ {
+			if err := a.AddLink("L"+strconv.Itoa(j)+strconv.Itoa(i), "P"+strconv.Itoa(j), "P"+strconv.Itoa(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := New()
+	edges := []graph.EdgeKey{edge("A", "B"), edge("B", "C")}
+	for _, e := range edges {
+		if err := s.SetCommUniform(a, e, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := 1.0
+	allocs := testing.AllocsPerRun(20, func() {
+		d += 0.5
+		for _, e := range edges {
+			if err := s.SetCommUniform(a, e, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-assigning %d edges on %d links made %.0f allocations, want 0", len(edges), a.NumLinks(), allocs)
+	}
+	if got, err := s.Comm(edges[1], a.LinkName(27)); err != nil || got != d {
+		t.Errorf("Comm(%s, %s) = %v, %v; want %v", edges[1], a.LinkName(27), got, err, d)
 	}
 }
 
