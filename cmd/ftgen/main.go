@@ -42,16 +42,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var h core.Heuristic
-	switch *heuristic {
-	case "basic":
-		h = core.Basic
-	case "ft1":
-		h = core.FT1
-	case "ft2":
-		h = core.FT2
-	default:
-		return fmt.Errorf("unknown heuristic %q", *heuristic)
+	h, err := core.ParseHeuristic(*heuristic)
+	if err != nil {
+		return err
 	}
 	var (
 		g  *graph.Graph

@@ -99,16 +99,9 @@ func run(args []string, out io.Writer) error {
 		sink = obs.NewSink()
 	}
 
-	var h core.Heuristic
-	switch *heuristic {
-	case "basic":
-		h = core.Basic
-	case "ft1":
-		h = core.FT1
-	case "ft2":
-		h = core.FT2
-	default:
-		return fmt.Errorf("unknown heuristic %q (want basic, ft1, or ft2)", *heuristic)
+	h, err := core.ParseHeuristic(*heuristic)
+	if err != nil {
+		return err
 	}
 
 	var (

@@ -132,16 +132,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-campaign/-replay cannot be combined with -fail or -worstcase")
 	}
 
-	var h core.Heuristic
-	switch *heuristic {
-	case "basic":
-		h = core.Basic
-	case "ft1":
-		h = core.FT1
-	case "ft2":
-		h = core.FT2
-	default:
-		return fmt.Errorf("unknown heuristic %q", *heuristic)
+	h, err := core.ParseHeuristic(*heuristic)
+	if err != nil {
+		return err
 	}
 
 	var (

@@ -331,7 +331,7 @@ type Counterexample = certify.Counterexample
 // accumulated phase timers, and span events for the Chrome-trace exporter. A
 // nil *ObsSink is a valid disabled sink — every instrumented code path costs
 // one nil check and produces no data. Set it as Options.Obs (scheduler),
-// SimConfig.Obs (simulator), or pass it to CertifyObs.
+// SimConfig.Obs (simulator), or CertifyOptions.Obs (certifier).
 type ObsSink = obs.Sink
 
 // NewObsSink returns an empty, enabled observability sink.
@@ -365,18 +365,8 @@ func Certify(res *Result, g *Graph, a *Architecture, sp *Spec, k int) (*Certific
 	return certify.Certify(res.Schedule, g, a, sp, k)
 }
 
-// CertifyObs is Certify with an observability sink recording the frontier
-// patterns checked, patterns implied by monotonicity, availability
-// evaluations, and fixpoint rounds. A nil sink makes it identical to Certify.
-func CertifyObs(res *Result, g *Graph, a *Architecture, sp *Spec, k int, sink *ObsSink) (*Certification, error) {
-	if res == nil {
-		return nil, errors.New("ftsched: nil scheduling result")
-	}
-	return certify.CertifyObs(res.Schedule, g, a, sp, k, sink)
-}
-
 // CertifyOptions tunes the certification engine: the worker-pool bound, the
-// reference full-fixpoint evaluation path, and the observability sink. Every
+// observability sink, and the cancellation flag. Every
 // option combination produces a bit-identical Certification; the knobs only
 // trade wall-clock time for resources.
 type CertifyOptions = certify.Options

@@ -33,30 +33,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// bannedCalls maps package path → function → what the diagnostic says.
-var bannedCalls = map[string]map[string]string{
-	"time": {
-		"Now":   "wall-clock read",
-		"Since": "wall-clock read",
-		"Until": "wall-clock read",
-	},
-	"os": {
-		"Getenv":    "environment read",
-		"LookupEnv": "environment read",
-		"Environ":   "environment read",
-	},
-}
-
-// randConstructors are the math/rand package-level functions that build
-// explicit sources instead of consulting the global one.
-var randConstructors = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true,
-	"NewChaCha8": true,
-}
-
 func run(pass *analysis.Pass) error {
 	if !analysis.IsCriticalPackage(pass.Pkg.Path()) {
 		return nil
@@ -127,14 +103,12 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	pkg, name := fn.Pkg().Path(), fn.Name()
-	if kinds, ok := bannedCalls[pkg]; ok {
-		if kind, ok := kinds[name]; ok {
-			pass.Reportf(call.Pos(), "%s %s.%s in a determinism-critical package: the schedule must be a pure function of its inputs; thread explicit state through Options or annotate with //ftlint:allow-nondet <why>",
-				kind, pkg, name)
-		}
+	if kind, ok := summary.NondetCall(pkg, name); ok {
+		pass.Reportf(call.Pos(), "%s %s.%s in a determinism-critical package: the schedule must be a pure function of its inputs; thread explicit state through Options or annotate with //ftlint:allow-nondet <why>",
+			kind, pkg, name)
 		return
 	}
-	if (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name] {
+	if summary.GlobalRand(pkg, name) {
 		pass.Reportf(call.Pos(), "global %s.%s consults the process-wide random source; use a seeded *rand.Rand threaded through Options, or annotate with //ftlint:allow-nondet <why>",
 			pkg, name)
 	}

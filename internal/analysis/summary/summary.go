@@ -63,7 +63,7 @@ type Alloc struct {
 
 // Nondet is one nondeterminism source visible from the function.
 type Nondet struct {
-	Site string   `json:"site"` // "loadgen.go:12: wall-clock read time.Now"
+	Site string   `json:"site"` // "runner.go:12: wall-clock read time.Now"
 	Path []string `json:"path,omitempty"`
 
 	Pos        token.Pos `json:"-"`
@@ -259,14 +259,14 @@ func (c *computer) scanCall(s *Summary, n *callgraph.Node, sig *types.Signature,
 		return
 	}
 	pkg, name := fn.Pkg().Path(), fn.Name()
-	if what, ok := nondetCalls[pkg+"."+name]; ok {
+	if what, ok := NondetCall(pkg, name); ok {
 		s.Nondet = addNondet(s.Nondet, Nondet{
 			Site:       c.site(call.Pos(), what+" "+pkg+"."+name),
 			Pos:        call.Pos(),
 			Suppressed: c.suppressedBy("allow-nondet", call.Pos()),
 		})
 	}
-	if (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name] {
+	if GlobalRand(pkg, name) {
 		s.Nondet = addNondet(s.Nondet, Nondet{
 			Site:       c.site(call.Pos(), "global random source "+pkg+"."+name),
 			Pos:        call.Pos(),
@@ -768,7 +768,9 @@ func isAtomicBoolLoad(info *types.Info, call *ast.CallExpr) bool {
 	return obj.Name() == "Bool" && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
-// nondetCalls lists banned package-level calls, mirroring the nondet pass.
+// nondetCalls lists the banned package-level calls that read the wall
+// clock or the environment, with what each reads. The nondet pass and the
+// summaries' Nondet facts share it through NondetCall.
 var nondetCalls = map[string]string{
 	"time.Now":     "wall-clock read",
 	"time.Since":   "wall-clock read",
@@ -778,8 +780,24 @@ var nondetCalls = map[string]string{
 	"os.Environ":   "environment read",
 }
 
+// randConstructors are the math/rand package-level functions that build
+// explicit sources instead of consulting the global one.
 var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
+}
+
+// NondetCall reports whether the package-level function pkg.name reads the
+// wall clock or the environment, and which of the two it reads.
+func NondetCall(pkg, name string) (what string, ok bool) {
+	what, ok = nondetCalls[pkg+"."+name]
+	return what, ok
+}
+
+// GlobalRand reports whether the package-level function pkg.name consults
+// the process-wide math/rand source: any math/rand function but the
+// constructors of explicit sources.
+func GlobalRand(pkg, name string) bool {
+	return (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name]
 }
 
 // errorValued reports whether the signature returns exactly one value that

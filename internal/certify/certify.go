@@ -84,10 +84,9 @@ type Counterexample struct {
 	Path []string
 }
 
-// Options tunes how a certificate is computed. The zero value is the
-// default engine: incremental cone-based evaluation, sequential frontier.
-// Every option combination produces a bit-identical Verdict; the knobs only
-// trade wall-clock time for resources.
+// Options tunes how a certificate is computed. The zero value evaluates the
+// frontier sequentially. Every option combination produces a bit-identical
+// Verdict; the knobs only trade wall-clock time for resources.
 type Options struct {
 	// Workers bounds the worker pool streaming frontier patterns through
 	// the evaluator. Values <= 1 evaluate sequentially. Workers only read
@@ -95,14 +94,9 @@ type Options struct {
 	// the verdict (including WorstPattern and the counterexample) is
 	// identical to the sequential engine.
 	Workers int
-	// Full forces the reference full-fixpoint evaluation for every pattern
-	// instead of the incremental cone-based path. The verdict is identical
-	// either way; the flag exists for differential testing and as an
-	// escape hatch.
-	Full bool
 	// Obs is an optional observability sink recording pattern enumeration
-	// and pruning counts, cone sizes, cache hit rates, fixpoint rounds, and
-	// per-phase spans. Nil disables collection.
+	// and pruning counts, evaluation counts, cone sizes, fixpoint rounds,
+	// and per-phase spans. Nil disables collection.
 	Obs *obs.Sink
 	// Cancel, when non-nil, is a cooperative cancellation flag: the
 	// frontier enumeration polls it between patterns and aborts with
@@ -124,14 +118,6 @@ func (o Options) canceled() bool {
 // certificate will then normally fail, with a counterexample).
 func Certify(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, k int) (*Verdict, error) {
 	return CertifyWith(s, g, a, sp, k, Options{})
-}
-
-// CertifyObs is Certify with an observability sink: pattern enumeration and
-// pruning counts, fixpoint iterations, and per-phase spans are recorded on
-// sink (which may be nil, disabling collection). The verdict is identical
-// either way.
-func CertifyObs(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, k int, sink *obs.Sink) (*Verdict, error) {
-	return CertifyWith(s, g, a, sp, k, Options{Obs: sink})
 }
 
 // CertifyWith is Certify with explicit engine options.
@@ -185,14 +171,12 @@ func CertifyWith(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *sp
 	v.FailureFreeBound = ff.resp
 	v.WorstBound = ff.resp
 	v.WorstSteadyBound = ff.resp
-	if !opts.Full {
-		// Arm the incremental engine: cache the failure-free fixpoint and
-		// build the per-processor impact cones every pattern evaluation
-		// re-propagates from.
-		coneSpan := sink.StartSpan("certify", "cones")
-		m.prepareIncremental(ff)
-		coneSpan.End()
-	}
+	// Arm the incremental engine: keep the failure-free fixpoint and build
+	// the per-processor impact cones every pattern evaluation re-propagates
+	// from.
+	coneSpan := sink.StartSpan("certify", "cones")
+	m.prepareIncremental(ff)
+	coneSpan.End()
 
 	size := k
 	if size > v.Procs {
@@ -230,10 +214,10 @@ type patternResult struct {
 // checkPattern evaluates one frontier pattern: the transient bound, and for
 // FT1 the steady-state bound with the failures detected.
 func (m *model) checkPattern(idx int, sub []int32) patternResult {
-	o := m.evalOutcome(sub, false)
-	pr := patternResult{idx: idx, sub: sub, completed: o.completed, resp: o.resp, steady: o.resp}
-	if o.completed && m.c.Mode == sched.ModeFT1 {
-		pr.steady = m.evalOutcome(sub, true).resp
+	r := m.evalIncr(sub, false)
+	pr := patternResult{idx: idx, sub: sub, completed: r.completed, resp: r.resp, steady: r.resp}
+	if r.completed && m.c.Mode == sched.ModeFT1 {
+		pr.steady = m.evalIncr(sub, true).resp
 	}
 	return pr
 }
@@ -287,8 +271,8 @@ func (m *model) frontier(v *Verdict, size int, opts Options) ([]int32, error) {
 // shrink greedily reduces a failing pattern to a minimal one: it keeps
 // removing any processor whose removal still loses an output, until every
 // remaining processor is necessary. Each round tries the members in name
-// order. The heavily overlapping subsets it probes mostly hit the canonical
-// eval cache.
+// order. A frontier pattern has at most K members, so shrinking evaluates
+// at most K(K+1) sets, each smaller than the pattern.
 func (m *model) shrink(failed []int32) []int32 {
 	set := append([]int32(nil), failed...)
 	for changed := true; changed; { //ftlint:allow-nopoll bounded: every round that continues removes a processor from the set, so rounds <= |pattern|+1
@@ -300,7 +284,7 @@ func (m *model) shrink(failed []int32) []int32 {
 					without = append(without, q)
 				}
 			}
-			if !m.evalOutcome(without, false).completed {
+			if !m.evalIncr(without, false).completed {
 				set = without
 				changed = true
 			}

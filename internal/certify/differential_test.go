@@ -11,50 +11,40 @@ import (
 	"ftsched/internal/workload"
 )
 
-// engineVariants is the option matrix the differential tests sweep: the
-// reference full-fixpoint sequential engine, the incremental cone-based
-// engine, and both under a worker pool. Every variant must produce a
-// bit-identical Verdict — that is the contract Options documents.
-var engineVariants = []struct {
-	name string
-	opts certify.Options
-}{
-	{"full-seq", certify.Options{Full: true}},
-	{"incr-seq", certify.Options{}},
-	{"full-w4", certify.Options{Full: true, Workers: 4}},
-	{"incr-w4", certify.Options{Workers: 4}},
-	{"incr-w2", certify.Options{Workers: 2}},
-}
+// workerCounts is the pool matrix the differential tests sweep: the
+// sequential frontier and two pool sizes. Every count must produce a verdict
+// deeply equal to the test-only reference, which evaluates every failure
+// set from scratch — that is the contract Options documents.
+var workerCounts = []int{1, 2, 4}
 
-// assertVariantsAgree certifies one schedule under every engine variant and
-// fails unless all verdicts — including WorstPattern, the steady bound, and
-// the shrunk counterexample — are deeply equal to the reference.
-func assertVariantsAgree(t *testing.T, label string, in *workload.Instance, res *core.Result, k int) *certify.Verdict {
+// assertMatchesReference certifies one schedule at every worker count and
+// fails unless each verdict — including WorstPattern, the steady bound, and
+// the shrunk counterexample — is deeply equal to the reference.
+func assertMatchesReference(t *testing.T, label string, in *workload.Instance, res *core.Result, k int) *certify.Verdict {
 	t.Helper()
-	var ref *certify.Verdict
-	for _, variant := range engineVariants {
-		v, err := certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, k, variant.opts)
+	ref, err := certify.RefCertify(res.Schedule, in.Graph, in.Arch, in.Spec, k)
+	if err != nil {
+		t.Fatalf("%s: RefCertify: %v", label, err)
+	}
+	for _, w := range workerCounts {
+		v, err := certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, k, certify.Options{Workers: w})
 		if err != nil {
-			t.Fatalf("%s: CertifyWith(%s): %v", label, variant.name, err)
-		}
-		if ref == nil {
-			ref = v
-			continue
+			t.Fatalf("%s: CertifyWith(workers=%d): %v", label, w, err)
 		}
 		if !reflect.DeepEqual(v, ref) {
-			t.Errorf("%s: %s verdict diverged from %s:\n got %+v\nwant %+v",
-				label, variant.name, engineVariants[0].name, v, ref)
+			t.Errorf("%s: workers=%d verdict diverged from the reference:\n got %+v\nwant %+v",
+				label, w, v, ref)
 		}
 	}
 	return ref
 }
 
 // TestCertifyDifferential sweeps random bus and point-to-point workloads
-// through every engine variant. Both certification outcomes must be
+// through every worker count. Both certification outcomes must be
 // exercised: accepted schedules pin WorstBound/WorstPattern equality, and
 // rejected ones (certifying beyond the schedule's K) pin that the parallel
-// merge and the shared eval cache still shrink the exact same minimal
-// counterexample as the sequential reference.
+// merge and the incremental shrink reach the exact same minimal
+// counterexample as the reference.
 func TestCertifyDifferential(t *testing.T) {
 	accepted, rejected := 0, 0
 	for seed := int64(1); seed <= 5; seed++ {
@@ -74,7 +64,7 @@ func TestCertifyDifferential(t *testing.T) {
 			}
 			for k := 1; k <= 2; k++ {
 				label := fmt.Sprintf("seed=%d bus=%v k=%d", seed, bus, k)
-				v := assertVariantsAgree(t, label, in, res, k)
+				v := assertMatchesReference(t, label, in, res, k)
 				if v.Certified {
 					accepted++
 				} else {
@@ -105,13 +95,13 @@ func TestCertifyDifferentialWideFrontier(t *testing.T) {
 		t.Skipf("draw infeasible at K=2: %v", err)
 	}
 	for k := 2; k <= 3; k++ {
-		assertVariantsAgree(t, fmt.Sprintf("wide k=%d", k), in, res, k)
+		assertMatchesReference(t, fmt.Sprintf("wide k=%d", k), in, res, k)
 	}
 }
 
 // FuzzCertifyDifferential fuzzes the engine equivalence: any instance shape
 // the generator accepts must produce deeply equal verdicts from the
-// sequential full engine and the parallel incremental one.
+// reference and the pooled engine.
 func FuzzCertifyDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(3), true, uint8(1))
 	f.Add(int64(2), uint8(14), uint8(4), false, uint8(2))
@@ -129,16 +119,16 @@ func FuzzCertifyDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		ref, err := certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, tol, certify.Options{Full: true})
+		ref, err := certify.RefCertify(res.Schedule, in.Graph, in.Arch, in.Spec, tol)
 		if err != nil {
-			t.Fatalf("CertifyWith(full-seq): %v", err)
+			t.Fatalf("RefCertify: %v", err)
 		}
 		got, err := certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, tol, certify.Options{Workers: 3})
 		if err != nil {
-			t.Fatalf("CertifyWith(incr-w3): %v", err)
+			t.Fatalf("CertifyWith(workers=3): %v", err)
 		}
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("incremental parallel verdict diverged:\n got %+v\nwant %+v", got, ref)
+			t.Errorf("pooled verdict diverged from the reference:\n got %+v\nwant %+v", got, ref)
 		}
 	})
 }

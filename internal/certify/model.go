@@ -2,7 +2,6 @@ package certify
 
 import (
 	"math"
-	"sync"
 
 	"ftsched/internal/obs"
 	"ftsched/internal/sched"
@@ -17,8 +16,6 @@ type instruments struct {
 	rounds    *obs.Counter // fixpoint iterations across all evaluations
 	evalsFull *obs.Counter // evaluations through the reference full fixpoint
 	evalsIncr *obs.Counter // evaluations through the incremental cone engine
-	cacheHits *obs.Counter // canonical eval-cache hits
-	cacheMiss *obs.Counter // canonical eval-cache misses
 	coneSlots *obs.Counter // dirty slot cells re-propagated by incremental evals
 	coneHops  *obs.Counter // dirty queue entries re-propagated by incremental evals
 	workers   *obs.Counter // pool workers engaged by parallel frontiers
@@ -35,8 +32,6 @@ func (in *instruments) resolve(s *obs.Sink) {
 	in.rounds = s.Counter("certify.fixpoint.rounds")
 	in.evalsFull = s.Counter("certify.evals.full")
 	in.evalsIncr = s.Counter("certify.evals.incremental")
-	in.cacheHits = s.Counter("certify.cache.hits")
-	in.cacheMiss = s.Counter("certify.cache.misses")
 	in.coneSlots = s.Counter("certify.cone.dirty.slots")
 	in.coneHops = s.Counter("certify.cone.dirty.hops")
 	in.workers = s.Counter("certify.pool.workers")
@@ -68,8 +63,7 @@ type cxfer struct {
 // evaluation. After prepareIncremental it also carries the failure-free
 // fixpoint, the per-processor impact cones, and the failure-free link-drain
 // dates the incremental engine seeds from; all of that is read-only during
-// the frontier, so pool workers share it without locks (the eval cache has
-// its own mutex).
+// the frontier, so pool workers share it without locks.
 type model struct {
 	c *sched.Compiled
 
@@ -90,9 +84,6 @@ type model struct {
 	ff        *run        // failure-free fixpoint (nil until prepareIncremental)
 	cones     []*cone     // pid -> impact cone
 	freeAfter [][]float64 // lid -> ff link-drain date entering each queue position
-
-	cacheMu sync.Mutex
-	cache   map[evalKey]outcome
 
 	obs *obs.Sink
 	ins instruments
@@ -143,7 +134,7 @@ func (t *csr) lists() [][]int32 {
 // evaluation over them — are reproducible.
 func newModel(c *sched.Compiled) *model {
 	P, L := len(c.ProcNames), len(c.LinkNames)
-	m := &model{c: c, cache: make(map[evalKey]outcome)}
+	m := &model{c: c}
 
 	// Deliveries observed by each (edge, receiver), in delivery order, and
 	// each delivery's consuming slots.
@@ -333,7 +324,7 @@ func (m *model) queue(lid int32) (lo, hi int32) {
 	return m.c.QueueStart[lid], m.c.QueueStart[lid+1]
 }
 
-// prepareIncremental arms the incremental engine: it caches the failure-free
+// prepareIncremental arms the incremental engine: it keeps the failure-free
 // fixpoint as the state every pattern evaluation is cloned from, precomputes
 // the per-position link-drain dates the partial queue relaxations seed with,
 // and builds the per-processor impact cones.
@@ -357,9 +348,6 @@ func (m *model) prepareIncremental(ff *run) {
 	for pid := range m.cones {
 		m.cones[pid] = m.buildCone(pid)
 	}
-	// The empty failure set is the baseline itself; seed the cache so the
-	// shrinker's final removals hit it.
-	m.cache[evalKey{}] = outcome{completed: ff.completed, resp: ff.resp}
 }
 
 // dateEq reports near-equality of propagated dates, treating two +Inf

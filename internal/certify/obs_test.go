@@ -1,6 +1,7 @@
 package certify_test
 
 import (
+	"reflect"
 	"testing"
 
 	"ftsched/internal/certify"
@@ -11,61 +12,79 @@ import (
 
 // TestCertifyObsCounters checks that an instrumented certification reaches
 // the same verdict as a plain one and that its counters agree with the
-// verdict's own pattern accounting.
+// verdict's own pattern accounting. On a certified schedule every frontier
+// pattern is evaluated once incrementally, plus once more with the failures
+// detected under FT1, and the failure-free baseline is the one full
+// evaluation.
 func TestCertifyObsCounters(t *testing.T) {
-	in := paperex.BusInstance()
-	res, err := core.ScheduleFT1(in.Graph, in.Arch, in.Spec, in.K, core.Options{})
-	if err != nil {
-		t.Fatalf("ScheduleFT1: %v", err)
-	}
-	plain, err := certify.Certify(res.Schedule, in.Graph, in.Arch, in.Spec, in.K)
-	if err != nil {
-		t.Fatalf("Certify: %v", err)
-	}
-	sink := obs.NewSink()
-	v, err := certify.CertifyObs(res.Schedule, in.Graph, in.Arch, in.Spec, in.K, sink)
-	if err != nil {
-		t.Fatalf("CertifyObs: %v", err)
-	}
-	if v.Certified != plain.Certified || v.PatternsChecked != plain.PatternsChecked ||
-		v.WorstBound != plain.WorstBound {
-		t.Errorf("instrumented verdict differs: %+v vs %+v", v, plain)
-	}
+	for _, c := range []struct {
+		name string
+		in   *paperex.Instance
+		h    core.Heuristic
+		per  int64 // incremental evaluations per frontier pattern
+	}{
+		{"ft1-bus", paperex.BusInstance(), core.FT1, 2},
+		{"ft2-triangle", paperex.TriangleInstance(), core.FT2, 1},
+	} {
+		in := c.in
+		res, err := core.Schedule(c.h, in.Graph, in.Arch, in.Spec, in.K, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: Schedule: %v", c.name, err)
+		}
+		plain, err := certify.Certify(res.Schedule, in.Graph, in.Arch, in.Spec, in.K)
+		if err != nil {
+			t.Fatalf("%s: Certify: %v", c.name, err)
+		}
+		sink := obs.NewSink()
+		v, err := certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, in.K, certify.Options{Obs: sink})
+		if err != nil {
+			t.Fatalf("%s: CertifyWith: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(v, plain) {
+			t.Errorf("%s: instrumented verdict differs: %+v vs %+v", c.name, v, plain)
+		}
+		if !v.Certified || in.K < 1 {
+			t.Fatalf("%s: want a certified K>=1 schedule, got K=%d:\n%s", c.name, in.K, v.Report())
+		}
 
-	snap := sink.Snapshot()
-	if snap["certify.patterns.checked"] != int64(v.PatternsChecked) {
-		t.Errorf("certify.patterns.checked = %d, verdict says %d",
-			snap["certify.patterns.checked"], v.PatternsChecked)
-	}
-	if snap["certify.patterns.implied"] != int64(v.PatternsImplied) {
-		t.Errorf("certify.patterns.implied = %d, verdict says %d",
-			snap["certify.patterns.implied"], v.PatternsImplied)
-	}
-	if snap["certify.evals"] == 0 || snap["certify.fixpoint.rounds"] == 0 {
-		t.Errorf("availability counters missing: %v", snap)
-	}
-	if snap["certify.evals.incremental"] == 0 || snap["certify.cache.misses"] == 0 {
-		t.Errorf("incremental-engine counters missing: %v", snap)
-	}
-	timers := sink.Timers()
-	for _, name := range []string{"index", "baseline", "cones", "frontier"} {
-		if timers[name].Count != 1 {
-			t.Errorf("phase %q: %d spans, want 1", name, timers[name].Count)
+		snap := sink.Snapshot()
+		if snap["certify.patterns.checked"] != int64(v.PatternsChecked) {
+			t.Errorf("%s: certify.patterns.checked = %d, verdict says %d",
+				c.name, snap["certify.patterns.checked"], v.PatternsChecked)
+		}
+		if snap["certify.patterns.implied"] != int64(v.PatternsImplied) {
+			t.Errorf("%s: certify.patterns.implied = %d, verdict says %d",
+				c.name, snap["certify.patterns.implied"], v.PatternsImplied)
+		}
+		if got, want := snap["certify.evals.incremental"], c.per*int64(v.PatternsChecked); got != want {
+			t.Errorf("%s: certify.evals.incremental = %d, want %d × %d patterns", c.name, got, c.per, v.PatternsChecked)
+		}
+		if got := snap["certify.evals.full"]; got != 1 {
+			t.Errorf("%s: certify.evals.full = %d, want 1 (the baseline)", c.name, got)
+		}
+		if snap["certify.evals"] != snap["certify.evals.incremental"]+1 || snap["certify.fixpoint.rounds"] == 0 {
+			t.Errorf("%s: availability counters off: %v", c.name, snap)
+		}
+		timers := sink.Timers()
+		for _, name := range []string{"index", "baseline", "cones", "frontier"} {
+			if timers[name].Count != 1 {
+				t.Errorf("%s: phase %q: %d spans, want 1", c.name, name, timers[name].Count)
+			}
 		}
 	}
 }
 
-// TestCertifyNilSink pins the delegation contract: Certify is CertifyObs
-// with a nil sink, and a nil sink never panics.
+// TestCertifyNilSink pins that a nil Options.Obs never panics, on the
+// pool's instrumented path too.
 func TestCertifyNilSink(t *testing.T) {
 	in := paperex.TriangleInstance()
 	res, err := core.ScheduleFT2(in.Graph, in.Arch, in.Spec, in.K, core.Options{})
 	if err != nil {
 		t.Fatalf("ScheduleFT2: %v", err)
 	}
-	v, err := certify.CertifyObs(res.Schedule, in.Graph, in.Arch, in.Spec, in.K, nil)
+	v, err := certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, in.K, certify.Options{Workers: 2})
 	if err != nil {
-		t.Fatalf("CertifyObs(nil sink): %v", err)
+		t.Fatalf("CertifyWith(nil sink): %v", err)
 	}
 	if !v.Certified {
 		t.Errorf("FT2 triangle schedule should certify:\n%s", v.Report())

@@ -12,8 +12,8 @@ import (
 // tie-breaks, and on failure the lexicographically smallest failing pattern
 // (the one the sequential engine would have stopped at) wins regardless of
 // which worker finishes first. Workers only read shared model state — the
-// cached fixpoint, the cones, the indexes — and synchronize solely through
-// the eval cache's mutex and the channels here.
+// failure-free fixpoint, the cones, the indexes — and synchronize solely
+// through the channels here.
 //
 // Cancellation is cooperative: once the in-order merge hits a failing
 // pattern it raises the stop flag; the producer stops feeding, and workers

@@ -227,6 +227,16 @@ func (h Heuristic) String() string {
 	}
 }
 
+// ParseHeuristic returns the heuristic with the given short name (String).
+func ParseHeuristic(name string) (Heuristic, error) {
+	for _, h := range []Heuristic{Basic, FT1, FT2} {
+		if h.String() == name {
+			return h, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown heuristic %q (want basic, ft1, or ft2)", name)
+}
+
 // Schedule dispatches to the heuristic h. K is ignored by Basic.
 func Schedule(h Heuristic, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, k int, opts Options) (*Result, error) {
 	switch h {

@@ -403,6 +403,18 @@ func TestHeuristicString(t *testing.T) {
 	}
 }
 
+func TestParseHeuristic(t *testing.T) {
+	for _, h := range []Heuristic{Basic, FT1, FT2} {
+		if got, err := ParseHeuristic(h.String()); err != nil || got != h {
+			t.Errorf("ParseHeuristic(%q) = %v, %v; want %v", h.String(), got, err, h)
+		}
+	}
+	_, err := ParseHeuristic("FT1")
+	if want := `unknown heuristic "FT1" (want basic, ft1, or ft2)`; err == nil || err.Error() != want {
+		t.Errorf("ParseHeuristic(FT1) error = %v, want %s", err, want)
+	}
+}
+
 func TestScheduleModesAreTagged(t *testing.T) {
 	in := paperex.BusInstance()
 	cases := []struct {

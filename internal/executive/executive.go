@@ -28,6 +28,7 @@ package executive
 
 import (
 	_ "embed"
+	"fmt"
 	"slices"
 
 	"ftsched/internal/graph"
@@ -44,6 +45,13 @@ func Run(s *sched.Schedule, g *graph.Graph, prog *Program, cfg Config) (*Result,
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 1
 	}
+	for _, p := range s.Procs() {
+		for _, sl := range s.ProcSlots(p) {
+			if g.OpID(sl.Op) < 0 {
+				return nil, fmt.Errorf("executive: schedule places operation %q, which the graph does not declare", sl.Op)
+			}
+		}
+	}
 	return NewTables(s, g).run(prog, cfg)
 }
 
@@ -52,21 +60,18 @@ func Run(s *sched.Schedule, g *graph.Graph, prog *Program, cfg Config) (*Result,
 // output extios, or its sinks when it has none.
 func NewTables(s *sched.Schedule, g *graph.Graph) *Tables {
 	t := &Tables{Procs: s.Procs(), Ops: g.OpNames(), Delayed: make([][]int, g.NumOps())}
-	opIdx := make(map[string]int, len(t.Ops))
-	for i, op := range t.Ops {
-		opIdx[op] = i
-	}
+	opIdx := func(name string) int { return int(g.OpID(name)) }
 	ops := func(names []string) []int {
 		out := make([]int, len(names))
 		for i, n := range names {
-			out[i] = opIdx[n]
+			out[i] = opIdx(n)
 		}
 		return out
 	}
 	for _, p := range t.Procs {
 		var seq []int
 		for _, sl := range s.ProcSlots(p) {
-			seq = append(seq, opIdx[sl.Op])
+			seq = append(seq, opIdx(sl.Op))
 		}
 		t.Seqs = append(t.Seqs, seq)
 	}
@@ -81,8 +86,8 @@ func NewTables(s *sched.Schedule, g *graph.Graph) *Tables {
 	}
 	for _, e := range g.Edges() {
 		if e.Delayed() {
-			dst := opIdx[e.Dst()]
-			t.Delayed[dst] = append(t.Delayed[dst], opIdx[e.Src()])
+			dst := opIdx(e.Dst())
+			t.Delayed[dst] = append(t.Delayed[dst], opIdx(e.Src()))
 		}
 	}
 	outs := g.Outputs()

@@ -3,6 +3,7 @@ package executive
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"ftsched/internal/core"
 	"ftsched/internal/graph"
 	"ftsched/internal/paperex"
+	"ftsched/internal/sched"
 	"ftsched/internal/spec"
 )
 
@@ -320,6 +322,13 @@ func TestRunValidation(t *testing.T) {
 		Bind("out", func(_ int, in map[string]Value) Value { return in["step"] })
 	if _, err := Run(rr.Schedule, g, noInit, Config{}); err == nil {
 		t.Error("missing mem init must error")
+	}
+	// A schedule for another graph: it places an operation this one lacks.
+	foreign := sched.New(sched.ModeBasic, 0)
+	foreign.AddOpSlot(sched.OpSlot{Op: "I", Proc: "P1", Start: 0, End: 1})
+	foreign.AddOpSlot(sched.OpSlot{Op: "Zed", Proc: "P1", Start: 1, End: 2})
+	if _, err := Run(foreign, in.Graph, prog, Config{}); err == nil || !strings.Contains(err.Error(), `"Zed"`) {
+		t.Errorf("operation unknown to the graph: err = %v, want one naming Zed", err)
 	}
 }
 

@@ -67,9 +67,6 @@ type Compiled struct {
 	// Outputs are the external outputs (the graph's sinks for headless
 	// workloads), the operations a complete iteration must produce.
 	Outputs []int32
-
-	procID map[string]int32
-	linkID map[string]int32
 }
 
 // Inst is one scheduled operation replica.
@@ -240,15 +237,6 @@ func index(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) *pa
 	p.indexInsts()
 	p.indexComms()
 	return p
-}
-
-// intern maps each name to its index.
-func intern(names []string) map[string]int32 {
-	id := make(map[string]int32, len(names))
-	for i, n := range names {
-		id[n] = int32(i)
-	}
-	return id
 }
 
 // fail records err as Compile's error unless an earlier one is recorded.
@@ -739,19 +727,5 @@ func (p *pass) flatten() error {
 		}
 		c.Outputs = append(c.Outputs, oid)
 	}
-	c.procID = intern(c.ProcNames)
-	c.linkID = intern(c.LinkNames)
 	return nil
-}
-
-// ProcID returns the ID of the named processor.
-func (c *Compiled) ProcID(name string) (int32, bool) {
-	id, ok := c.procID[name]
-	return id, ok
-}
-
-// LinkID returns the ID of the named link.
-func (c *Compiled) LinkID(name string) (int32, bool) {
-	id, ok := c.linkID[name]
-	return id, ok
 }

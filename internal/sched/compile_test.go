@@ -108,22 +108,6 @@ func TestCompileIDOrder(t *testing.T) {
 		t.Errorf("Receivers = %v, want [P1]", c.Receivers)
 	}
 
-	for name, want := range map[string]int32{"P2": 0, "P1": 1} {
-		if id, ok := c.ProcID(name); !ok || id != want {
-			t.Errorf("ProcID(%s) = %d, %v; want %d", name, id, ok, want)
-		}
-	}
-	for name, want := range map[string]int32{"L2": 0, "L1": 1} {
-		if id, ok := c.LinkID(name); !ok || id != want {
-			t.Errorf("LinkID(%s) = %d, %v; want %d", name, id, ok, want)
-		}
-	}
-	if _, ok := c.ProcID("P9"); ok {
-		t.Error("ProcID(P9) found an undeclared processor")
-	}
-	if _, ok := c.LinkID("L9"); ok {
-		t.Error("LinkID(L9) found an undeclared link")
-	}
 }
 
 func TestCompileReplicaOrder(t *testing.T) {

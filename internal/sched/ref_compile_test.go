@@ -25,8 +25,7 @@ func refCompile(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec
 		LinkNames: a.LinkNames(),
 		OpNames:   g.OpNames(),
 	}
-	c.procID = refIntern(c.ProcNames)
-	c.linkID = refIntern(c.LinkNames)
+	procID := refIntern(c.ProcNames)
 	opID := refIntern(c.OpNames)
 	edgeID := make(map[graph.EdgeKey]int32, g.NumEdges())
 	for _, e := range g.Edges() {
@@ -36,7 +35,7 @@ func refCompile(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec
 	nP := len(c.ProcNames)
 
 	for _, p := range s.Procs() {
-		if _, ok := c.procID[p]; !ok {
+		if _, ok := procID[p]; !ok {
 			return nil, fmt.Errorf("sched: schedule uses unknown processor %q", p)
 		}
 	}
@@ -71,7 +70,7 @@ func refCompile(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec
 	c.SeqStart[nP] = int32(len(c.Insts))
 	c.PredStart = append(c.PredStart, int32(len(c.Preds)))
 	c.refCompileReplicas()
-	if err := c.refCompileDeliveries(s, a, opID, edgeID); err != nil {
+	if err := c.refCompileDeliveries(s, a, procID, opID, edgeID); err != nil {
 		return nil, err
 	}
 
@@ -127,12 +126,13 @@ func (c *Compiled) refCompileReplicas() {
 
 // refCompileDeliveries flattens s.Deliveries and sorts every link's active hops
 // into its static communication order (SendsBefore).
-func (c *Compiled) refCompileDeliveries(s *Schedule, a *arch.Architecture, opID map[string]int32, edgeID map[graph.EdgeKey]int32) error {
+func (c *Compiled) refCompileDeliveries(s *Schedule, a *arch.Architecture, procID, opID map[string]int32, edgeID map[graph.EdgeKey]int32) error {
 	type staticHop struct {
 		entry QueueEntry
 		slot  *CommSlot
 	}
 	nP := len(c.ProcNames)
+	linkID := refIntern(c.LinkNames)
 	perLink := make([][]staticHop, len(c.LinkNames))
 	for _, d := range s.Deliveries() {
 		di := int32(len(c.Deliveries))
@@ -143,7 +143,7 @@ func (c *Compiled) refCompileDeliveries(s *Schedule, a *arch.Architecture, opID 
 		srcOp := opID[d.Edge.Src]
 		dl := DenseDelivery{Edge: eid, DstOp: opID[d.Edge.Dst], Chain: d.Chain, SendLo: int32(len(c.Senders))}
 		for _, sd := range d.Senders {
-			pid, ok := c.procID[sd.Proc]
+			pid, ok := procID[sd.Proc]
 			if !ok {
 				return fmt.Errorf("sched: sender on unknown processor %q", sd.Proc)
 			}
@@ -159,11 +159,11 @@ func (c *Compiled) refCompileDeliveries(s *Schedule, a *arch.Architecture, opID 
 				HopLo:    int32(len(c.Hops)),
 			}
 			for i, h := range sd.Hops {
-				lid, ok := c.linkID[h.Link]
+				lid, ok := linkID[h.Link]
 				if !ok {
 					return fmt.Errorf("sched: hop over unknown link %q", h.Link)
 				}
-				fid, ok := c.procID[h.From]
+				fid, ok := procID[h.From]
 				if !ok {
 					return fmt.Errorf("sched: hop from unknown processor %q", h.From)
 				}
@@ -182,7 +182,7 @@ func (c *Compiled) refCompileDeliveries(s *Schedule, a *arch.Architecture, opID 
 		dl.RcvLo = int32(len(c.Receivers))
 		// A broadcast's bus is known: its hops passed the link check above.
 		for _, p := range d.Receivers(a) {
-			pid, ok := c.procID[p]
+			pid, ok := procID[p]
 			if !ok {
 				return fmt.Errorf("sched: delivery to unknown processor %q", p)
 			}

@@ -16,7 +16,7 @@ import (
 // while any semantic difference — including operation declaration order,
 // which the schedulers' tie-breaking is sensitive to — changes them.
 //
-// Resource knobs (Workers, TimeoutMS, Full) are deliberately absent: the
+// Resource knobs (Workers, TimeoutMS) are deliberately absent: the
 // engines are bit-identical across them, so requests differing only there
 // share one cache entry.
 type canonicalEnvelope struct {

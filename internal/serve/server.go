@@ -704,7 +704,6 @@ func (s *Server) prepareCertify(body []byte) (*prepared, *httpError) {
 		s.ins.runCertify.Inc()
 		v, err := certify.CertifyWith(sch, p.g, p.a, p.sp, certK, certify.Options{
 			Workers: workers,
-			Full:    req.Full,
 			Obs:     s.sink,
 			Cancel:  flag,
 		})

@@ -295,6 +295,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"not json", "/v1/schedule", []byte("not json"), 400},
 		{"missing deadline", "/v1/schedule", busRequestJSON(t, func(m map[string]any) { m["deadline"] = 0.001 }), 422},
 		{"cli on certify", "/v1/certify?format=cli", busRequestJSON(t, nil), 400},
+		{"full on certify", "/v1/certify", busRequestJSON(t, func(m map[string]any) { m["full"] = true }), 400},
 		{"unknown format", "/v1/schedule?format=yaml", busRequestJSON(t, nil), 400},
 		{"empty batch", "/v1/schedule/batch", []byte(`{"requests":[]}`), 400},
 		{"spec off the arch", "/v1/schedule", busRequestJSON(t, twoProcs), 400},

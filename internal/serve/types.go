@@ -60,10 +60,6 @@ type CertifyRequest struct {
 	ScheduleRequest
 	// CertifyK is the tolerance level to certify against; defaults to K.
 	CertifyK *int `json:"certify_k,omitempty"`
-	// Full forces the reference full-fixpoint evaluation path. The verdict
-	// is identical either way, so the flag is excluded from the content
-	// hash.
-	Full bool `json:"full,omitempty"`
 }
 
 // SimulateRequest is the body of POST /v1/simulate: schedule the problem,
@@ -124,16 +120,9 @@ type problem struct {
 // decodeProblem validates and decodes the request's problem half, then
 // renders its canonical documents.
 func (r *ScheduleRequest) decodeProblem() (*problem, error) {
-	var h core.Heuristic
-	switch r.Heuristic {
-	case "basic":
-		h = core.Basic
-	case "ft1":
-		h = core.FT1
-	case "ft2":
-		h = core.FT2
-	default:
-		return nil, fmt.Errorf("unknown heuristic %q (want basic, ft1, or ft2)", r.Heuristic)
+	h, err := core.ParseHeuristic(r.Heuristic)
+	if err != nil {
+		return nil, err
 	}
 	if r.K < 0 {
 		return nil, fmt.Errorf("negative k (%d)", r.K)
@@ -154,7 +143,6 @@ func (r *ScheduleRequest) decodeProblem() (*problem, error) {
 	if err := p.sp.UnmarshalJSON(r.Spec); err != nil {
 		return nil, err
 	}
-	var err error
 	if p.graphJSON, err = p.g.MarshalJSON(); err != nil {
 		return nil, fmt.Errorf("canonicalize graph: %w", err)
 	}

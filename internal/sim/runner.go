@@ -118,12 +118,12 @@ func (r *Runner) Reset() {
 func (r *Runner) install(sc Scenario) {
 	r.Reset()
 	for _, f := range sc.Failures {
-		p, _ := r.m.c.ProcID(f.Proc)
+		p := r.m.a.ProcID(f.Proc)
 		r.hasFail[p] = true
 		r.fail[p] = f
 	}
 	for _, f := range sc.Links {
-		l, _ := r.m.c.LinkID(f.Link)
+		l := r.m.a.LinkID(f.Link)
 		r.hasLinkFail[l] = true
 		r.linkFail[l] = f
 	}
