@@ -42,7 +42,7 @@ type rootSpec struct {
 // table.
 var Roots = map[string][]rootSpec{
 	"core":     {{Name: "evaluateStep"}},
-	"pressure": {{Recv: "Dense", Name: "Sigma"}},
+	"pressure": {{Recv: "Table", Name: "Sigma"}},
 }
 
 func run(pass *analysis.Pass) error {

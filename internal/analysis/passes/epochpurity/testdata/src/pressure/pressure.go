@@ -1,5 +1,5 @@
 // Package pressure is the epochpurity fixture for receiver-constrained
-// roots: only Dense.Sigma is an evaluation-phase entry point, so the same
+// roots: only Table.Sigma is an evaluation-phase entry point, so the same
 // mutation under a Sparse receiver stays legal.
 package pressure
 
@@ -8,19 +8,19 @@ type table struct {
 	cells    []int
 }
 
-// Dense is the root-bearing receiver type.
-type Dense struct {
+// Table is the root-bearing receiver type.
+type Table struct {
 	tab table
 }
 
 // Sigma is the dense read path: reachable writes are violations.
-func (d *Dense) Sigma(i int) int {
-	d.warm(i)
-	return d.tab.cells[i]
+func (t *Table) Sigma(i int) int {
+	t.warm(i)
+	return t.tab.cells[i]
 }
 
-func (d *Dense) warm(i int) {
-	d.tab.cells[i] = 0 // want "evaluation path from \\(\\*Dense\\).Sigma reaches a mutation of epoch-guarded state: writes table.cells via \\(\\*Dense\\).warm"
+func (t *Table) warm(i int) {
+	t.tab.cells[i] = 0 // want "evaluation path from \\(\\*Table\\).Sigma reaches a mutation of epoch-guarded state: writes table.cells via \\(\\*Table\\).warm"
 }
 
 // Sparse carries no root: its Sigma may mutate freely.

@@ -42,7 +42,7 @@ var Roots = map[string][]rootSpec{
 		{Recv: "engine", Name: "nextAction"}, {Recv: "engine", Name: "execOp"},
 		{Recv: "Runner", Name: "runCompiled"}, {Recv: "Runner", Name: "Reset"},
 	},
-	"pressure": {{Recv: "Dense", Name: "Sigma"}},
+	"pressure": {{Recv: "Table", Name: "Sigma"}},
 }
 
 func run(pass *analysis.Pass) error {

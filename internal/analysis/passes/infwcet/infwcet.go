@@ -1,6 +1,7 @@
 // Package infwcet guards the ∞ sentinel of the Δ(op, proc) execution-time
-// table. spec.Exec returns spec.Inf (IEEE +Inf) for a forbidden placement,
-// and spec.AvgExec returns it for an unplaceable operation; raw arithmetic
+// table. spec.Exec and spec.View.Exec return spec.Inf (IEEE +Inf) for a
+// forbidden placement, and spec.AvgExec and spec.View.AvgExec return it
+// for an unplaceable operation; raw arithmetic
 // on such a value silently produces ±Inf or NaN (Inf − Inf), which then
 // mis-ranks every schedule-pressure candidate instead of failing loudly.
 //
@@ -8,7 +9,7 @@
 //
 //   - the sentinel itself (spec.Inf or a direct math.Inf call) used as an
 //     operand of +, -, *, / or an ordering comparison;
-//   - a possibly-∞ accessor call (Exec, AvgExec, OpCost) used directly as
+//   - a possibly-∞ accessor call (Exec, AvgExec) used directly as
 //     such an operand;
 //   - a variable assigned from a possibly-∞ accessor and later used in
 //     arithmetic at a point not dominated by a finiteness check (math.IsInf,
@@ -37,11 +38,15 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // possiblyInf reports whether the call's static callee may return the ∞
-// sentinel: the spec table accessors and their cost-function adapter.
+// sentinel: the spec table's name- and ID-keyed accessors.
 func possiblyInf(pass *analysis.Pass, call *ast.CallExpr) bool {
-	return analysis.IsMethodOn(pass.TypesInfo, call, "spec", "Spec", "Exec") ||
-		analysis.IsMethodOn(pass.TypesInfo, call, "spec", "Spec", "AvgExec") ||
-		analysis.IsMethodOn(pass.TypesInfo, call, "spec", "AvgCost", "OpCost")
+	for _, recv := range [...]string{"Spec", "View"} {
+		if analysis.IsMethodOn(pass.TypesInfo, call, "spec", recv, "Exec") ||
+			analysis.IsMethodOn(pass.TypesInfo, call, "spec", recv, "AvgExec") {
+			return true
+		}
+	}
+	return false
 }
 
 // isSentinel reports whether e denotes the ∞ sentinel: the Inf package

@@ -24,13 +24,35 @@ func directAccessorArith(s *spec.Spec, start float64) float64 {
 	return start + s.Exec("op", "p") // want "result of Exec may be the ∞ sentinel"
 }
 
-func directAdapterArith(c spec.AvgCost) float64 {
-	return c.OpCost("op") - 1 // want "result of OpCost may be the ∞ sentinel"
+func directAverageArith(s *spec.Spec) float64 {
+	return s.AvgExec("op") - 1 // want "result of AvgExec may be the ∞ sentinel"
+}
+
+// The ID-keyed accessors the engines read return the same sentinel.
+func directViewArith(v *spec.View, start float64) float64 {
+	return start + v.Exec(0, 1) // want "result of Exec may be the ∞ sentinel"
+}
+
+func directViewAverageArith(v *spec.View) float64 {
+	return v.AvgExec(0) * 2 // want "result of AvgExec may be the ∞ sentinel"
 }
 
 func taintedUnguarded(s *spec.Spec, base float64) float64 {
 	d := s.Exec("op", "p")
 	return base + d // want "d holds the result of a possibly-∞ spec accessor"
+}
+
+func taintedViewUnguarded(v *spec.View, base float64) float64 {
+	d := v.Exec(0, 1)
+	return base + d // want "d holds the result of a possibly-∞ spec accessor"
+}
+
+func taintedViewGuarded(v *spec.View, base float64) float64 {
+	d := v.Exec(0, 1)
+	if math.IsInf(d, 1) {
+		return base
+	}
+	return base + d
 }
 
 func taintedGuardedByIsInf(s *spec.Spec, base float64) float64 {

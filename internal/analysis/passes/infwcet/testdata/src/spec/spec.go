@@ -1,6 +1,7 @@
 // Package spec is an infwcet fixture mirroring the WCET-table surface of the
 // real ftsched/internal/spec package: the ∞ sentinel, the possibly-∞
-// accessors Exec and AvgExec, the CanRun guard, and the AvgCost adapter. The
+// accessors Exec and AvgExec by name and by ID (View), and the CanRun
+// guard. The
 // analyzer matches by package base name and type name, so this stand-in
 // exercises the same recognizers.
 package spec
@@ -43,12 +44,18 @@ func (s *Spec) CanRun(op, proc string) bool {
 	return !math.IsInf(s.Exec(op, proc), 1)
 }
 
-// AvgCost adapts a Spec to a cost function over operations.
-type AvgCost struct {
-	S *Spec
+// View reads a Spec by operation and processor IDs.
+type View struct {
+	S     *Spec
+	Names []string
 }
 
-// OpCost returns the average duration of op, or Inf.
-func (c AvgCost) OpCost(op string) float64 {
-	return c.S.AvgExec(op)
+// Exec returns the duration of op on proc, or Inf if forbidden.
+func (v *View) Exec(op, proc int32) float64 {
+	return v.S.Exec(v.Names[op], v.Names[proc])
+}
+
+// AvgExec returns the average duration of op, or Inf if unplaceable.
+func (v *View) AvgExec(op int32) float64 {
+	return v.S.AvgExec(v.Names[op])
 }

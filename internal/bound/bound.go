@@ -31,42 +31,29 @@ func (b Bounds) Best() float64 { return math.Max(b.CriticalPath, b.Work) }
 // bounds apply to every valid schedule, including the fault-tolerant ones
 // (replication only adds work).
 func Compute(g *graph.Graph, a *arch.Architecture, sp *spec.Spec) (Bounds, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return Bounds{}, fmt.Errorf("bound: %w", err)
+	x := g.IDs()
+	if x.Cycle != nil {
+		return Bounds{}, fmt.Errorf("bound: %w", x.Cycle)
 	}
-	minExec := func(op string) (float64, error) {
-		best := math.Inf(1)
-		for _, p := range a.ProcessorNames() {
-			if d := sp.Exec(op, p); d < best {
-				best = d
-			}
-		}
-		if math.IsInf(best, 1) {
-			return 0, fmt.Errorf("bound: operation %q has no allowed processor", op)
-		}
-		return best, nil
-	}
-
+	v := sp.View(g, a)
 	var b Bounds
-	longest := make(map[string]float64, len(order))
+	longest := make([]float64, g.NumOps())
 	totalWork := 0.0
-	for _, op := range order {
-		d, err := minExec(op)
-		if err != nil {
-			return Bounds{}, err
+	for _, o := range x.Topo {
+		d := math.Inf(1)
+		for p := range int32(a.NumProcessors()) {
+			d = min(d, v.Exec(o, p))
+		}
+		if math.IsInf(d, 1) {
+			return Bounds{}, fmt.Errorf("bound: operation %q has no allowed processor", g.OpNames()[o])
 		}
 		totalWork += d
 		head := 0.0
-		for _, pred := range g.StrictPreds(op) {
-			if longest[pred] > head {
-				head = longest[pred]
-			}
+		for _, pe := range x.Preds(o) {
+			head = max(head, longest[pe.Op])
 		}
-		longest[op] = head + d
-		if longest[op] > b.CriticalPath {
-			b.CriticalPath = longest[op]
-		}
+		longest[o] = head + d
+		b.CriticalPath = max(b.CriticalPath, longest[o])
 	}
 	if n := a.NumProcessors(); n > 0 {
 		b.Work = totalWork / float64(n)

@@ -140,7 +140,6 @@ func (r *run) unionCone() *cone {
 // reference engine (see DESIGN.md §11 for the argument, the differential
 // tests for the enforcement).
 func (m *model) evalIncr(failed []int32, detect bool) *run {
-	m.ins.evals.Inc()
 	m.ins.evalsIncr.Inc()
 	r := m.newRun(failed, detect)
 	ff := m.ff

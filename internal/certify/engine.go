@@ -65,7 +65,6 @@ func (m *model) newRun(failed []int32, detect bool) *run {
 // propagated over the executed instances. This is the reference engine;
 // evalIncr must match it bit-for-bit (enforced by the differential tests).
 func (m *model) evalFull(failed []int32, detect bool) *run {
-	m.ins.evals.Inc()
 	m.ins.evalsFull.Inc()
 	r := m.newRun(failed, detect)
 	r.chain(m.allPids)

@@ -12,7 +12,6 @@ import (
 type instruments struct {
 	patterns  *obs.Counter // frontier failure patterns fully analyzed
 	implied   *obs.Counter // smaller patterns covered by monotone pruning
-	evals     *obs.Counter // failure-set evaluations (incl. shrinking)
 	rounds    *obs.Counter // fixpoint iterations across all evaluations
 	evalsFull *obs.Counter // evaluations through the reference full fixpoint
 	evalsIncr *obs.Counter // evaluations through the incremental cone engine
@@ -28,7 +27,6 @@ func (in *instruments) resolve(s *obs.Sink) {
 	}
 	in.patterns = s.Counter("certify.patterns.checked")
 	in.implied = s.Counter("certify.patterns.implied")
-	in.evals = s.Counter("certify.evals")
 	in.rounds = s.Counter("certify.fixpoint.rounds")
 	in.evalsFull = s.Counter("certify.evals.full")
 	in.evalsIncr = s.Counter("certify.evals.incremental")

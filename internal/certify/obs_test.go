@@ -62,7 +62,7 @@ func TestCertifyObsCounters(t *testing.T) {
 		if got := snap["certify.evals.full"]; got != 1 {
 			t.Errorf("%s: certify.evals.full = %d, want 1 (the baseline)", c.name, got)
 		}
-		if snap["certify.evals"] != snap["certify.evals.incremental"]+1 || snap["certify.fixpoint.rounds"] == 0 {
+		if _, ok := snap["certify.evals"]; ok || snap["certify.fixpoint.rounds"] == 0 {
 			t.Errorf("%s: availability counters off: %v", c.name, snap)
 		}
 		timers := sink.Timers()

@@ -12,7 +12,6 @@ import (
 	"ftsched/internal/arch"
 	"ftsched/internal/graph"
 	"ftsched/internal/obs"
-	"ftsched/internal/pressure"
 	"ftsched/internal/sched"
 	"ftsched/internal/spec"
 )
@@ -210,11 +209,7 @@ func newBuilder(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, mode sched.
 	if err := sp.Validate(g, a); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidProblem, err)
 	}
-	pt, err := pressure.Compute(g, sp)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	m, err := compile(g, a, sp, pt)
+	m, err := compile(g, a, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +236,7 @@ func newBuilder(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, mode sched.
 		}
 	}
 	for o := int32(0); o < m.nOps; o++ {
-		b.pendingPreds[o] = int32(len(m.predEdges[o]))
+		b.pendingPreds[o] = int32(len(m.ids.Preds(o)))
 		if b.pendingPreds[o] == 0 {
 			b.cands = append(b.cands, o)
 		}
@@ -377,7 +372,7 @@ func (b *builder) commitPlans(e, src, dst, senderRank int32, plans []hopPlan, pa
 // mode a value produced by a replica on dstProc itself is local.
 func (b *builder) arrival(e, dstProc int32, commit bool, bc *bcastSearch) (float64, error) {
 	m := b.m
-	src := m.edgeSrc[e]
+	src := m.ids.Src[e]
 	if idx := b.st.repOn[src*m.nProcs+dstProc]; idx >= 0 {
 		return b.st.ops[idx].end, nil
 	}
@@ -489,7 +484,7 @@ func (b *builder) ft1PassiveChain(e, bus, dstProc int32, mainDeadline float64) {
 	} else if b.st.passDst[e*m.nProcs+dstProc] {
 		return
 	}
-	reps := b.st.reps[m.edgeSrc[e]]
+	reps := b.st.reps[m.ids.Src[e]]
 	deadline := mainDeadline
 	for rank := 1; rank < len(reps); rank++ {
 		sender := &b.st.ops[reps[rank]]
@@ -570,8 +565,8 @@ func (b *builder) ft2Arrival(e, dstProc int32, reps []int32, commit bool) float6
 // transfers that deliver its inputs, and returns the replica's arena index.
 func (b *builder) commitReplica(op, proc int32, rank int) (int32, error) {
 	start := b.st.procFree[proc]
-	for _, pe := range b.m.predEdges[op] {
-		at, err := b.arrival(pe.edge, proc, true, nil)
+	for _, pe := range b.m.ids.Preds(op) {
+		at, err := b.arrival(pe.Edge, proc, true, nil)
 		if err != nil {
 			return -1, err
 		}
@@ -597,9 +592,13 @@ func (b *builder) commitReplica(op, proc int32, rank int) (int32, error) {
 // intra-iteration start dates but must still deliver the next-iteration
 // value to every replica of the mem.
 func (b *builder) commitDelayedEdges() error {
-	for _, e := range b.m.delayedEdges {
-		for _, ri := range b.st.reps[b.m.edgeDst[e]] {
-			if _, err := b.arrival(e, b.st.ops[ri].proc, true, nil); err != nil {
+	ids := b.m.ids
+	for e, delayed := range ids.Delayed {
+		if !delayed {
+			continue
+		}
+		for _, ri := range b.st.reps[ids.Dst[e]] {
+			if _, err := b.arrival(int32(e), b.st.ops[ri].proc, true, nil); err != nil {
 				return err
 			}
 		}
@@ -740,7 +739,8 @@ func (b *builder) run() (*Result, error) {
 func (b *builder) retire(op int32) {
 	i := sort.Search(len(b.cands), func(i int) bool { return b.cands[i] >= op })
 	b.cands = append(b.cands[:i], b.cands[i+1:]...)
-	for _, s := range b.m.succs[op] {
+	for _, arc := range b.m.ids.Succs(op) {
+		s := arc.Op
 		b.pendingPreds[s]--
 		if b.pendingPreds[s] == 0 {
 			j := sort.Search(len(b.cands), func(i int) bool { return b.cands[i] >= s })
@@ -876,7 +876,7 @@ var poolMinWork = 2048
 func (b *builder) stepWork(evals []evaluation) int {
 	w := 0
 	for i := range evals {
-		w += len(evals[i].scored) * max(1, len(b.m.predEdges[evals[i].op]))
+		w += len(evals[i].scored) * max(1, len(b.m.ids.Preds(evals[i].op)))
 	}
 	if b.mode == sched.ModeFT2 {
 		w *= b.maxRepl
@@ -912,10 +912,10 @@ func (b *builder) evaluateOne(ev *evaluation) error {
 	for i, p := range m.allowed[ev.op] {
 		ents[i] = scoredEntry{proc: p, start: b.st.procFree[p]}
 	}
-	for _, pe := range m.predEdges[ev.op] {
+	for _, pe := range m.ids.Preds(ev.op) {
 		bc := bcastSearch{bus: -1}
 		for i := range ents {
-			at, err := b.arrival(pe.edge, ents[i].proc, false, &bc)
+			at, err := b.arrival(pe.Edge, ents[i].proc, false, &bc)
 			if err != nil {
 				return err
 			}

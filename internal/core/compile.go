@@ -14,12 +14,14 @@ import (
 // processor, link, and data-dependency is interned into a contiguous integer
 // ID, and every table the hot loop consults (execution durations, per-hop
 // communication durations, routes, shared buses, allowed processors,
-// predecessor edges, pressure tails) is a flat array indexed by those IDs.
+// pressure tails) is a flat array indexed by those IDs. The graph's
+// structure (edge endpoints, strict predecessors and successors) is read
+// from its ID form, graph.IDs.
 //
 // Compilation runs once per schedule, after validation; from then on the
 // greedy loop performs no map lookup and no string hash. The ID spaces are
 // the problem's own (graph.OpID, graph.EdgeID, arch.ProcID, arch.LinkID),
-// through which spec.View reads the constraints:
+// through which graph.IDs and spec.View read the graph and the constraints:
 //
 //	op:   index into g.OpNames()          (declaration order)
 //	proc: index into a.ProcessorNames()   (declaration order)
@@ -39,8 +41,9 @@ import (
 // error — a missing entry silently read as zero would corrupt schedules, not
 // crash them.
 type model struct {
-	g *graph.Graph
-	a *arch.Architecture
+	g   *graph.Graph
+	a   *arch.Architecture
+	ids *graph.IDs
 
 	opNames   []string
 	procNames []string
@@ -63,19 +66,9 @@ type model struct {
 
 	// allowed[op] lists the processors able to run op, declaration order.
 	allowed [][]int32
-	// predEdges[op] lists op's strict predecessors (with the connecting edge)
-	// in graph insertion order; succs[op] the strict successors likewise.
-	predEdges [][]predEdge
-	succs     [][]int32
-	// delayedEdges lists the delayed (mem state-update) edges in g.Edges()
-	// order, for the post-loop commit pass.
-	delayedEdges []int32
-	// edgeSrc/edgeDst are the endpoints of every edge as op IDs.
-	edgeSrc []int32
-	edgeDst []int32
 
-	// sigma is the compiled pressure table (branchless σ).
-	sigma pressure.Dense
+	// sigma is the pressure table (branchless σ).
+	sigma pressure.Table
 }
 
 // denseHop is one routed hop: traverse link to reach processor to.
@@ -84,33 +77,31 @@ type denseHop struct {
 	to   int32
 }
 
-// predEdge is one strict predecessor of an operation together with the edge
-// ID connecting the two, so arrival computations need no edge lookup.
-type predEdge struct {
-	pred int32
-	edge int32
-}
-
-// compile interns the problem into a model. g, a, and sp must already be
-// validated (newBuilder does); pt is the string-keyed pressure table the
-// model densifies. Architecture route and bus tables are warmed through
-// arch.Precompute, so the returned model is safe for concurrent read-only
-// use by the evaluation worker pool.
-func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.Table) (*model, error) {
+// compile interns the problem into a model and computes its pressure table.
+// g, a, and sp must already be validated (newBuilder does). Architecture
+// route and bus tables are warmed through arch.Precompute, so the returned
+// model is safe for concurrent read-only use by the evaluation worker pool.
+func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec) (*model, error) {
+	v := sp.View(g, a)
+	sigma, err := pressure.Compute(g, v)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	a.Precompute()
 	m := &model{
 		g:         g,
 		a:         a,
+		ids:       g.IDs(),
 		opNames:   g.OpNames(),
 		procNames: a.ProcessorNames(),
 		linkNames: a.LinkNames(),
+		sigma:     sigma,
 	}
 	m.nOps = int32(len(m.opNames))
 	m.nProcs = int32(len(m.procNames))
 	m.nLinks = int32(len(m.linkNames))
 
 	// Execution table and allowed processors, declaration order.
-	v := sp.View(g, a)
 	m.exec = make([]float64, int(m.nOps)*int(m.nProcs))
 	m.allowed = make([][]int32, m.nOps)
 	allowedArena := make([]int32, 0, int(m.nOps)*int(m.nProcs))
@@ -130,14 +121,10 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 	edges := g.Edges()
 	m.nEdges = int32(len(edges))
 	m.edgeKeys = make([]graph.EdgeKey, m.nEdges)
-	m.edgeSrc = make([]int32, m.nEdges)
-	m.edgeDst = make([]int32, m.nEdges)
 	m.comm = make([]float64, int(m.nEdges)*int(m.nLinks))
 	for e, edge := range edges {
 		key := edge.Key()
 		m.edgeKeys[e] = key
-		m.edgeSrc[e] = g.OpID(key.Src)
-		m.edgeDst[e] = g.OpID(key.Dst)
 		for l := int32(0); l < m.nLinks; l++ {
 			d, ok := v.Comm(int32(e), l)
 			if !ok {
@@ -145,36 +132,6 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 				return nil, fmt.Errorf("core: compile: %w", err)
 			}
 			m.comm[int32(e)*m.nLinks+l] = d
-		}
-		if edge.Delayed() {
-			m.delayedEdges = append(m.delayedEdges, int32(e))
-		}
-	}
-
-	// Predecessor edges and strict successors, graph insertion order, each
-	// list carved from one arena: there are at most nEdges of either.
-	m.predEdges = make([][]predEdge, m.nOps)
-	m.succs = make([][]int32, m.nOps)
-	predArena := make([]predEdge, 0, m.nEdges)
-	succArena := make([]int32, 0, m.nEdges)
-	for o := int32(0); o < m.nOps; o++ {
-		name := m.opNames[o]
-		start := len(predArena)
-		for _, pred := range g.StrictPreds(name) {
-			predArena = append(predArena, predEdge{
-				pred: g.OpID(pred),
-				edge: g.EdgeID(graph.EdgeKey{Src: pred, Dst: name}),
-			})
-		}
-		if len(predArena) > start {
-			m.predEdges[o] = predArena[start:len(predArena):len(predArena)]
-		}
-		start = len(succArena)
-		for _, succ := range g.StrictSuccs(name) {
-			succArena = append(succArena, g.OpID(succ))
-		}
-		if len(succArena) > start {
-			m.succs[o] = succArena[start:len(succArena):len(succArena)]
 		}
 	}
 
@@ -204,11 +161,5 @@ func compile(g *graph.Graph, a *arch.Architecture, sp *spec.Spec, pt *pressure.T
 			m.routes[idx] = hops
 		}
 	}
-
-	sigma, err := pt.Dense(m.opNames)
-	if err != nil {
-		return nil, fmt.Errorf("core: compile: %w", err)
-	}
-	m.sigma = sigma
 	return m, nil
 }

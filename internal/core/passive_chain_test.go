@@ -18,9 +18,8 @@ import (
 // builds total comm and route tables before the greedy loop starts — so the
 // same defects must now fail compilation outright, before any slot exists.
 
-// compileFixture builds the two-op graph A -> B and a pressure table for it
-// under sp (exec costs must already be set for A and B).
-func compileFixture(t *testing.T, sp *spec.Spec) (*graph.Graph, *pressure.Table) {
+// compileFixture builds the two-op graph A -> B.
+func compileFixture(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := graph.New("pair")
 	_ = g.AddComp("A")
@@ -28,11 +27,7 @@ func compileFixture(t *testing.T, sp *spec.Spec) (*graph.Graph, *pressure.Table)
 	if err := g.Connect("A", "B"); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := pressure.Compute(g, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, pt
+	return g
 }
 
 func TestCompileRejectsMissingCommCost(t *testing.T) {
@@ -53,8 +48,8 @@ func TestCompileRejectsMissingCommCost(t *testing.T) {
 			}
 		}
 	}
-	g, pt := compileFixture(t, sp)
-	if _, err := compile(g, a, sp, pt); err == nil {
+	g := compileFixture(t)
+	if _, err := compile(g, a, sp); err == nil {
 		t.Fatal("missing comm cost: want compile error, got nil")
 	} else if !strings.Contains(err.Error(), "compile") {
 		t.Errorf("error should identify the compile step, got: %v", err)
@@ -82,11 +77,11 @@ func TestCompileRejectsUnroutableProcessor(t *testing.T) {
 			}
 		}
 	}
-	g, pt := compileFixture(t, sp)
+	g := compileFixture(t)
 	if err := sp.SetComm(graph.EdgeKey{Src: "A", Dst: "B"}, "L12", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := compile(g, a, sp, pt); err == nil {
+	if _, err := compile(g, a, sp); err == nil {
 		t.Fatal("unroutable processor: want compile error, got nil")
 	} else if !strings.Contains(err.Error(), "compile") {
 		t.Errorf("error should identify the compile step, got: %v", err)
@@ -118,7 +113,7 @@ func TestCompileTablesMatchSpec(t *testing.T) {
 			}
 		}
 	}
-	g, pt := compileFixture(t, sp)
+	g := compileFixture(t)
 	e := graph.EdgeKey{Src: "A", Dst: "B"}
 	if err := sp.SetComm(e, "L12", 0.5); err != nil {
 		t.Fatal(err)
@@ -126,7 +121,11 @@ func TestCompileTablesMatchSpec(t *testing.T) {
 	if err := sp.SetComm(e, "L23", 0.25); err != nil {
 		t.Fatal(err)
 	}
-	m, err := compile(g, a, sp, pt)
+	m, err := compile(g, a, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := pressure.Compute(g, sp.View(g, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +163,8 @@ func TestCompileTablesMatchSpec(t *testing.T) {
 		if len(m.allowed[o]) != 3 {
 			t.Errorf("allowed[%s] = %d procs, want 3", m.opNames[o], len(m.allowed[o]))
 		}
-		if got, want := m.sigma.Sigma(o, 0, 0), pt.Sigma(m.opNames[o], 0, 0); got != want {
+		if got, want := m.sigma.Sigma(o, 0, 0), pt.Sigma(o, 0, 0); got != want {
 			t.Errorf("sigma[%s] = %v, want %v", m.opNames[o], got, want)
 		}
-	}
-	// Edge A->B must link op IDs 0 -> 1 with one predecessor edge on B.
-	if m.edgeSrc[0] != 0 || m.edgeDst[0] != 1 {
-		t.Errorf("edge endpoints = %d -> %d", m.edgeSrc[0], m.edgeDst[0])
-	}
-	if len(m.predEdges[1]) != 1 || m.predEdges[1][0].pred != 0 || m.predEdges[1][0].edge != 0 {
-		t.Errorf("predEdges[B] = %+v", m.predEdges[1])
-	}
-	if len(m.succs[0]) != 1 || m.succs[0][0] != 1 {
-		t.Errorf("succs[A] = %v", m.succs[0])
 	}
 }

@@ -57,43 +57,38 @@ func Run(s *sched.Schedule, g *graph.Graph, prog *Program, cfg Config) (*Result,
 
 // NewTables flattens the schedule and the graph into the runtime's tables.
 // Operations are in graph insertion order; the outputs are the graph's
-// output extios, or its sinks when it has none.
+// output extios, or its sinks when it has none (graph.IDs Outputs).
 func NewTables(s *sched.Schedule, g *graph.Graph) *Tables {
+	x := g.IDs()
 	t := &Tables{Procs: s.Procs(), Ops: g.OpNames(), Delayed: make([][]int, g.NumOps())}
-	opIdx := func(name string) int { return int(g.OpID(name)) }
-	ops := func(names []string) []int {
-		out := make([]int, len(names))
-		for i, n := range names {
-			out[i] = opIdx(n)
-		}
-		return out
-	}
 	for _, p := range t.Procs {
 		var seq []int
 		for _, sl := range s.ProcSlots(p) {
-			seq = append(seq, opIdx(sl.Op))
+			seq = append(seq, int(g.OpID(sl.Op)))
 		}
 		t.Seqs = append(t.Seqs, seq)
 	}
-	for _, op := range g.Ops() {
+	for o, op := range g.Ops() {
 		var procs []int
 		for _, rep := range s.Replicas(op.Name()) {
 			procs = append(procs, slices.Index(t.Procs, rep.Proc))
 		}
 		t.Replicas = append(t.Replicas, procs)
-		t.Strict = append(t.Strict, ops(g.StrictPreds(op.Name())))
+		preds := make([]int, len(x.Preds(int32(o))))
+		for i, pe := range x.Preds(int32(o)) {
+			preds[i] = int(pe.Op)
+		}
+		t.Strict = append(t.Strict, preds)
 		t.Mem = append(t.Mem, op.Kind() == graph.KindMem)
 	}
-	for _, e := range g.Edges() {
-		if e.Delayed() {
-			dst := opIdx(e.Dst())
-			t.Delayed[dst] = append(t.Delayed[dst], opIdx(e.Src()))
+	for e, delayed := range x.Delayed {
+		if delayed {
+			t.Delayed[x.Dst[e]] = append(t.Delayed[x.Dst[e]], int(x.Src[e]))
 		}
 	}
-	outs := g.Outputs()
-	if len(outs) == 0 {
-		outs = g.Sinks()
+	t.Outputs = make([]int, len(x.Outputs))
+	for i, o := range x.Outputs {
+		t.Outputs[i] = int(o)
 	}
-	t.Outputs = ops(outs)
 	return t
 }

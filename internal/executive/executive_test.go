@@ -396,10 +396,10 @@ func TestQuickExecutiveMatchesReference(t *testing.T) {
 				switch op {
 				case "in":
 				case "out":
-					vals[op] = vals[g.StrictPreds(op)[0]]
+					vals[op] = vals[g.Preds(op)[0]]
 				default:
 					total := 7
-					for _, p := range g.StrictPreds(op) {
+					for _, p := range g.Preds(op) {
 						total += vals[p]
 					}
 					vals[op] = total

@@ -51,7 +51,7 @@ func TestStressManyIterationsWithStaggeredKills(t *testing.T) {
 				continue
 			}
 			total := 3
-			for _, p := range in.Graph.StrictPreds(op) {
+			for _, p := range in.Graph.Preds(op) {
 				total += vals[p]
 			}
 			vals[op] = total

@@ -1,12 +1,10 @@
 // Package faults builds fail-stop failure scenarios for the executive
 // simulator: exhaustive single-failure sweeps, K-subset enumerations for
-// tolerance proofs, and random injections for property tests.
+// tolerance proofs, and staggered multi-failure sequences. Random scenarios
+// come from the campaign generator (internal/campaign).
 package faults
 
 import (
-	"fmt"
-	"math/rand"
-
 	"ftsched/internal/arch"
 	"ftsched/internal/sim"
 )
@@ -89,28 +87,4 @@ func StaggeredSweep(a *arch.Architecture, k int, at float64) []sim.Scenario {
 		out = append(out, sc)
 	}
 	return out
-}
-
-// Random returns a scenario with up to maxFailures distinct processors
-// failing at random iterations in [0, iterations) and random dates in
-// [0, horizon).
-func Random(r *rand.Rand, a *arch.Architecture, maxFailures, iterations int, horizon float64) (sim.Scenario, error) {
-	procs := a.ProcessorNames()
-	if maxFailures > len(procs) {
-		return sim.Scenario{}, fmt.Errorf("faults: maxFailures %d exceeds %d processors", maxFailures, len(procs))
-	}
-	if iterations <= 0 {
-		return sim.Scenario{}, fmt.Errorf("faults: iterations must be positive")
-	}
-	n := r.Intn(maxFailures + 1)
-	perm := r.Perm(len(procs))
-	sc := sim.Scenario{}
-	for i := 0; i < n; i++ {
-		sc.Failures = append(sc.Failures, sim.Failure{
-			Proc:      procs[perm[i]],
-			Iteration: r.Intn(iterations),
-			At:        r.Float64() * horizon,
-		})
-	}
-	return sc, nil
 }

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"math/rand"
 	"testing"
 
 	"ftsched/internal/arch"
@@ -104,35 +103,5 @@ func TestStaggeredSweep(t *testing.T) {
 		if sc.Failures[0].Iteration != 0 || sc.Failures[1].Iteration != 1 {
 			t.Errorf("staggered iterations wrong: %+v", sc)
 		}
-	}
-}
-
-func TestRandom(t *testing.T) {
-	a := testArch(t, 4)
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		sc, err := Random(r, a, 2, 3, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sc.Failures) > 2 {
-			t.Errorf("too many failures: %+v", sc)
-		}
-		seen := map[string]bool{}
-		for _, f := range sc.Failures {
-			if seen[f.Proc] {
-				t.Errorf("duplicate proc in %+v", sc)
-			}
-			seen[f.Proc] = true
-			if f.Iteration < 0 || f.Iteration >= 3 || f.At < 0 || f.At >= 10 {
-				t.Errorf("out-of-range failure %+v", f)
-			}
-		}
-	}
-	if _, err := Random(r, a, 9, 3, 10); err == nil {
-		t.Error("maxFailures > procs must error")
-	}
-	if _, err := Random(r, a, 1, 0, 10); err == nil {
-		t.Error("iterations <= 0 must error")
 	}
 }

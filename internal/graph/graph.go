@@ -76,10 +76,10 @@ func (e EdgeKey) String() string { return e.Src + "->" + e.Dst }
 
 // Edge is a data-dependency of the algorithm graph.
 type Edge struct {
-	key     EdgeKey
-	delayed bool
-	src     int32 // the source operation's ID
-	pos     int32 // index among the source's out-edges
+	key      EdgeKey
+	delayed  bool
+	src, dst int32 // the endpoints' op IDs
+	pos      int32 // index among the source's out-edges
 }
 
 // Key returns the (src, dst) pair identifying the edge.
@@ -104,13 +104,12 @@ type Graph struct {
 	ops   map[string]*Op
 	order []string // insertion order, for deterministic iteration
 	edges map[EdgeKey]*Edge
-	out   map[string][]*Edge // insertion-ordered edges out of each op
-	in    map[string][]*Edge // insertion-ordered edges into each op
+	out   [][]*Edge // by op ID, the insertion-ordered edges out of the op
+	in    [][]*Edge // by op ID, the insertion-ordered edges into the op
 
-	// edgeStart caches, per op ID, the ID of the op's first out-edge, with
-	// the edge count last (see EdgeID). Every mutation resets it; readers
-	// build it on first use, so concurrent readers stay race-free.
-	edgeStart *atomic.Pointer[[]int32]
+	// ids caches the graph's ID form (see IDs). Every mutation resets it;
+	// readers build it on first use, so concurrent readers stay race-free.
+	ids *atomic.Pointer[IDs]
 }
 
 // New returns an empty algorithm graph with the given name.
@@ -119,10 +118,7 @@ func New(name string) *Graph {
 		name:  name,
 		ops:   make(map[string]*Op),
 		edges: make(map[EdgeKey]*Edge),
-		out:   make(map[string][]*Edge),
-		in:    make(map[string][]*Edge),
-
-		edgeStart: new(atomic.Pointer[[]int32]),
+		ids:   new(atomic.Pointer[IDs]),
 	}
 }
 
@@ -149,6 +145,8 @@ func (g *Graph) add(name string, k Kind) error {
 	}
 	g.ops[name] = &Op{name: name, kind: k, id: int32(len(g.order))}
 	g.order = append(g.order, name)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
 	g.mutated()
 	return nil
 }
@@ -171,16 +169,16 @@ func (g *Graph) Connect(src, dst string) error {
 	if _, ok := g.edges[key]; ok {
 		return fmt.Errorf("graph: duplicate dependency %s", key)
 	}
-	e := &Edge{key: key, delayed: do.kind == KindMem, src: so.id, pos: int32(len(g.out[src]))}
+	e := &Edge{key: key, delayed: do.kind == KindMem, src: so.id, dst: do.id, pos: int32(len(g.out[so.id]))}
 	g.edges[key] = e
-	g.out[src] = append(g.out[src], e)
-	g.in[dst] = append(g.in[dst], e)
+	g.out[so.id] = append(g.out[so.id], e)
+	g.in[do.id] = append(g.in[do.id], e)
 	g.mutated()
 	return nil
 }
 
-// mutated drops the cached edge IDs.
-func (g *Graph) mutated() { g.edgeStart.Store(nil) }
+// mutated drops the cached ID form.
+func (g *Graph) mutated() { g.ids.Store(nil) }
 
 // NumOps returns the number of operations.
 func (g *Graph) NumOps() int { return len(g.ops) }
@@ -228,22 +226,7 @@ func (g *Graph) EdgeID(key EdgeKey) int32 {
 	if e == nil {
 		return -1
 	}
-	return g.edgeIDs()[e.src] + e.pos
-}
-
-// edgeIDs returns the ID of each op's first out-edge, building the table
-// after a mutation. Edges lists the out-edges op by op, so an edge's ID is
-// its source's entry plus its position among the source's out-edges.
-func (g *Graph) edgeIDs() []int32 {
-	if p := g.edgeStart.Load(); p != nil {
-		return *p
-	}
-	start := make([]int32, len(g.order)+1)
-	for i, n := range g.order {
-		start[i+1] = start[i] + int32(len(g.out[n]))
-	}
-	g.edgeStart.Store(&start)
-	return start
+	return g.IDs().outStart[e.src] + e.pos
 }
 
 // Edge returns the edge with the given key, or nil if absent.
@@ -253,16 +236,25 @@ func (g *Graph) Edge(key EdgeKey) *Edge { return g.edges[key] }
 // destination insertion order (deterministic).
 func (g *Graph) Edges() []*Edge {
 	out := make([]*Edge, 0, len(g.edges))
-	for _, src := range g.order {
-		out = append(out, g.out[src]...)
+	for _, es := range g.out {
+		out = append(out, es...)
 	}
 	return out
 }
 
+// edgesOf returns the named op's edges from one of g.out and g.in, or nil.
+func (g *Graph) edgesOf(side [][]*Edge, op string) []*Edge {
+	if o := g.ops[op]; o != nil {
+		return side[o.id]
+	}
+	return nil
+}
+
 // Succs returns the names of the successors of op, in insertion order.
 func (g *Graph) Succs(op string) []string {
-	out := make([]string, len(g.out[op]))
-	for i, e := range g.out[op] {
+	es := g.edgesOf(g.out, op)
+	out := make([]string, len(es))
+	for i, e := range es {
 		out[i] = e.key.Dst
 	}
 	return out
@@ -270,38 +262,10 @@ func (g *Graph) Succs(op string) []string {
 
 // Preds returns the names of the predecessors of op, in insertion order.
 func (g *Graph) Preds(op string) []string {
-	out := make([]string, len(g.in[op]))
-	for i, e := range g.in[op] {
+	es := g.edgesOf(g.in, op)
+	out := make([]string, len(es))
+	for i, e := range es {
 		out[i] = e.key.Src
-	}
-	return out
-}
-
-// StrictPreds returns the predecessors of op through non-delayed edges only:
-// the operations that must complete before op can start within one iteration.
-func (g *Graph) StrictPreds(op string) []string {
-	out := make([]string, 0, len(g.in[op]))
-	for _, e := range g.in[op] {
-		if !e.delayed {
-			out = append(out, e.key.Src)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// StrictSuccs returns the successors of op through non-delayed edges only.
-func (g *Graph) StrictSuccs(op string) []string {
-	out := make([]string, 0, len(g.out[op]))
-	for _, e := range g.out[op] {
-		if !e.delayed {
-			out = append(out, e.key.Dst)
-		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }
@@ -310,8 +274,8 @@ func (g *Graph) StrictSuccs(op string) []string {
 // all (the external input interface plus parentless computations).
 func (g *Graph) Sources() []string {
 	var out []string
-	for _, n := range g.order {
-		if len(g.in[n]) == 0 {
+	for i, n := range g.order {
+		if len(g.in[i]) == 0 {
 			out = append(out, n)
 		}
 	}
@@ -321,8 +285,8 @@ func (g *Graph) Sources() []string {
 // Sinks returns, in insertion order, the operations with no successor.
 func (g *Graph) Sinks() []string {
 	var out []string
-	for _, n := range g.order {
-		if len(g.out[n]) == 0 {
+	for i, n := range g.order {
+		if len(g.out[i]) == 0 {
 			out = append(out, n)
 		}
 	}
@@ -355,72 +319,15 @@ func (g *Graph) Outputs() []string {
 // respect to non-delayed edges (Kahn's algorithm; ties resolved by insertion
 // order). It returns an error if the non-delayed subgraph has a cycle.
 func (g *Graph) TopoOrder() ([]string, error) {
-	indeg := make([]int32, len(g.order))
-	// ready is a min-heap of op IDs, which are insertion indices.
-	var ready []int32
-	for i, n := range g.order {
-		for _, e := range g.in[n] {
-			if !e.delayed {
-				indeg[i]++
-			}
-		}
-		if indeg[i] == 0 {
-			ready = append(ready, int32(i))
-		}
+	x := g.IDs()
+	if x.Cycle != nil {
+		return nil, x.Cycle
 	}
-	out := make([]string, 0, len(g.ops))
-	for len(ready) > 0 {
-		n := g.order[ready[0]]
-		ready = popMin(ready)
-		out = append(out, n)
-		for _, e := range g.out[n] {
-			if e.delayed {
-				continue
-			}
-			s := g.ops[e.key.Dst].id
-			if indeg[s]--; indeg[s] == 0 {
-				ready = pushMin(ready, s)
-			}
-		}
-	}
-	if len(out) != len(g.ops) {
-		return nil, fmt.Errorf("graph %q: cycle among non-delayed dependencies", g.name)
+	out := make([]string, len(x.Topo))
+	for i, o := range x.Topo {
+		out[i] = g.order[o]
 	}
 	return out, nil
-}
-
-// pushMin and popMin keep h a binary min-heap.
-func pushMin(h []int32, v int32) []int32 {
-	h = append(h, v)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func popMin(h []int32) []int32 {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		m, l, r := i, 2*i+1, 2*i+2
-		if l < len(h) && h[l] < h[m] {
-			m = l
-		}
-		if r < len(h) && h[r] < h[m] {
-			m = r
-		}
-		if m == i {
-			return h
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // Validate checks the structural well-formedness of the graph:
@@ -431,14 +338,13 @@ func (g *Graph) Validate() error {
 	if len(g.ops) == 0 {
 		return fmt.Errorf("graph %q: no operations", g.name)
 	}
-	if _, err := g.TopoOrder(); err != nil {
+	if err := g.IDs().Cycle; err != nil {
 		return err
 	}
-	for _, n := range g.order {
-		op := g.ops[n]
-		switch op.kind {
+	for i, n := range g.order {
+		switch g.ops[n].kind {
 		case KindExtIO:
-			in, out := len(g.in[n]), len(g.out[n])
+			in, out := len(g.in[i]), len(g.out[i])
 			if in > 0 && out > 0 {
 				return fmt.Errorf("graph %q: extio %q has both predecessors and successors; it must be a sensor (source) or an actuator (sink)", g.name, n)
 			}
@@ -446,7 +352,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph %q: extio %q is disconnected", g.name, n)
 			}
 		case KindMem:
-			if len(g.out[n]) == 0 {
+			if len(g.out[i]) == 0 {
 				return fmt.Errorf("graph %q: mem %q has no consumer", g.name, n)
 			}
 		}

@@ -25,23 +25,14 @@ func benchDAG(b *testing.B, n int) *Graph {
 	return g
 }
 
-func BenchmarkTopoOrder(b *testing.B) {
+// BenchmarkBuildIDs times building the ID form of a 500-op graph.
+func BenchmarkBuildIDs(b *testing.B) {
 	g := benchDAG(b, 500)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.TopoOrder(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLongestPaths(b *testing.B) {
-	g := benchDAG(b, 500)
-	c := ConstCost{Op: 1, Edge: 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LongestPaths(g, c); err != nil {
-			b.Fatal(err)
+		if x := g.buildIDs(); x.Cycle != nil {
+			b.Fatal(x.Cycle)
 		}
 	}
 }

@@ -267,11 +267,16 @@ func TestStrictPredsSkipsDelayed(t *testing.T) {
 	_ = g.Connect("a", "m") // delayed
 	_ = g.Connect("m", "b")
 	_ = g.Connect("a", "b")
-	if got := g.StrictPreds("m"); got != nil {
-		t.Errorf("StrictPreds(m) = %v, want none", got)
+	x := g.IDs()
+	if got := x.Preds(g.OpID("m")); len(got) != 0 {
+		t.Errorf("Preds(m) = %v, want none", got)
 	}
-	if got := g.StrictSuccs("a"); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Errorf("StrictSuccs(a) = %v", got)
+	ab := g.EdgeID(EdgeKey{Src: "a", Dst: "b"})
+	if got := x.Succs(g.OpID("a")); !reflect.DeepEqual(got, []Arc{{Op: g.OpID("b"), Edge: ab}}) {
+		t.Errorf("Succs(a) = %v", got)
+	}
+	if got := x.Preds(g.OpID("b")); len(got) != 2 || got[1] != (Arc{Op: g.OpID("a"), Edge: ab}) {
+		t.Errorf("Preds(b) = %v", got)
 	}
 }
 
@@ -521,4 +526,16 @@ func TestEdgeIDConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestBuildIDsAllocs pins building the ID form at five allocations or
+// fewer (the form, its int32 and arc arenas, the delayed flags and Kahn's
+// scratch), whatever the graph's size.
+func TestBuildIDsAllocs(t *testing.T) {
+	for _, n := range []int{2, 40, 400} {
+		g := randomDAG(rand.New(rand.NewSource(int64(n))), n)
+		if allocs := testing.AllocsPerRun(5, func() { g.buildIDs() }); allocs > 5 {
+			t.Errorf("%d ops, %d edges: building the ID form made %.0f allocations, want at most 5", n, g.NumEdges(), allocs)
+		}
+	}
 }

@@ -1,130 +1,66 @@
-package graph
+package graph_test
 
 import (
+	"errors"
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
+
+	"ftsched/internal/arch"
+	"ftsched/internal/graph"
+	"ftsched/internal/pressure"
+	"ftsched/internal/spec"
 )
 
-func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+// longestPaths runs the longest-path pass over g's strict edges with every
+// operation costing op and every edge costing edge.
+func longestPaths(t *testing.T, g *graph.Graph, op, edge float64) (pressure.Table, error) {
+	t.Helper()
+	sp := spec.New()
+	for _, n := range g.OpNames() {
+		if err := sp.SetExec(n, "P", op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range g.Edges() {
+		if err := sp.SetComm(e.Key(), "L", edge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pressure.Compute(g, sp.View(g, arch.New("none")))
+}
 
 func TestLongestPathsChain(t *testing.T) {
-	g := New("chain")
+	g := graph.New("chain")
 	_ = g.AddComp("a")
 	_ = g.AddComp("b")
 	_ = g.AddComp("c")
 	_ = g.Connect("a", "b")
 	_ = g.Connect("b", "c")
-	info, err := LongestPaths(g, ConstCost{Op: 2, Edge: 1})
+	tab, err := longestPaths(t, g, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(info.R, 2+1+2+1+2) {
-		t.Errorf("R = %v, want 8", info.R)
+	if math.Abs(tab.R-(2+1+2+1+2)) > 1e-9 {
+		t.Errorf("R = %v, want 8", tab.R)
 	}
-	if !almostEq(info.Head["a"], 0) || !almostEq(info.Head["b"], 3) || !almostEq(info.Head["c"], 6) {
-		t.Errorf("heads = %v", info.Head)
-	}
-	if !almostEq(info.Tail["a"], 6) || !almostEq(info.Tail["b"], 3) || !almostEq(info.Tail["c"], 0) {
-		t.Errorf("tails = %v", info.Tail)
-	}
-}
-
-func TestLongestPathsDiamond(t *testing.T) {
-	// a -> {b (cost 5), c (cost 1)} -> d; edges cost 0.
-	g := New("diamond")
-	for _, n := range []string{"a", "b", "c", "d"} {
-		_ = g.AddComp(n)
-	}
-	_ = g.Connect("a", "b")
-	_ = g.Connect("a", "c")
-	_ = g.Connect("b", "d")
-	_ = g.Connect("c", "d")
-	costs := map[string]float64{"a": 1, "b": 5, "c": 1, "d": 1}
-	cf := funcCost{op: func(o string) float64 { return costs[o] }, edge: func(EdgeKey) float64 { return 0 }}
-	info, err := LongestPaths(g, cf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(info.R, 7) { // a(1) + b(5) + d(1)
-		t.Errorf("R = %v, want 7", info.R)
-	}
-	if !almostEq(info.Tail["a"], 6) {
-		t.Errorf("Tail[a] = %v, want 6", info.Tail["a"])
-	}
-	if !almostEq(info.Head["d"], 6) {
-		t.Errorf("Head[d] = %v, want 6", info.Head["d"])
-	}
-	crit := info.CriticalOps(g, cf, 1e-9)
-	if !reflect.DeepEqual(crit, []string{"a", "b", "d"}) {
-		t.Errorf("critical ops = %v", crit)
-	}
-}
-
-// funcCost adapts closures to CostFunc for tests.
-type funcCost struct {
-	op   func(string) float64
-	edge func(EdgeKey) float64
-}
-
-func (f funcCost) OpCost(o string) float64    { return f.op(o) }
-func (f funcCost) EdgeCost(e EdgeKey) float64 { return f.edge(e) }
-
-func TestLongestPathsIgnoresDelayed(t *testing.T) {
-	g := New("fb")
-	_ = g.AddMem("m")
-	_ = g.AddComp("f")
-	_ = g.Connect("m", "f")
-	_ = g.Connect("f", "m") // delayed, must not create a cycle or extend paths
-	info, err := LongestPaths(g, ConstCost{Op: 1, Edge: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(info.R, 1+10+1) {
-		t.Errorf("R = %v, want 12", info.R)
+	for op, want := range map[string]float64{"a": 6, "b": 3, "c": 0} {
+		if got := tab.E(g.OpID(op)); math.Abs(got-want) > 1e-9 {
+			t.Errorf("tail[%s] = %v, want %v", op, got, want)
+		}
 	}
 }
 
 func TestLongestPathsCycleError(t *testing.T) {
-	g := New("cyc")
+	g := graph.New("cyc")
 	_ = g.AddComp("a")
 	_ = g.AddComp("b")
 	_ = g.Connect("a", "b")
 	_ = g.Connect("b", "a")
-	if _, err := LongestPaths(g, ConstCost{Op: 1}); err == nil {
-		t.Fatal("expected error")
+	cycle := g.IDs().Cycle
+	if cycle == nil {
+		t.Fatal("IDs().Cycle is nil for a cyclic graph")
 	}
-}
-
-func TestQuickLongestPathInvariants(t *testing.T) {
-	f := func(seed int64, sz uint8) bool {
-		n := int(sz%20) + 2
-		g := randomDAG(rand.New(rand.NewSource(seed)), n)
-		info, err := LongestPaths(g, ConstCost{Op: 1, Edge: 0.5})
-		if err != nil {
-			return false
-		}
-		for _, op := range g.OpNames() {
-			// Every op's full path fits inside R.
-			if info.Head[op]+1+info.Tail[op] > info.R+1e-9 {
-				return false
-			}
-			if info.Head[op] < 0 || info.Tail[op] < 0 {
-				return false
-			}
-		}
-		// R is realized by at least one op.
-		found := false
-		for _, op := range g.OpNames() {
-			if almostEq(info.Head[op]+1+info.Tail[op], info.R) {
-				found = true
-			}
-		}
-		return found
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if _, err := longestPaths(t, g, 1, 0); !errors.Is(err, cycle) {
+		t.Fatalf("err = %v, want the graph's cycle error", err)
 	}
 }

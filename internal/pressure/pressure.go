@@ -11,9 +11,12 @@
 // on p lengthens the critical path of the implementation, so the heuristic
 // schedules the most urgent operation (max σ) on its best processor (min σ).
 //
-// R and E(o) are computed once before scheduling, with durations averaged
-// over the allowed processors and links (the architecture is heterogeneous,
-// so no single exact duration exists before placement).
+// R and E(o) are computed once before scheduling, by a longest-path pass
+// over the graph's ID form (graph.IDs) that ignores delayed edges, with
+// durations averaged over the allowed processors and links (the
+// architecture is heterogeneous, so no single exact duration exists before
+// placement). The table is indexed by op ID, so σ is branchless array
+// arithmetic.
 package pressure
 
 import (
@@ -29,74 +32,85 @@ import (
 type Table struct {
 	// R is the averaged critical-path length of the algorithm.
 	R    float64
-	tail map[string]float64
+	tail []float64 // by op ID
 }
 
-// Compute builds the pressure table for g under sp. It rejects non-finite
-// path lengths: an operation with no allowed processor makes AvgExec return
-// the ∞ sentinel, which LongestPaths would silently propagate into R and the
-// tails — and Sigma would then evaluate Inf − Inf = NaN, mis-ranking every
-// candidate instead of failing.
-func Compute(g *graph.Graph, sp *spec.Spec) (*Table, error) {
-	info, err := graph.LongestPaths(g, spec.AvgCost{S: sp})
-	if err != nil {
-		return nil, fmt.Errorf("pressure: %w", err)
+// Compute builds the pressure table for g under the constraints v reads.
+// It rejects non-finite path lengths: an operation with no allowed
+// processor has the ∞ average, which the longest paths would silently
+// carry into R and the tails — and Sigma would then evaluate Inf − Inf =
+// NaN, mis-ranking every candidate instead of failing.
+func Compute(g *graph.Graph, v *spec.View) (Table, error) {
+	x := g.IDs()
+	if x.Cycle != nil {
+		return Table{}, fmt.Errorf("pressure: longest paths: %w", x.Cycle)
 	}
-	bad := ""
-	for op, e := range info.Tail { //ftlint:order-insensitive keeps the least name, whatever the order
-		if (math.IsInf(e, 1) || math.IsNaN(e)) && (bad == "" || op < bad) {
-			bad = op
+	n := g.NumOps()
+	// cost holds each op's average execution, then each edge's average
+	// transfer, and head and tail the longest paths ending just before
+	// each op starts and starting just after it ends.
+	buf := make([]float64, 3*n+len(x.Src))
+	head, tail, cost := buf[:n], buf[n:2*n], buf[2*n:]
+	for o := range n {
+		cost[o] = v.AvgExec(int32(o))
+	}
+	for e := range x.Src {
+		cost[n+e] = v.AvgComm(int32(e))
+	}
+	for _, o := range x.Topo {
+		h := 0.0
+		for _, p := range x.Preds(o) {
+			if w := head[p.Op] + cost[p.Op] + cost[n+int(p.Edge)]; w > h {
+				h = w
+			}
+		}
+		head[o] = h
+	}
+	for i := len(x.Topo) - 1; i >= 0; i-- {
+		o := x.Topo[i]
+		t := 0.0
+		for _, s := range x.Succs(o) {
+			if w := tail[s.Op] + cost[s.Op] + cost[n+int(s.Edge)]; w > t {
+				t = w
+			}
+		}
+		tail[o] = t
+	}
+	r := 0.0
+	for _, o := range x.Topo {
+		if total := head[o] + cost[o] + tail[o]; total > r {
+			r = total
 		}
 	}
-	if bad != "" {
-		return nil, fmt.Errorf("pressure: remaining path after %s is not finite: an operation on it has no allowed processor", bad)
-	}
-	if math.IsInf(info.R, 1) || math.IsNaN(info.R) {
-		return nil, fmt.Errorf("pressure: critical path is not finite: an operation has no allowed processor")
-	}
-	return &Table{R: info.R, tail: info.Tail}, nil
-}
 
-// E returns the longest remaining path after op ends (the paper's E(o),
-// "maximal end date measured from the end of the critical path").
-func (t *Table) E(op string) float64 { return t.tail[op] }
-
-// Sigma evaluates the schedule pressure of placing op on a processor where
-// it would start at date s and run for d time units.
-func (t *Table) Sigma(op string, s, d float64) float64 {
-	return s + d + t.E(op) - t.R
-}
-
-// Dense is the compiled form of a Table for a fixed operation interning: the
-// tail term indexed by a caller-assigned dense operation ID instead of a
-// name. Sigma on a Dense is branchless array arithmetic — no map hash, no
-// existence check — and small enough to inline into the scheduler's scoring
-// loop. Build one with Table.Dense.
-type Dense struct {
-	// R is the averaged critical-path length, identical to the Table's.
-	R    float64
-	tail []float64
-}
-
-// Dense compiles the table against ops, where the operation at index i gets
-// dense ID i. Every op must be present in the table: a miss here would turn
-// into a silent 0 tail and mis-rank candidates, so it is an error instead.
-func (t *Table) Dense(ops []string) (Dense, error) {
-	tail := make([]float64, len(ops))
-	for i, op := range ops {
-		e, ok := t.tail[op]
-		if !ok {
-			return Dense{}, fmt.Errorf("pressure: operation %q has no remaining-path entry", op)
+	bad, names := -1, []string(nil)
+	for o, e := range tail {
+		if !math.IsInf(e, 1) && !math.IsNaN(e) {
+			continue
 		}
-		tail[i] = e
+		if names == nil {
+			names = g.OpNames()
+		}
+		if bad < 0 || names[o] < names[bad] {
+			bad = o
+		}
 	}
-	return Dense{R: t.R, tail: tail}, nil
+	if bad >= 0 {
+		return Table{}, fmt.Errorf("pressure: remaining path after %s is not finite: an operation on it has no allowed processor", names[bad])
+	}
+	if math.IsInf(r, 1) || math.IsNaN(r) {
+		return Table{}, fmt.Errorf("pressure: critical path is not finite: an operation has no allowed processor")
+	}
+	return Table{R: r, tail: tail}, nil
 }
 
-// Sigma evaluates the schedule pressure of placing the operation with dense
-// ID op on a processor where it would start at date s and run for d time
-// units. The float expression is identical, operation for operation, to the
-// string-keyed Table.Sigma, so both produce bit-equal pressures.
-func (d *Dense) Sigma(op int32, s, dur float64) float64 {
-	return s + dur + d.tail[op] - d.R
+// E returns the longest remaining path after the operation with ID op ends
+// (the paper's E(o), "maximal end date measured from the end of the
+// critical path").
+func (t *Table) E(op int32) float64 { return t.tail[op] }
+
+// Sigma evaluates the schedule pressure of placing the operation with ID op
+// on a processor where it would start at date s and run for d time units.
+func (t *Table) Sigma(op int32, s, d float64) float64 {
+	return s + d + t.tail[op] - t.R
 }

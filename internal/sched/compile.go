@@ -20,12 +20,13 @@ import (
 // communication orders — is flattened into prefix-indexed arrays. It is
 // read-only after Compile and safe to share across goroutines.
 //
-// The ID spaces follow the scheduler core's convention:
+// The ID spaces are the problem's own, those of the graph's ID form
+// (graph.IDs) and of the architecture:
 //
-//	proc:  index into ProcNames (architecture declaration order)
-//	link:  index into LinkNames (architecture declaration order)
-//	op:    index into OpNames   (graph declaration order)
-//	edge:  index into Edges     (graph edge order)
+//	proc:  index into ProcNames (architecture declaration order, arch.ProcID)
+//	link:  index into LinkNames (architecture declaration order, arch.LinkID)
+//	op:    index into OpNames   (graph declaration order, graph.OpID)
+//	edge:  index into Edges     (graph edge order, graph.EdgeID)
 //	inst:  per processor ID, the processor's slots in ProcSlots order
 //	deliv, sender, hop: Schedule.Deliveries order
 //	queue: per link ID, the active hops in static communication order
@@ -37,14 +38,15 @@ type Compiled struct {
 	Edges     []graph.EdgeKey
 
 	// Instances of processor p are Insts[SeqStart[p]:SeqStart[p+1]], in
-	// static sequence order. InstAt[op*len(ProcNames)+proc] is the
-	// instance of op on proc, or -1.
+	// static sequence order, and Exec[i] is instance i's WCET.
+	// InstAt[op*len(ProcNames)+proc] is the instance of op on proc, or -1.
 	SeqStart []int32
 	Insts    []Inst
+	Exec     []float64
 	InstAt   []int32
 
 	// The strict inputs of instance i are Preds[PredStart[i]:PredStart[i+1]],
-	// in graph.StrictPreds order.
+	// in the order of its operation's graph.IDs Preds.
 	PredStart []int32
 	Preds     []Pred
 
@@ -64,8 +66,8 @@ type Compiled struct {
 	Queue      []QueueEntry
 	QueueDates []float64
 
-	// Outputs are the external outputs (the graph's sinks for headless
-	// workloads), the operations a complete iteration must produce.
+	// Outputs are the operations a complete iteration must produce, the
+	// graph.IDs Outputs.
 	Outputs []int32
 }
 
@@ -78,9 +80,7 @@ type Inst struct {
 
 // Pred is one strict input of an instance: the producing operation and the
 // dependency edge carrying its value.
-type Pred struct {
-	Op, Edge int32
-}
+type Pred = graph.Arc
 
 // DenseDelivery is one compiled Delivery: its senders are
 // Senders[SendLo:SendHi] in rank order, and the processors observing its
@@ -167,8 +167,10 @@ type pass struct {
 	sp *spec.Spec
 	c  *Compiled
 
-	// The constraints by the problem's IDs, which are the IDs of the
-	// declared names (graph.OpID, graph.EdgeID, arch.ProcID, arch.LinkID).
+	// The graph and the constraints by the problem's IDs, which are the IDs
+	// of the declared names (graph.OpID, graph.EdgeID, arch.ProcID,
+	// arch.LinkID).
+	ids  *graph.IDs
 	view *spec.View
 
 	// The declared processor, operation, link and edge counts.
@@ -176,21 +178,14 @@ type pass struct {
 	procX, opX     map[string]int32
 	linkX          []string // undeclared link names, by ID - nL
 
-	// Per declared edge: its endpoints and whether it is delayed.
-	edgeSrc, edgeDst []int32
-	delayed          []bool
-	// The strict inputs of declared op o are preds[predStart[o]:predStart[o+1]].
-	predStart []int32
-	preds     []Pred
 	// The endpoints of declared link l are ends[endStart[l]:endStart[l+1]];
 	// attached[l*nP+p] reports whether l attaches processor p.
 	endStart, ends []int32
 	attached       []bool
 
-	// Per instance: its slot and its WCET (+Inf when forbidden, or when the
-	// processor or operation is undeclared).
+	// Per instance: its slot (c.Exec holds its WCET, +Inf when forbidden,
+	// or when the processor or operation is undeclared).
 	slots []*OpSlot
-	exec  []float64
 	// dupes reports two slots of one operation on one processor.
 	dupes bool
 
@@ -227,6 +222,7 @@ func index(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec) *pa
 	}
 	p := &pass{
 		s: s, g: g, a: a, sp: sp, c: c,
+		ids:  g.IDs(),
 		view: sp.View(g, a),
 		nP:   int32(len(c.ProcNames)),
 		nO:   int32(len(c.OpNames)),
@@ -252,24 +248,8 @@ func (p *pass) indexGraph() {
 	if len(edges) > 0 {
 		p.c.Edges = make([]graph.EdgeKey, len(edges))
 	}
-	p.edgeSrc = make([]int32, len(edges))
-	p.edgeDst = make([]int32, len(edges))
-	p.delayed = make([]bool, len(edges))
 	for i, e := range edges {
-		k := e.Key()
-		p.c.Edges[i] = k
-		p.edgeSrc[i], p.edgeDst[i] = p.g.OpID(k.Src), p.g.OpID(k.Dst)
-		p.delayed[i] = e.Delayed()
-	}
-	// StrictPreds order.
-	p.predStart = make([]int32, p.nO+1)
-	for o, name := range p.c.OpNames {
-		for _, pred := range p.g.Preds(name) {
-			if e := p.g.EdgeID(graph.EdgeKey{Src: pred, Dst: name}); !p.delayed[e] {
-				p.preds = append(p.preds, Pred{Op: p.g.OpID(pred), Edge: e})
-			}
-		}
-		p.predStart[o+1] = int32(len(p.preds))
+		p.c.Edges[i] = e.Key()
 	}
 }
 
@@ -292,7 +272,7 @@ func (p *pass) producer(r *commRec) int32 {
 	}
 	op := int32(-1)
 	if r.edge >= 0 {
-		op = p.edgeSrc[r.edge]
+		op = p.ids.Src[r.edge]
 	} else if id := p.g.OpID(r.slot.Edge.Src); id >= 0 {
 		op = id
 	} else if id, ok := p.opX[r.slot.Edge.Src]; ok {
@@ -342,9 +322,9 @@ func (p *pass) indexInsts() {
 	n := p.s.NumOpSlots()
 	if n > 0 {
 		c.Insts = make([]Inst, 0, n)
+		c.Exec = make([]float64, 0, n)
 	}
 	p.slots = make([]*OpSlot, 0, n)
-	p.exec = make([]float64, 0, n)
 	c.PredStart = make([]int32, 0, n+1)
 	c.SeqStart = make([]int32, len(c.ProcNames)+1)
 	for pid, name := range c.ProcNames {
@@ -369,11 +349,11 @@ func (p *pass) indexInsts() {
 						p.fail("sched: operation %q has no WCET on processor %q", sl.Op, name)
 					}
 				}
-				c.Preds = append(c.Preds, p.preds[p.predStart[op]:p.predStart[op+1]]...)
+				c.Preds = append(c.Preds, p.ids.Preds(op)...)
 			}
 			c.Insts = append(c.Insts, Inst{Op: op, Proc: int32(pid), Replica: sl.Replica, Start: sl.Start, End: sl.End})
 			p.slots = append(p.slots, sl)
-			p.exec = append(p.exec, d)
+			c.Exec = append(c.Exec, d)
 		}
 	}
 	c.SeqStart[len(c.ProcNames)] = int32(len(c.Insts))
@@ -652,8 +632,8 @@ func (p *pass) flatten() error {
 		if k.edge >= p.nE {
 			return fmt.Errorf("sched: delivery of %s is not a graph edge", first(firstOf[d]).Edge)
 		}
-		srcOp := p.edgeSrc[k.edge]
-		dl := DenseDelivery{Edge: k.edge, DstOp: p.edgeDst[k.edge], Chain: c.Mode == ModeFT1, SendLo: int32(len(c.Senders))}
+		srcOp := p.ids.Src[k.edge]
+		dl := DenseDelivery{Edge: k.edge, DstOp: p.ids.Dst[k.edge], Chain: c.Mode == ModeFT1, SendLo: int32(len(c.Senders))}
 		for _, t := range order[sendStart[d]:sendStart[d+1]] {
 			f := first(t)
 			pid := p.recs[p.xfer[p.xferStart[t]]].src
@@ -715,17 +695,6 @@ func (p *pass) flatten() error {
 		c.Queue[i] = QueueEntry{Sender: recSender[r], Hop: recHop[r]}
 		c.QueueDates[i] = p.recs[r].slot.Start
 	}
-
-	outs := p.g.Outputs()
-	if len(outs) == 0 {
-		outs = p.g.Sinks()
-	}
-	for _, out := range outs {
-		oid := p.g.OpID(out)
-		if oid < 0 {
-			return fmt.Errorf("sched: output %q is not a graph operation", out)
-		}
-		c.Outputs = append(c.Outputs, oid)
-	}
+	c.Outputs = p.ids.Outputs
 	return nil
 }

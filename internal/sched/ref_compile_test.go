@@ -51,12 +51,14 @@ func refCompile(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec
 			if !ok {
 				return nil, fmt.Errorf("sched: schedule places unknown operation %q", sl.Op)
 			}
-			if math.IsInf(sp.Exec(sl.Op, p), 1) {
+			d := sp.Exec(sl.Op, p)
+			if math.IsInf(d, 1) {
 				return nil, fmt.Errorf("sched: operation %q has no WCET on processor %q", sl.Op, p)
 			}
+			c.Exec = append(c.Exec, d)
 			c.InstAt[int(oid)*nP+pid] = int32(len(c.Insts))
 			c.PredStart = append(c.PredStart, int32(len(c.Preds)))
-			for _, pred := range g.StrictPreds(sl.Op) {
+			for _, pred := range refStrictPreds(g, sl.Op) {
 				key := graph.EdgeKey{Src: pred, Dst: sl.Op}
 				eid, ok := edgeID[key]
 				if !ok {
@@ -86,6 +88,17 @@ func refCompile(s *Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec
 		c.Outputs = append(c.Outputs, oid)
 	}
 	return c, nil
+}
+
+// refStrictPreds returns the predecessors of op through non-delayed edges.
+func refStrictPreds(g *graph.Graph, op string) []string {
+	var out []string
+	for _, pred := range g.Preds(op) {
+		if !g.Edge(graph.EdgeKey{Src: pred, Dst: op}).Delayed() {
+			out = append(out, pred)
+		}
+	}
+	return out
 }
 
 // refIntern maps each name to its index.

@@ -361,7 +361,7 @@ func (v *refValidator) checkDataAvailability() {
 			if !v.g.HasOp(sl.Op) {
 				continue
 			}
-			for _, pred := range v.g.StrictPreds(sl.Op) {
+			for _, pred := range refStrictPreds(v.g, sl.Op) {
 				e := graph.EdgeKey{Src: pred, Dst: sl.Op}
 				at, ok := v.arrivalAt(e, p)
 				if !ok {

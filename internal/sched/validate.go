@@ -160,7 +160,7 @@ func (v *checker) checkOpSlots() {
 			if sl.Start < -1e-9 {
 				v.errorf("operation %q on %q starts at %g < 0", sl.Op, p, sl.Start)
 			}
-			if d := v.exec[i]; math.IsInf(d, 1) {
+			if d := c.Exec[i]; math.IsInf(d, 1) {
 				v.errorf("operation %q scheduled on forbidden processor %q", sl.Op, p)
 			} else if !timeEq(sl.Duration(), d) {
 				v.errorf("operation %q on %q lasts %g, spec says %g", sl.Op, p, sl.Duration(), d)
@@ -320,7 +320,7 @@ func (v *checker) groupByEdge() {
 // final hop delivering e to p, or broadcasting it on a bus attaching p.
 func (v *checker) arrival(e, p int32) (float64, bool) {
 	c := v.c
-	if local := c.InstAt[int(v.edgeSrc[e])*len(c.ProcNames)+int(p)]; local >= 0 {
+	if local := c.InstAt[int(v.ids.Src[e])*len(c.ProcNames)+int(p)]; local >= 0 {
 		return c.Insts[local].End, true
 	}
 	best, found := 0.0, false
@@ -422,10 +422,10 @@ func (v *checker) checkFT2CommReplication() {
 	seen := make([]int32, nP+len(srcX))
 	stamp := int32(0)
 	for e := int32(0); e < v.nE; e++ {
-		if v.delayed[e] {
+		if v.ids.Delayed[e] {
 			continue // state updates are delivered, not start-constraining
 		}
-		prod, cons := v.edgeSrc[e], v.edgeDst[e]
+		prod, cons := v.ids.Src[e], v.ids.Dst[e]
 		stamp++
 		nProd := 0
 		for _, r := range c.OpInsts[c.OpInstStart[prod]:c.OpInstStart[prod+1]] {

@@ -153,12 +153,14 @@ type queueEntry struct {
 
 // engine simulates one iteration.
 type engine struct {
-	s  *sched.Schedule
-	g  *graph.Graph
-	a  *arch.Architecture
-	sp *spec.Spec
-	st *simState
-	it int
+	s   *sched.Schedule
+	g   *graph.Graph
+	ids *graph.IDs
+	ops []string // the graph's operation names, by op ID
+	a   *arch.Architecture
+	sp  *spec.Spec
+	st  *simState
+	it  int
 
 	seq      map[string][]*opInst
 	insts    map[opProcKey]*opInst
@@ -201,7 +203,7 @@ func (e *engine) record(kind EventKind, what, where string, start, end float64) 
 
 func newEngine(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, st *simState, it int) *engine {
 	e := &engine{
-		s: s, g: g, a: a, sp: sp, st: st, it: it,
+		s: s, g: g, ids: g.IDs(), ops: g.OpNames(), a: a, sp: sp, st: st, it: it,
 		seq:       make(map[string][]*opInst),
 		seqIdx:    make(map[string]int),
 		seqReady:  make(map[string]float64),
@@ -494,8 +496,12 @@ func (e *engine) nextOpStart(p string) (float64, bool) {
 	}
 	inst := e.seq[p][i]
 	start := e.seqReady[p]
-	for _, pred := range e.g.StrictPreds(inst.slot.Op) {
-		at, ok := e.inputAvail(graph.EdgeKey{Src: pred, Dst: inst.slot.Op}, p)
+	var preds []graph.Arc
+	if o := e.g.OpID(inst.slot.Op); o >= 0 {
+		preds = e.ids.Preds(o)
+	}
+	for _, pred := range preds {
+		at, ok := e.inputAvail(graph.EdgeKey{Src: e.ops[pred.Op], Dst: inst.slot.Op}, p)
 		if !ok {
 			return 0, false
 		}
@@ -832,13 +838,8 @@ func (e *engine) report() IterationResult {
 		End:             e.lastActivity,
 		Completed:       true,
 	}
-	outs := e.g.Outputs()
-	if len(outs) == 0 {
-		// No output extios: fall back to the graph's sinks so delivery is
-		// still meaningful for headless workloads.
-		outs = e.g.Sinks()
-	}
-	for _, out := range outs {
+	for _, o := range e.ids.Outputs {
+		out := e.ops[o]
 		best := math.Inf(1)
 		for _, p := range e.s.Procs() {
 			if d, ok := e.opDone[opProcKey{op: out, proc: p}]; ok && d < best {

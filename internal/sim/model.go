@@ -10,9 +10,9 @@ import (
 )
 
 // Model is the compiled form of one (schedule, graph, architecture, spec)
-// quadruple: the schedule's sched.Compiled tables plus the two things only
-// the simulator needs — each instance's execution time from the spec, and
-// the processors and links in sorted-name order. A Model is read-only after
+// quadruple: the schedule's sched.Compiled tables, each instance's
+// execution time among them, plus the processors and links in sorted-name
+// order. A Model is read-only after
 // Compile and safe to share across any number of concurrent Runners; one
 // compiled model plus a per-worker Runner is the intended shape for
 // Monte-Carlo fault campaigns (internal/campaign).
@@ -26,9 +26,8 @@ type Model struct {
 	a  *arch.Architecture
 	nP int32
 
-	instExec   []float64 // instance -> spec execution time
-	procByName []int32   // all processor IDs, sorted by name
-	linkByName []int32   // all link IDs, sorted by name
+	procByName []int32 // all processor IDs, sorted by name
+	linkByName []int32 // all link IDs, sorted by name
 	// schedProcs are the processor IDs carrying op slots, by name; the
 	// engine's processor scans range over exactly this set, mirroring the
 	// legacy scan of sched.Procs().
@@ -57,11 +56,6 @@ func Compile(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.S
 		return nil, err
 	}
 	m := &Model{c: *c, a: a, nP: int32(len(c.ProcNames)), makespan: s.Makespan()}
-	// Finite: sched.Compile rejects placements without a WCET.
-	m.instExec = make([]float64, len(c.Insts))
-	for i, in := range c.Insts {
-		m.instExec[i] = sp.Exec(c.OpNames[in.Op], c.ProcNames[in.Proc])
-	}
 	m.procByName = sortedIDs(c.ProcNames)
 	m.linkByName = sortedIDs(c.LinkNames)
 	for _, p := range m.procByName {

@@ -297,7 +297,7 @@ func (r *Runner) inputAvail(edge, srcOp, proc int32) (float64, bool) {
 func (r *Runner) execOp(p int32, start float64) {
 	m := r.m
 	i := r.seqIdx[p]
-	end := start + m.instExec[i]
+	end := start + m.c.Exec[i] // finite: sched.Compile rejects placements without a WCET
 	r.procCand[p].dirty = true
 	if from, to, ok := r.silence(p); ok {
 		if math.IsInf(to, 1) {

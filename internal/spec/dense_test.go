@@ -145,6 +145,39 @@ func checkAgainstRef(t *testing.T, s *Spec, m *mapSpec, g *graph.Graph, a *arch.
 		}
 		bits(fmt.Sprintf("AvgComm(%s)", e), s.AvgComm(e), m.avgComm(e))
 	}
+	// The View reads the same cells by the problem's IDs.
+	v := s.View(g, a)
+	for _, op := range ops {
+		o := g.OpID(op)
+		if o < 0 {
+			continue
+		}
+		for _, p := range procs {
+			if id := a.ProcID(p); id >= 0 {
+				bits(fmt.Sprintf("View.Exec(%s, %s)", op, p), v.Exec(o, id), m.execOf(op, p))
+			}
+		}
+		bits(fmt.Sprintf("View.AvgExec(%s)", op), v.AvgExec(o), m.avgExec(op))
+	}
+	for _, e := range edges {
+		id := g.EdgeID(e)
+		if id < 0 {
+			continue
+		}
+		for _, l := range links {
+			if lid := a.LinkID(l); lid >= 0 {
+				got, ok := v.Comm(id, lid)
+				want, refErr := m.commOf(e, l)
+				if ok != (refErr == nil) {
+					t.Fatalf("View.Comm(%s, %s): ok %v, reference error %v", e, l, ok, refErr)
+				}
+				if ok {
+					bits(fmt.Sprintf("View.Comm(%s, %s)", e, l), got, want)
+				}
+			}
+		}
+		bits(fmt.Sprintf("View.AvgComm(%s)", e), v.AvgComm(id), m.avgComm(e))
+	}
 	if got, want := fmt.Sprint(s.Validate(g, a)), fmt.Sprint(m.validate(g, a)); got != want {
 		t.Fatalf("Validate:\n%s\nreference:\n%s", got, want)
 	}

@@ -134,9 +134,12 @@ func (s *Spec) CanRun(op, proc string) bool { return !math.IsInf(s.Exec(op, proc
 // on heterogeneous architectures. It returns Inf if no processor can run op.
 // The durations are summed in the order their processors were first given
 // to the spec, so repeated calls return the same bits.
-func (s *Spec) AvgExec(op string) float64 {
+func (s *Spec) AvgExec(op string) float64 { return s.avgExec(s.exec.rows.index(op)) }
+
+// avgExec averages exec row r, Inf for r < 0.
+func (s *Spec) avgExec(r int32) float64 {
 	sum, n := 0.0, 0
-	if r := s.exec.rows.index(op); r >= 0 {
+	if r >= 0 {
 		s.exec.each(r, func(_ int32, d float64) {
 			if !math.IsInf(d, 1) {
 				sum += d
@@ -154,9 +157,12 @@ func (s *Spec) AvgExec(op string) float64 {
 // specified for, or 0 if none were specified (a purely local dependency).
 // The durations are summed in the order their links were first given to
 // the spec.
-func (s *Spec) AvgComm(e graph.EdgeKey) float64 {
+func (s *Spec) AvgComm(e graph.EdgeKey) float64 { return s.avgComm(s.comm.rows.index(e)) }
+
+// avgComm averages comm row r, 0 for r < 0.
+func (s *Spec) avgComm(r int32) float64 {
 	sum, n := 0.0, 0
-	if r := s.comm.rows.index(e); r >= 0 {
+	if r >= 0 {
 		s.comm.each(r, func(_ int32, d float64) {
 			sum += d
 			n++
@@ -281,6 +287,13 @@ func (v *View) Exec(op, proc int32) float64 {
 	return Inf
 }
 
+// AvgExec returns the mean execution duration of operation op, as
+// Spec.AvgExec does.
+func (v *View) AvgExec(op int32) float64 { return v.s.avgExec(v.opRow[op]) }
+
+// AvgComm returns the mean transfer duration of edge, as Spec.AvgComm does.
+func (v *View) AvgComm(edge int32) float64 { return v.s.avgComm(v.edgeRow[edge]) }
+
 // Comm returns the transfer duration of edge over link, and whether the
 // spec has one.
 func (v *View) Comm(edge, link int32) (float64, bool) {
@@ -308,17 +321,3 @@ func (s *Spec) SetCommUniform(a *arch.Architecture, e graph.EdgeKey, d float64) 
 func (s *Spec) Clone() *Spec {
 	return &Spec{exec: s.exec.clone(), comm: s.comm.clone()}
 }
-
-// AvgCost adapts the spec to graph.CostFunc using averaged durations, the
-// weights used to compute R and E(o) before scheduling starts.
-type AvgCost struct {
-	S *Spec
-}
-
-// OpCost implements graph.CostFunc.
-func (c AvgCost) OpCost(op string) float64 { return c.S.AvgExec(op) }
-
-// EdgeCost implements graph.CostFunc.
-func (c AvgCost) EdgeCost(e graph.EdgeKey) float64 { return c.S.AvgComm(e) }
-
-var _ graph.CostFunc = AvgCost{}

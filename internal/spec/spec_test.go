@@ -155,16 +155,6 @@ func TestAverages(t *testing.T) {
 	}
 }
 
-func TestAvgCostAdapter(t *testing.T) {
-	s := New()
-	_ = s.SetExec("A", "P1", 2)
-	_ = s.SetComm(edge("A", "B"), "L", 1)
-	c := AvgCost{S: s}
-	if c.OpCost("A") != 2 || c.EdgeCost(edge("A", "B")) != 1 {
-		t.Error("AvgCost adapter")
-	}
-}
-
 func validSpec(t *testing.T, g *graph.Graph, a *arch.Architecture) *Spec {
 	t.Helper()
 	s := New()
