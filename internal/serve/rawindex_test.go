@@ -338,10 +338,12 @@ var fuzzEndpoints = []string{
 	"/v1/schedule/batch", "/v1/certify/batch", "/v1/simulate/batch",
 }
 
-// FuzzServeRepeat sends an arbitrary body to every request endpoint twice.
-// The answer must be a 200 or a 4xx, never a 5xx or a panic, and the repeat
-// (served from the raw index when the first succeeded) must return the
-// same status and bytes.
+// FuzzServeRepeat sends an arbitrary body to every request endpoint three
+// times: with its length declared, with it hidden (as a chunked body
+// arrives), and declared again. The answer must be a 200 or a 4xx, never a
+// 5xx or a panic, and the later sends (served from the raw index when the
+// first succeeded) must return the same status and bytes as the first,
+// whichever way readBody sized its buffer.
 func FuzzServeRepeat(f *testing.F) {
 	sched := busRequestJSON(f, nil)
 	certify := busRequestJSON(f, func(m map[string]any) { m["certify_k"] = 1 })
@@ -365,18 +367,24 @@ func FuzzServeRepeat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h := New(Config{Workers: 1}).Handler()
 		for _, path := range fuzzEndpoints {
-			var status [2]int
-			var out [2][]byte
+			var status [3]int
+			var out [3][]byte
 			for i := range status {
+				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+				if i == 1 {
+					req.ContentLength = -1
+				}
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				h.ServeHTTP(rec, req)
 				status[i], out[i] = rec.Code, rec.Body.Bytes()
 			}
 			if status[0] >= 500 {
 				t.Fatalf("%s: status %d: %s", path, status[0], out[0])
 			}
-			if status[1] != status[0] || !bytes.Equal(out[1], out[0]) {
-				t.Fatalf("%s: repeat answered %d %q after %d %q", path, status[1], out[1], status[0], out[0])
+			for i := 1; i < len(status); i++ {
+				if status[i] != status[0] || !bytes.Equal(out[i], out[0]) {
+					t.Fatalf("%s: send %d answered %d %q after %d %q", path, i, status[i], out[i], status[0], out[0])
+				}
 			}
 		}
 	})

@@ -305,9 +305,17 @@ func (s *Server) batch(kind string, h kindHandler) http.HandlerFunc {
 	}
 }
 
-// readBody drains the capped request body.
+// eagerBodyBytes bounds the buffer a declared Content-Length reserves
+// before any of the body arrives. Past it, readBody grows the buffer by
+// doubling toward the declared length as bytes come in, so a client that
+// declares a large body and sends none of it holds at most this much.
+const eagerBodyBytes = 256 << 10
+
+// readBody drains the capped request body. When the client declares the
+// body's length, the buffer is sized from it: a body of up to
+// eagerBodyBytes is read into one allocation of its own size.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *httpError) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readSized(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -319,16 +327,47 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *http
 	return body, nil
 }
 
+// readSized reads rd to EOF. A declared length n >= 0 sizes the buffer at
+// n+1 bytes, the one spare byte taking the EOF read, but reserves at most
+// eagerBodyBytes until the bytes arrive; past the declared length, or with
+// no length (n < 0), the buffer grows as append grows it, from 512 bytes.
+func readSized(rd io.Reader, n int64) ([]byte, error) {
+	want := 512
+	if n >= 0 {
+		want = int(n) + 1
+	}
+	b := make([]byte, 0, min(want, eagerBodyBytes))
+	for {
+		k, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+k]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) < cap(b) {
+			continue
+		}
+		if c := cap(b); c < want {
+			b = append(make([]byte, 0, min(2*c, want)), b...)
+		} else {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
 // strictUnmarshal decodes JSON rejecting unknown fields and trailing data:
 // a typo'd option must fail loudly rather than silently fall out of the
-// content hash.
+// content hash, and a stray byte after the document, a closing bracket
+// included, is as malformed as one inside it.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
 		return errors.New("trailing data after JSON document")
 	}
 	return nil
@@ -494,10 +533,7 @@ func (s *Server) prepareSchedule(body []byte) (*prepared, *httpError) {
 	if herr != nil {
 		return nil, herr
 	}
-	key, err := canonicalHash("schedule", &req, p, nil)
-	if err != nil {
-		return nil, engineError(err)
-	}
+	key := canonicalHash("schedule", &req, p, nil)
 	return &prepared{key: key, timeoutMS: req.TimeoutMS, compute: func(ctx context.Context) (*outcome, error) {
 		return s.computeSchedule(ctx, &req, p, key)
 	}}, nil
@@ -594,10 +630,7 @@ func renderSchedule(key string, req *ScheduleRequest, res *core.Result) (*outcom
 // scheduleFor reuses the schedule pipeline (cache, single-flight, pool) to
 // obtain the problem's schedule, rebuilt from its cached compact encoding.
 func (s *Server) scheduleFor(ctx context.Context, req *ScheduleRequest, p *problem) (*sched.Schedule, *httpError) {
-	key, err := canonicalHash("schedule", req, p, nil)
-	if err != nil {
-		return nil, engineError(err)
-	}
+	key := canonicalHash("schedule", req, p, nil)
 	out, _, herr := s.cachedOutcome(ctx, key, func() (*outcome, error) {
 		return s.computeSchedule(ctx, req, p, key)
 	})
@@ -680,10 +713,7 @@ func (s *Server) prepareCertify(body []byte) (*prepared, *httpError) {
 	if certK < 0 {
 		return nil, badRequest("certify: negative certify_k (%d)", certK)
 	}
-	key, err := canonicalHash("certify", &req.ScheduleRequest, p, certifyExtra{CertifyK: certK})
-	if err != nil {
-		return nil, engineError(err)
-	}
+	key := canonicalHash("certify", &req.ScheduleRequest, p, certifyExtra{CertifyK: certK})
 	return &prepared{key: key, timeoutMS: req.TimeoutMS, compute: func(ctx context.Context) (*outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -739,15 +769,12 @@ func (s *Server) prepareSimulate(body []byte) (*prepared, *httpError) {
 	if len(scenario) == 0 {
 		scenario = []FailureSpec{} // canonical: absent and [] hash identically
 	}
-	key, err := canonicalHash("simulate", &req.ScheduleRequest, p, simulateExtra{
+	key := canonicalHash("simulate", &req.ScheduleRequest, p, simulateExtra{
 		Scenario:    scenario,
 		Iterations:  req.Iterations,
 		SimDeadline: req.SimDeadline,
 		Trace:       req.Trace,
 	})
-	if err != nil {
-		return nil, engineError(err)
-	}
 	return &prepared{key: key, timeoutMS: req.TimeoutMS, compute: func(ctx context.Context) (*outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err

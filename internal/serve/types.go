@@ -107,7 +107,7 @@ type BatchResponse struct {
 
 // problem is a decoded, validated scheduling problem, with the canonical
 // graph, arch, and spec documents its content hashes are built from (see
-// canonicalEnvelope), rendered once per request.
+// canonicalHash), rendered once per request.
 type problem struct {
 	g  *graph.Graph
 	a  *arch.Architecture
