@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		degraded    = fs.Bool("degraded", false, "allow fewer than K+1 replicas where constraints forbid them")
 		steps       = fs.Bool("steps", false, "print the heuristic's greedy steps (the paper's Figs. 14-16)")
 		doCertify   = fs.Bool("certify", false, "statically certify the schedule against K failures; exit non-zero on rejection")
-		certWorkers = fs.Int("certify-workers", 0, "certifier worker-pool bound; <=1 is sequential (the verdict is identical at any value)")
+		certWorkers = fs.Int("certify-workers", 0, "certifier worker-pool bound; 0 uses GOMAXPROCS, 1 is sequential (the verdict is identical at any value)")
 
 		tracePath = fs.String("trace", "", "write a Chrome-trace JSON (build-phase spans + schedule Gantt) to this file; open in Perfetto")
 		stats     = fs.Bool("stats", false, "print the observability counters and timers after the run")

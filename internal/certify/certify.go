@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -84,15 +85,16 @@ type Counterexample struct {
 	Path []string
 }
 
-// Options tunes how a certificate is computed. The zero value evaluates the
-// frontier sequentially. Every option combination produces a bit-identical
-// Verdict; the knobs only trade wall-clock time for resources.
+// Options tunes how a certificate is computed. The zero value streams the
+// frontier through GOMAXPROCS workers. Every option combination produces a
+// bit-identical Verdict; the knobs only trade wall-clock time for
+// resources.
 type Options struct {
 	// Workers bounds the worker pool streaming frontier patterns through
-	// the evaluator. Values <= 1 evaluate sequentially. Workers only read
-	// shared model state; results are merged back in enumeration order, so
-	// the verdict (including WorstPattern and the counterexample) is
-	// identical to the sequential engine.
+	// the evaluator. 0 uses GOMAXPROCS; 1 evaluates sequentially. Workers
+	// only read shared model state; results are merged back in enumeration
+	// order, so the verdict (including WorstPattern and the counterexample)
+	// is identical to the sequential engine.
 	Workers int
 	// Obs is an optional observability sink recording pattern enumeration
 	// and pruning counts, evaluation counts, cone sizes, fixpoint rounds,
@@ -246,8 +248,12 @@ func (v *Verdict) consume(m *model, pr patternResult) bool {
 // (as pids), or nil when every pattern tolerates the failures, or
 // ErrCanceled if opts.Cancel was raised before the enumeration finished.
 func (m *model) frontier(v *Verdict, size int, opts Options) ([]int32, error) {
-	if opts.Workers > 1 {
-		pr, err := m.frontierParallel(v, size, opts.Workers, opts.Cancel)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > 1 {
+		pr, err := m.frontierParallel(v, size, workers, opts.Cancel)
 		if err != nil || pr == nil {
 			return nil, err
 		}

@@ -205,7 +205,7 @@ func TestCertifyAllocs(t *testing.T) {
 		}
 		var v *certify.Verdict
 		allocs := testing.AllocsPerRun(3, func() {
-			if v, err = certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, c.k, certify.Options{}); err != nil {
+			if v, err = certify.CertifyWith(res.Schedule, in.Graph, in.Arch, in.Spec, c.k, certify.Options{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})

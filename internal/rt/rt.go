@@ -54,13 +54,23 @@ func (a *Analysis) MeetsDeadline(d float64) bool {
 // Analyze sweeps every failure scenario of up to K processors crashing
 // simultaneously (plus, for K >= 1, each single-processor crash at every
 // event boundary) and reports response-time bounds. K = 0 checks only the
-// failure-free execution.
+// failure-free execution. The schedule is compiled once and every scenario
+// runs on one sim.Runner.
 func Analyze(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.Spec, k int) (*Analysis, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("rt: negative K")
 	}
+	m, err := sim.Compile(s, g, a, sp)
+	if err != nil {
+		return nil, err
+	}
+	return analyze(s, a, k, m.NewRunner().Run)
+}
+
+// analyze is Analyze's sweep, simulating each scenario with run.
+func analyze(s *sched.Schedule, a *arch.Architecture, k int, run func(sim.Scenario, sim.Config) (*sim.Result, error)) (*Analysis, error) {
 	res := &Analysis{AllDelivered: true}
-	free, err := sim.Simulate(s, g, a, sp, sim.Scenario{}, sim.Config{Iterations: 1})
+	free, err := run(sim.Scenario{}, sim.Config{Iterations: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +80,7 @@ func Analyze(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.S
 	res.FailureFree = free.Iterations[0].ResponseTime
 
 	check := func(sc sim.Scenario) error {
-		sr, err := sim.Simulate(s, g, a, sp, sc, sim.Config{Iterations: 3})
+		sr, err := run(sc, sim.Config{Iterations: 3})
 		if err != nil {
 			return err
 		}

@@ -2,10 +2,15 @@ package rt
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"ftsched/internal/arch"
 	"ftsched/internal/core"
+	"ftsched/internal/graph"
 	"ftsched/internal/paperex"
+	"ftsched/internal/sim"
+	"ftsched/internal/spec"
 	"ftsched/internal/workload"
 )
 
@@ -166,5 +171,76 @@ func TestAnalyzeK2IncludesPairs(t *testing.T) {
 	}
 	if an.WorstTransient < an.FailureFree {
 		t.Error("worst transient below failure-free")
+	}
+}
+
+// TestAnalyzeMatchesPerScenarioSimulate pins the compile-once sweep (one
+// Runner reused across every scenario) to the same sweep run through
+// sim.Simulate, which compiles a fresh model per scenario: the paper's bus
+// (FT1) and triangle (FT2) examples and a generated FT1 K=1 bus schedule.
+// Besides the Analysis, every scenario's Result must match, so state a
+// reused Runner fails to rewind cannot hide behind the sweep's maxima.
+func TestAnalyzeMatchesPerScenarioSimulate(t *testing.T) {
+	bus, tri := paperex.BusInstance(), paperex.TriangleInstance()
+	r := rand.New(rand.NewSource(1))
+	gen, err := workload.RandomInstance(r, 20+r.Intn(31), 4+r.Intn(3), true, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		h    core.Heuristic
+		g    *graph.Graph
+		a    *arch.Architecture
+		sp   *spec.Spec
+	}{
+		{"paper-bus/ft1", core.FT1, bus.Graph, bus.Arch, bus.Spec},
+		{"paper-triangle/ft2", core.FT2, tri.Graph, tri.Arch, tri.Spec},
+		{"random-bus/ft1", core.FT1, gen.Graph, gen.Arch, gen.Spec},
+	}
+	type simulateFunc = func(sim.Scenario, sim.Config) (*sim.Result, error)
+	recording := func(run simulateFunc, into *[]*sim.Result) simulateFunc {
+		return func(sc sim.Scenario, cfg sim.Config) (*sim.Result, error) {
+			res, err := run(sc, cfg)
+			*into = append(*into, res)
+			return res, err
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := core.Schedule(c.h, c.g, c.a, c.sp, 1, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Analyze(res.Schedule, c.g, c.a, c.sp, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh, reused []*sim.Result
+			want, err := analyze(res.Schedule, c.a, 1, recording(func(sc sim.Scenario, cfg sim.Config) (*sim.Result, error) {
+				return sim.Simulate(res.Schedule, c.g, c.a, c.sp, sc, cfg)
+			}, &fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("compile-once analysis differs from per-scenario Simulate:\n got  %+v\n want %+v", got, want)
+			}
+			m, err := sim.Compile(res.Schedule, c.g, c.a, c.sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := analyze(res.Schedule, c.a, 1, recording(m.NewRunner().Run, &reused)); err != nil {
+				t.Fatal(err)
+			}
+			if len(fresh) < 2 || len(reused) != len(fresh) {
+				t.Fatalf("simulated %d scenarios on the reused Runner, %d fresh", len(reused), len(fresh))
+			}
+			for i := range fresh {
+				if !reflect.DeepEqual(reused[i], fresh[i]) {
+					t.Fatalf("scenario %d: reused Runner gives %+v, fresh model %+v", i, reused[i], fresh[i])
+				}
+			}
+		})
 	}
 }

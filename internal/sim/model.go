@@ -43,6 +43,16 @@ type Model struct {
 	chains  []int32
 	chainOf []int32
 
+	// The Runner's next-action candidates form one array in the legacy
+	// scan order: the processors of schedProcs, then the links of
+	// linkByName, then the chains. Slots [0, linkBase) are processors,
+	// [linkBase, chainBase) links and [chainBase, nSlots) chains; procSlot
+	// and linkSlot map an ID to its slot (-1 for a processor without op
+	// slots), chain ci is slot chainBase+ci.
+	procSlot                    []int32
+	linkSlot                    []int32
+	linkBase, chainBase, nSlots int32
+
 	makespan float64
 }
 
@@ -88,6 +98,20 @@ func Compile(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *spec.S
 			m.chains = append(m.chains, int32(gi))
 		}
 	}
+	m.procSlot = make([]int32, len(c.ProcNames))
+	for p := range m.procSlot {
+		m.procSlot[p] = -1
+	}
+	for k, p := range m.schedProcs {
+		m.procSlot[p] = int32(k)
+	}
+	m.linkBase = int32(len(m.schedProcs))
+	m.linkSlot = make([]int32, len(c.LinkNames))
+	for k, l := range m.linkByName {
+		m.linkSlot[l] = m.linkBase + int32(k)
+	}
+	m.chainBase = m.linkBase + int32(len(m.linkByName))
+	m.nSlots = m.chainBase + int32(len(m.chains))
 	return m, nil
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"ftsched/internal/sched"
 )
@@ -16,8 +17,9 @@ import (
 // semantics, change BOTH engines.
 //
 // Where the legacy engine recomputes every candidate on every step, the
-// compiled one caches a candidate per processor, per link, and per FT1
-// chain, and recomputes it only after a step wrote state it reads:
+// compiled one caches a candidate per scheduled processor, per link, and
+// per FT1 chain, in one slot array in the legacy scan order, and recomputes
+// a slot only after a step wrote state it reads:
 //
 //	candidate    reads                              marked dirty by
 //	processor p  seqIdx, seqReady, seqDead[p],      execOp(p) (done and cancel
@@ -29,10 +31,13 @@ import (
 //	chain        its senders' state and arrival,    senderChanged or instDone for
 //	             their source dates                 one of its senders
 //
-// silence(p) is constant within an iteration. Link and chain candidates
-// cache the date before the link is free and take max(date, linkFree) at
-// scan time, so a linkFree write invalidates nothing. A settled chain stays
-// settled for the rest of the iteration.
+// resetIteration marks every slot dirty. silence(p) is constant within an
+// iteration. Link and chain slots cache the date before the link is free
+// and take max(date, linkFree) at scan time, so a linkFree write
+// invalidates nothing. A settled chain stays settled for the rest of the
+// iteration. The live bitset holds the slots that are executable, and only
+// those enter the fold: the legacy scan skips every other candidate and
+// the order is unchanged, so the fold picks the same action.
 
 // silence returns the window [from, to) of iteration-local time during
 // which processor p is silent in the current iteration.
@@ -107,26 +112,26 @@ func (r *Runner) record(kind EventKind, what, where string, start, end float64) 
 // runCompiled executes one iteration of the reactive loop to quiescence.
 // This is the per-scenario hot path: it must not allocate (hotalloc root).
 func (r *Runner) runCompiled(it int) {
+	m := r.m
 	r.resetIteration(it)
 	for { //ftlint:allow-nopoll bounded: every action consumes one pending op, hop, or failover of the finite schedule; Run and the campaign shards poll Cancel between scenarios
 		r.resolve()
-		kind, ref, idx, start := r.nextAction()
-		if kind == actNone {
-			if r.unblock() {
-				continue
+		k, start := r.nextAction()
+		switch {
+		case k < 0:
+			if !r.unblock() {
+				r.finalTimeoutSweep()
+				return
 			}
-			break
-		}
-		switch kind {
-		case actOp:
-			r.execOp(ref, start)
-		case actQueueHop:
-			r.execQueueHop(ref)
-		case actFailover:
-			r.execFailover(ref, idx, start)
+		case k < m.linkBase:
+			r.execOp(m.schedProcs[k], start)
+		case k < m.chainBase:
+			r.execQueueHop(m.linkByName[k-m.linkBase], r.slotAt[k])
+		default:
+			ci := k - m.chainBase
+			r.execFailover(m.chains[ci], r.chainSender[ci], start)
 		}
 	}
-	r.finalTimeoutSweep()
 }
 
 // resolve performs time-free state transitions until a fixed point.
@@ -172,7 +177,7 @@ func (r *Runner) killProc(p int32) {
 	}
 	r.seqIdx[p] = hi
 	r.seqDead[p] = true
-	r.procCand[p].dirty = true
+	r.dirty.set(r.m.procSlot[p])
 	r.resolveDirty = true
 }
 
@@ -182,10 +187,10 @@ func (r *Runner) senderChanged(si int32) {
 	m := r.m
 	sd := &m.c.Senders[si]
 	for _, h := range m.c.Hops[sd.HopLo:sd.HopHi] {
-		r.linkCand[h.Link].dirty = true
+		r.dirty.set(m.linkSlot[h.Link])
 	}
 	if ci := m.chainOf[sd.Delivery]; ci >= 0 {
-		r.chainCand[ci].dirty = true
+		r.dirty.set(m.chainBase + ci)
 	}
 }
 
@@ -196,62 +201,66 @@ func (r *Runner) instDone(i int32) {
 	for _, si := range m.instSenders[m.instSendStart[i]:m.instSendStart[i+1]] {
 		sd := &m.c.Senders[si]
 		if sd.HopLo < sd.HopHi {
-			r.linkCand[m.c.Hops[sd.HopLo].Link].dirty = true
+			r.dirty.set(m.linkSlot[m.c.Hops[sd.HopLo].Link])
 		}
 		if ci := m.chainOf[sd.Delivery]; ci >= 0 {
-			r.chainCand[ci].dirty = true
+			r.dirty.set(m.chainBase + ci)
 		}
 	}
 }
 
-// nextAction scans processors, link queues, and failover chains for the
-// executable action with the earliest start date, refreshing the dirty
-// candidates on the way. Scan orders match the legacy engine: processors
-// and links in sorted-name order (schedProcs, linkByName), chains in
-// delivery order.
-func (r *Runner) nextAction() (kind actionKind, ref int32, idx int32, bestStart float64) {
+// nextAction returns the slot of the executable action with the earliest
+// start date, or -1, after refreshing the dirty slots. The fold visits the
+// live slots in ascending order, which is the legacy scan order
+// (processors and links by name, chains in delivery order), with the
+// legacy comparison.
+func (r *Runner) nextAction() (slot int32, start float64) {
+	for w, word := range r.dirty {
+		if word == 0 {
+			continue
+		}
+		r.dirty[w] = 0
+		for ; word != 0; word &= word - 1 {
+			r.refreshSlot(int32(w<<6 + bits.TrailingZeros64(word)))
+		}
+	}
+	return foldLive(r.live, r.slotAt, r.slotLink, r.linkFree)
+}
+
+// foldLive returns the first live slot, in ascending order, whose start
+// max(at[k], linkFree[link[k]]) lies more than eps below every earlier
+// live slot's, with that start; -1 and +Inf when no slot is live.
+func foldLive(live bitset, at []float64, link []int32, linkFree []float64) (best int32, bestStart float64) {
+	best, bestStart = -1, math.Inf(1)
+	limit := bestStart - eps
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			k := w<<6 + bits.TrailingZeros64(word)
+			if start := max(at[k], linkFree[link[k]]); start < limit {
+				best, bestStart, limit = int32(k), start, start-eps
+			}
+		}
+	}
+	return best, bestStart
+}
+
+// refreshSlot recomputes slot k's date and its live bit.
+func (r *Runner) refreshSlot(k int32) {
 	m := r.m
-	kind, ref, idx = actNone, -1, -1
-	bestStart = math.Inf(1)
-	for _, p := range m.schedProcs {
-		c := &r.procCand[p]
-		if c.dirty {
-			c.at, c.ok = r.nextOpStart(p)
-			c.dirty = false
-		}
-		if c.ok && c.at < bestStart-eps {
-			kind, bestStart, ref, idx = actOp, c.at, p, -1
-		}
+	var ok bool
+	switch {
+	case k < m.linkBase:
+		r.slotAt[k], ok = r.nextOpStart(m.schedProcs[k])
+	case k < m.chainBase:
+		r.slotAt[k], ok = r.queueHeadReady(m.linkByName[k-m.linkBase])
+	default:
+		ok = r.refreshChain(k)
 	}
-	for _, l := range m.linkByName {
-		c := &r.linkCand[l]
-		if c.dirty {
-			c.at, c.ok = r.queueHeadReady(l)
-			c.dirty = false
-		}
-		if !c.ok {
-			continue
-		}
-		if start := max(c.at, r.linkFree[l]); start < bestStart-eps {
-			kind, bestStart, ref, idx = actQueueHop, start, l, -1
-		}
+	if ok {
+		r.live.set(k)
+	} else {
+		r.live.unset(k)
 	}
-	for ci := range r.chainCand {
-		c := &r.chainCand[ci]
-		if c.settled {
-			continue
-		}
-		if c.dirty {
-			r.refreshChain(int32(ci))
-		}
-		if c.sender < 0 {
-			continue
-		}
-		if start := max(c.at, r.linkFree[c.link]); start < bestStart-eps {
-			kind, bestStart, ref, idx = actFailover, start, m.chains[ci], c.sender
-		}
-	}
-	return kind, ref, idx, bestStart
 }
 
 // nextOpStart returns the earliest start of p's next pending operation, if
@@ -298,7 +307,7 @@ func (r *Runner) execOp(p int32, start float64) {
 	m := r.m
 	i := r.seqIdx[p]
 	end := start + m.c.Exec[i] // finite: sched.Compile rejects placements without a WCET
-	r.procCand[p].dirty = true
+	r.dirty.set(m.procSlot[p])
 	if from, to, ok := r.silence(p); ok {
 		if math.IsInf(to, 1) {
 			if start >= from-eps || end > from+eps {
@@ -364,10 +373,11 @@ func (r *Runner) hopDataReady(en *sched.QueueEntry) (float64, bool) {
 	return d, true
 }
 
-// execQueueHop executes the head entry of link l's static order.
-func (r *Runner) execQueueHop(l int32) {
+// execQueueHop executes the head entry of link l's static order, whose data
+// is ready at ready.
+func (r *Runner) execQueueHop(l int32, ready float64) {
 	si := r.m.c.Queue[r.queueIdx[l]].Sender
-	r.execHop(r.m.c.Senders[si].Delivery, si, r.linkCand[l].at)
+	r.execHop(r.m.c.Senders[si].Delivery, si, ready)
 }
 
 // execHop transmits one hop of a transfer; a forwarding processor or the
@@ -428,7 +438,9 @@ func (r *Runner) execHop(gi, si int32, ready float64) {
 		k := gr.Edge*nP + rcv
 		if cur := r.commAvail[k]; math.IsNaN(cur) || end < cur {
 			r.commAvail[k] = end
-			r.procCand[rcv].dirty = true
+			if ps := m.procSlot[rcv]; ps >= 0 { // a receiver may hold no op slot
+				r.dirty.set(ps)
+			}
 		}
 	}
 	if r.detected[sd.Proc] && !r.silentAt(sd.Proc, end) {
@@ -436,13 +448,15 @@ func (r *Runner) execHop(gi, si int32, ready float64) {
 	}
 }
 
-// refreshChain walks FT1 failover chain ci and caches the next passive
-// sender ready to transmit (as an absolute sender index), or settles the
-// chain.
-func (r *Runner) refreshChain(ci int32) {
+// refreshChain walks the FT1 failover chain in slot k and caches the next
+// passive sender ready to transmit (as an absolute sender index), or
+// settles the chain. It reports whether a sender is ready.
+func (r *Runner) refreshChain(k int32) bool {
 	m := r.m
-	c := &r.chainCand[ci]
-	c.dirty, c.sender = false, -1
+	ci := k - m.chainBase
+	if r.chainSettled[ci] {
+		return false
+	}
 	gr := &m.c.Deliveries[m.chains[ci]]
 	effDeadline := 0.0
 	for si := gr.SendLo; si < gr.SendHi; si++ {
@@ -450,8 +464,7 @@ func (r *Runner) refreshChain(ci int32) {
 		if r.sendSkipped[si] {
 			if sd.Passive && r.sendState[si] == sendUnknown {
 				if d := r.opDone[sd.SrcOp*m.nP+sd.Proc]; !math.IsNaN(d) {
-					c.at, c.sender, c.link = max(d, effDeadline), si, m.c.Hops[sd.HopLo].Link
-					return
+					return r.chainReady(k, si, max(d, effDeadline))
 				}
 			}
 			continue
@@ -459,8 +472,8 @@ func (r *Runner) refreshChain(ci int32) {
 		switch r.sendState[si] {
 		case sendDone:
 			if r.sendArrival[si] <= effDeadline+eps || r.sendArrival[si] <= sd.Deadline+eps {
-				c.settled = true
-				return
+				r.chainSettled[ci] = true
+				return false
 			}
 			effDeadline = max(effDeadline, sd.Deadline)
 		case sendNever:
@@ -472,18 +485,26 @@ func (r *Runner) refreshChain(ci int32) {
 			}
 			d := r.opDone[sd.SrcOp*m.nP+sd.Proc]
 			if math.IsNaN(d) {
-				return
+				return false
 			}
-			c.at, c.sender, c.link = max(d, effDeadline), si, m.c.Hops[sd.HopLo].Link
-			return
+			return r.chainReady(k, si, max(d, effDeadline))
 		}
 	}
 	for si := gr.SendLo; si < gr.SendHi; si++ {
 		if r.sendState[si] == sendUnknown || r.sendState[si] == sendActive {
-			return
+			return false
 		}
 	}
-	c.settled = true
+	r.chainSettled[ci] = true
+	return false
+}
+
+// chainReady caches sender si of the chain in slot k, which may start at at
+// once its first-hop link is free.
+func (r *Runner) chainReady(k, si int32, at float64) bool {
+	m := r.m
+	r.slotAt[k], r.slotLink[k], r.chainSender[k-m.chainBase] = at, m.c.Hops[m.c.Senders[si].HopLo].Link, si
+	return true
 }
 
 // execFailover performs a backup sender's transfer after marking the

@@ -27,7 +27,7 @@ type Runner struct {
 	instState   []opState // per instance
 	opDone      []float64 // [op*numProcs+proc]; NaN = not executed
 	commAvail   []float64 // [edge*numProcs+proc]; NaN = not received
-	linkFree    []float64 // per link
+	linkFree    []float64 // per link, then -Inf for processor slots (see slotLink)
 	sendState   []sendState
 	sendHopDone []int32
 	sendHopTime []float64
@@ -35,13 +35,18 @@ type Runner struct {
 	sendSkipped []bool
 	queueIdx    []int32 // per link: absolute next-queue-entry index
 
-	// Next-action candidates, one per processor, link, and FT1 chain. Each
-	// is recomputed only after a step wrote state it reads (run.go lists
-	// the write sites); linkFree is applied at scan time, so link and chain
-	// candidates never depend on it.
-	procCand  []candidate      // per processor: next operation's start
-	linkCand  []candidate      // per link: queue head's data-ready date
-	chainCand []chainCandidate // per chain (Model.chains)
+	// Next-action candidates, one slot per scheduled processor, link and
+	// FT1 chain, in the legacy scan order (Model.procSlot, linkSlot,
+	// chainBase). A slot is recomputed only after a step wrote state it
+	// reads, which sets its dirty bit (run.go lists the write sites); live
+	// marks the slots whose action is executable. A slot's start is
+	// max(slotAt, linkFree[slotLink]), applied at scan time, so a linkFree
+	// write invalidates nothing.
+	slotAt       []float64 // per slot: earliest start before the link is free
+	slotLink     []int32   // per slot: the link bounding the start (a processor's is the -Inf entry linkFree[nL])
+	dirty, live  bitset
+	chainSender  []int32 // per chain: next passive sender ready to transmit, while live
+	chainSettled []bool  // per chain: absorbing within an iteration
 
 	messages, lost, missed        int
 	timeouts, falseDet, failovers int
@@ -57,46 +62,41 @@ type Runner struct {
 func (m *Model) NewRunner() *Runner {
 	c := &m.c
 	nP, nL := len(c.ProcNames), len(c.LinkNames)
-	return &Runner{
-		m:           m,
-		hasFail:     make([]bool, nP),
-		fail:        make([]Failure, nP),
-		hasLinkFail: make([]bool, nL),
-		linkFail:    make([]LinkFailure, nL),
-		detected:    make([]bool, nP),
-		seqIdx:      make([]int32, nP),
-		seqReady:    make([]float64, nP),
-		seqDead:     make([]bool, nP),
-		instState:   make([]opState, len(c.Insts)),
-		opDone:      make([]float64, len(c.OpNames)*nP),
-		commAvail:   make([]float64, len(c.Edges)*nP),
-		linkFree:    make([]float64, nL),
-		sendState:   make([]sendState, len(c.Senders)),
-		sendHopDone: make([]int32, len(c.Senders)),
-		sendHopTime: make([]float64, len(c.Senders)),
-		sendArrival: make([]float64, len(c.Senders)),
-		sendSkipped: make([]bool, len(c.Senders)),
-		queueIdx:    make([]int32, nL),
-		procCand:    make([]candidate, nP),
-		linkCand:    make([]candidate, nL),
-		chainCand:   make([]chainCandidate, len(m.chains)),
+	r := &Runner{
+		m:            m,
+		hasFail:      make([]bool, nP),
+		fail:         make([]Failure, nP),
+		hasLinkFail:  make([]bool, nL),
+		linkFail:     make([]LinkFailure, nL),
+		detected:     make([]bool, nP),
+		seqIdx:       make([]int32, nP),
+		seqReady:     make([]float64, nP),
+		seqDead:      make([]bool, nP),
+		instState:    make([]opState, len(c.Insts)),
+		opDone:       make([]float64, len(c.OpNames)*nP),
+		commAvail:    make([]float64, len(c.Edges)*nP),
+		linkFree:     make([]float64, nL+1),
+		sendState:    make([]sendState, len(c.Senders)),
+		sendHopDone:  make([]int32, len(c.Senders)),
+		sendHopTime:  make([]float64, len(c.Senders)),
+		sendArrival:  make([]float64, len(c.Senders)),
+		sendSkipped:  make([]bool, len(c.Senders)),
+		queueIdx:     make([]int32, nL),
+		slotAt:       make([]float64, m.nSlots),
+		slotLink:     make([]int32, m.nSlots),
+		dirty:        newBitset(int(m.nSlots)),
+		live:         newBitset(int(m.nSlots)),
+		chainSender:  make([]int32, len(m.chains)),
+		chainSettled: make([]bool, len(m.chains)),
 	}
-}
-
-// candidate is a cached next-action date: ok reports whether the action is
-// executable at all, dirty that the cache must be recomputed before use.
-type candidate struct {
-	at        float64
-	ok, dirty bool
-}
-
-// chainCandidate caches an FT1 chain's next passive sender (-1 when none is
-// ready), the date it may start before the link is considered, and its
-// first-hop link. settled is absorbing within an iteration.
-type chainCandidate struct {
-	at             float64
-	sender, link   int32
-	dirty, settled bool
+	r.linkFree[nL] = math.Inf(-1)
+	for k := range m.linkBase {
+		r.slotLink[k] = int32(nL)
+	}
+	for k, l := range m.linkByName {
+		r.slotLink[m.linkBase+int32(k)] = l
+	}
+	return r
 }
 
 // Reset rewinds the cross-scenario failure state (injected failures and FT1
@@ -142,7 +142,7 @@ func (r *Runner) resetIteration(it int) {
 	}
 	fillNaN(r.opDone)
 	fillNaN(r.commAvail)
-	for i := range r.linkFree {
+	for i := range r.queueIdx {
 		r.linkFree[i] = 0
 		r.queueIdx[i] = m.c.QueueStart[i]
 	}
@@ -153,15 +153,8 @@ func (r *Runner) resetIteration(it int) {
 		r.sendArrival[i] = 0
 		r.sendSkipped[i] = r.detected[m.c.Senders[i].Proc]
 	}
-	for i := range r.procCand {
-		r.procCand[i].dirty = true
-	}
-	for i := range r.linkCand {
-		r.linkCand[i].dirty = true
-	}
-	for i := range r.chainCand {
-		r.chainCand[i] = chainCandidate{dirty: true}
-	}
+	r.dirty.fill(int(m.nSlots)) // refreshing every slot rewrites live
+	clear(r.chainSettled)
 	r.messages, r.lost, r.missed = 0, 0, 0
 	r.timeouts, r.falseDet, r.failovers = 0, 0, 0
 	r.opsExec, r.opsCancel = 0, 0

@@ -105,8 +105,11 @@ func campaignScenarios(a *arch.Architecture, horizon float64) []sim.Scenario {
 // at campaign scale (40–60 operations on 6 processors): 70–135 FT1 chains
 // per model, K=2, multi-hop ring routes, queue heads blocked at quiescence,
 // and FT2 meshes, under every campaign scenario class. It also pins
-// RunStats to Run on the same scenarios.
+// RunStats to Run on the same scenarios. The largest case must span more
+// than one 64-slot word of FT1 chains and of next-action slots, so the
+// multi-word live set runs under the legacy referee.
 func TestSimDifferentialWorkloads(t *testing.T) {
+	cases, maxChains, maxSlots := 0, 0, 0
 	for si, sh := range workloadShapes {
 		for trial := 0; trial < 2; trial++ {
 			seed := int64(100*si + trial)
@@ -118,6 +121,9 @@ func TestSimDifferentialWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cases++
+				chains, slots := sim.CandidateSlots(m)
+				maxChains, maxSlots = max(maxChains, chains), max(maxSlots, slots)
 				runner := m.NewRunner()
 				for ci, sc := range campaignScenarios(in.Arch, horizon) {
 					cfg := sim.Config{Iterations: 3, Trace: ci%2 == 0, Deadline: horizon * 1.2}
@@ -132,6 +138,10 @@ func TestSimDifferentialWorkloads(t *testing.T) {
 				}
 			})
 		}
+	}
+	t.Logf("largest case: %d FT1 chains, %d candidate slots", maxChains, maxSlots)
+	if cases == 2*len(workloadShapes) && (maxChains <= 64 || maxSlots <= 64) {
+		t.Fatalf("largest case has %d FT1 chains and %d candidate slots, want both > 64", maxChains, maxSlots)
 	}
 }
 
