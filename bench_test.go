@@ -13,7 +13,6 @@ import (
 
 	"ftsched"
 	"ftsched/internal/core"
-	"ftsched/internal/faults"
 	"ftsched/internal/paperex"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
@@ -270,7 +269,7 @@ func BenchmarkTransientResponse(b *testing.B) {
 				b.Fatal(err)
 			}
 			base := free.Iterations[0].ResponseTime
-			scenarios := faults.SingleSweep(in.Arch, 0, faults.CrashDates(sr.Schedule.Makespan(), 4))
+			scenarios := sim.SingleSweep(in.Arch, sr.Schedule.Makespan(), 4)
 			var mean float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

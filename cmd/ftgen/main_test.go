@@ -83,3 +83,19 @@ func TestNegativeSeedsExits(t *testing.T) {
 		t.Errorf("stdout %q, stderr %q; want no output and stderr %q", stdout.String(), stderr.String(), want)
 	}
 }
+
+// TestDemoRejectsFileFlags pins that -demo next to an input file is a usage
+// error, not a run of the demo that ignores the file.
+func TestDemoRejectsFileFlags(t *testing.T) {
+	for _, name := range []string{"graph", "arch", "spec"} {
+		var out strings.Builder
+		err := run([]string{"-demo", "-" + name, "/nonexistent.json"}, &out)
+		want := "usage: -" + name + " contradicts -demo (the demo provides its own inputs)"
+		if err == nil || err.Error() != want {
+			t.Errorf("-demo -%s: got error %v, want %q", name, err, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-demo -%s: wrote %d bytes of output", name, out.Len())
+		}
+	}
+}

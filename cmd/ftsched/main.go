@@ -19,15 +19,12 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"ftsched/internal/arch"
 	"ftsched/internal/certify"
+	"ftsched/internal/cli"
 	"ftsched/internal/core"
-	"ftsched/internal/graph"
 	"ftsched/internal/obs"
-	"ftsched/internal/paperex"
 	"ftsched/internal/report"
 	"ftsched/internal/sched"
-	"ftsched/internal/spec"
 )
 
 func main() {
@@ -39,15 +36,12 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftsched", flag.ContinueOnError)
+	problem := cli.ProblemFlags(fs)
 	var (
-		graphPath   = fs.String("graph", "", "algorithm graph JSON file")
-		archPath    = fs.String("arch", "", "architecture JSON file")
-		specPath    = fs.String("spec", "", "distribution constraints JSON file")
 		heuristic   = fs.String("heuristic", "ft1", "scheduler: basic, ft1, or ft2")
 		k           = fs.Int("k", 1, "number of fail-stop processor failures to tolerate")
 		seeds       = fs.Int("seeds", 0, "extra randomized tie-breaking runs; the best schedule wins")
 		format      = fs.String("format", "gantt", "output: gantt, table, json, chain, svg, or dot")
-		demo        = fs.Bool("demo", false, "schedule the paper's worked example (bus for basic/ft1, triangle for ft2)")
 		degraded    = fs.Bool("degraded", false, "allow fewer than K+1 replicas where constraints forbid them")
 		steps       = fs.Bool("steps", false, "print the heuristic's greedy steps (the paper's Figs. 14-16)")
 		doCertify   = fs.Bool("certify", false, "statically certify the schedule against K failures; exit non-zero on rejection")
@@ -104,31 +98,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var (
-		g  *graph.Graph
-		a  *arch.Architecture
-		sp *spec.Spec
-	)
-	if *demo {
-		in := paperex.BusInstance()
-		if h == core.FT2 {
-			in = paperex.TriangleInstance()
-		}
-		g, a, sp = in.Graph, in.Arch, in.Spec
-	} else {
-		if *graphPath == "" || *archPath == "" || *specPath == "" {
-			return fmt.Errorf("need -graph, -arch, and -spec (or -demo)")
-		}
-		g, a, sp = new(graph.Graph), new(arch.Architecture), spec.New()
-		if err := loadJSON(*graphPath, g); err != nil {
-			return err
-		}
-		if err := loadJSON(*archPath, a); err != nil {
-			return err
-		}
-		if err := loadJSON(*specPath, sp); err != nil {
-			return err
-		}
+	g, a, sp, err := problem.Load(h)
+	if err != nil {
+		return err
 	}
 
 	opts := core.Options{AllowDegraded: *degraded, Trace: *steps, Obs: sink}
@@ -208,13 +180,6 @@ func checkFlagCombos(fs *flag.FlagSet, format string) error {
 	if set["certify-workers"] && !set["certify"] {
 		return fmt.Errorf("usage: -certify-workers requires -certify")
 	}
-	if set["demo"] {
-		for _, name := range []string{"graph", "arch", "spec"} {
-			if set[name] {
-				return fmt.Errorf("usage: -%s contradicts -demo (the demo provides its own inputs)", name)
-			}
-		}
-	}
 	if set["stats"] && (format == "json" || format == "svg") {
 		return fmt.Errorf("usage: -stats would corrupt the -format %s stream; use -trace or a text format", format)
 	}
@@ -239,17 +204,6 @@ func writeTrace(path string, sink *obs.Sink, s *sched.Schedule) error {
 func certifyOutcome(cert *certify.Verdict) error {
 	if cert != nil && !cert.Certified {
 		return fmt.Errorf("certification rejected the schedule for K=%d failures", cert.K)
-	}
-	return nil
-}
-
-func loadJSON(path string, v json.Unmarshaler) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := v.UnmarshalJSON(data); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,14 +26,11 @@ import (
 	"strconv"
 	"strings"
 
-	"ftsched/internal/arch"
+	"ftsched/internal/cli"
 	"ftsched/internal/core"
-	"ftsched/internal/graph"
-	"ftsched/internal/paperex"
 	"ftsched/internal/report"
 	"ftsched/internal/rt"
 	"ftsched/internal/sim"
-	"ftsched/internal/spec"
 )
 
 // failList collects repeated -fail flags.
@@ -96,16 +92,13 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftsim", flag.ContinueOnError)
+	problem := cli.ProblemFlags(fs)
 	var fails failList
 	var (
-		graphPath  = fs.String("graph", "", "algorithm graph JSON file")
-		archPath   = fs.String("arch", "", "architecture JSON file")
-		specPath   = fs.String("spec", "", "distribution constraints JSON file")
 		heuristic  = fs.String("heuristic", "ft1", "scheduler: basic, ft1, or ft2")
 		k          = fs.Int("k", 1, "number of failures to tolerate")
 		seeds      = fs.Int("seeds", 0, "extra randomized tie-breaking runs")
 		iterations = fs.Int("iterations", 3, "iterations of the reactive loop to simulate")
-		demo       = fs.Bool("demo", false, "use the paper's worked example")
 		gantt      = fs.Bool("gantt", false, "also print the static schedule")
 		trace      = fs.Bool("trace", false, "print each iteration's executed activities")
 		deadline   = fs.Float64("deadline", 0, "real-time constraint checked per iteration (0 = none)")
@@ -137,34 +130,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var (
-		g  *graph.Graph
-		a  *arch.Architecture
-		sp *spec.Spec
-	)
-	if *demo {
-		in := paperex.BusInstance()
-		if h == core.FT2 {
-			in = paperex.TriangleInstance()
-		}
-		g, a, sp = in.Graph, in.Arch, in.Spec
-	} else {
-		if *graphPath == "" || *archPath == "" || *specPath == "" {
-			return fmt.Errorf("need -graph, -arch, and -spec (or -demo)")
-		}
-		g, a, sp = new(graph.Graph), new(arch.Architecture), spec.New()
-		for _, l := range []struct {
-			path string
-			v    json.Unmarshaler
-		}{{*graphPath, g}, {*archPath, a}, {*specPath, sp}} {
-			data, err := os.ReadFile(l.path)
-			if err != nil {
-				return err
-			}
-			if err := l.v.UnmarshalJSON(data); err != nil {
-				return fmt.Errorf("%s: %w", l.path, err)
-			}
-		}
+	g, a, sp, err := problem.Load(h)
+	if err != nil {
+		return err
 	}
 
 	res, err := core.ScheduleTuned(h, g, a, sp, *k, *seeds, core.Options{})

@@ -51,7 +51,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync/atomic"
 
 	"ftsched/internal/arch"
 	"ftsched/internal/certify"
@@ -60,6 +59,7 @@ import (
 	"ftsched/internal/gen"
 	"ftsched/internal/graph"
 	"ftsched/internal/obs"
+	"ftsched/internal/par"
 	"ftsched/internal/rt"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
@@ -157,32 +157,6 @@ func ScheduleTuned(h Heuristic, g *Graph, a *Architecture, sp *Spec, k, seeds in
 	return core.ScheduleTuned(h, g, a, sp, k, seeds, opts)
 }
 
-// watchContext arms opts-style cooperative cancellation from a context: it
-// returns a flag that is raised when ctx is done, and a release function the
-// caller must invoke (defer) to stop the watcher goroutine. For contexts
-// that can never be canceled the watcher is elided entirely.
-func watchContext(ctx context.Context, flag *atomic.Bool) (*atomic.Bool, func()) {
-	if flag == nil {
-		flag = new(atomic.Bool)
-	}
-	if ctx.Done() == nil {
-		return flag, func() {}
-	}
-	if ctx.Err() != nil {
-		flag.Store(true)
-		return flag, func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-done:
-		}
-	}()
-	return flag, func() { close(done) }
-}
-
 // ctxErr maps a cooperative-cancellation failure back to the context's own
 // error so callers see the familiar context.Canceled/DeadlineExceeded.
 func ctxErr(ctx context.Context, err error, canceled error) error {
@@ -198,7 +172,7 @@ func ctxErr(ctx context.Context, err error, canceled error) error {
 // schedule bit-identical to the context-free entry points. If opts.Cancel
 // is already set, the same flag is shared, so either source can abort.
 func ScheduleContext(ctx context.Context, h Heuristic, g *Graph, a *Architecture, sp *Spec, k int, opts Options) (*Result, error) {
-	flag, stop := watchContext(ctx, opts.Cancel)
+	flag, stop := par.Watch(ctx, opts.Cancel)
 	defer stop()
 	opts.Cancel = flag
 	res, err := core.Schedule(h, g, a, sp, k, opts)
@@ -211,7 +185,7 @@ func ScheduleContext(ctx context.Context, h Heuristic, g *Graph, a *Architecture
 // ScheduleTunedContext is ScheduleTuned bounded by a context (see
 // ScheduleContext).
 func ScheduleTunedContext(ctx context.Context, h Heuristic, g *Graph, a *Architecture, sp *Spec, k, seeds int, opts Options) (*Result, error) {
-	flag, stop := watchContext(ctx, opts.Cancel)
+	flag, stop := par.Watch(ctx, opts.Cancel)
 	defer stop()
 	opts.Cancel = flag
 	res, err := core.ScheduleTuned(h, g, a, sp, k, seeds, opts)
@@ -259,7 +233,7 @@ func Simulate(s *Schedule, g *Graph, a *Architecture, sp *Spec, sc Scenario, cfg
 // between iterations and aborts with the context's error when it is done.
 // A run that completes is bit-identical to Simulate.
 func SimulateContext(ctx context.Context, s *Schedule, g *Graph, a *Architecture, sp *Spec, sc Scenario, cfg SimConfig) (*SimResult, error) {
-	flag, stop := watchContext(ctx, cfg.Cancel)
+	flag, stop := par.Watch(ctx, cfg.Cancel)
 	defer stop()
 	cfg.Cancel = flag
 	res, err := sim.Simulate(s, g, a, sp, sc, cfg)
@@ -387,7 +361,7 @@ func CertifyContext(ctx context.Context, res *Result, g *Graph, a *Architecture,
 	if res == nil {
 		return nil, errors.New("ftsched: nil scheduling result")
 	}
-	flag, stop := watchContext(ctx, opts.Cancel)
+	flag, stop := par.Watch(ctx, opts.Cancel)
 	defer stop()
 	opts.Cancel = flag
 	v, err := certify.CertifyWith(res.Schedule, g, a, sp, k, opts)

@@ -7,7 +7,6 @@ import (
 
 	"ftsched"
 	"ftsched/internal/core"
-	"ftsched/internal/faults"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -95,7 +94,7 @@ func TestIntegrationMatrix(t *testing.T) {
 						continue
 					}
 					horizon := res.Schedule.Makespan()
-					for _, sc := range faults.SingleSweep(a, 0, faults.CrashDates(horizon, 3)) {
+					for _, sc := range sim.SingleSweep(a, horizon, 3) {
 						sr, err := sim.Simulate(res.Schedule, g, a, sp, sc, sim.Config{Iterations: 2})
 						if err != nil {
 							t.Fatal(err)

@@ -129,6 +129,9 @@ var CriticalPackages = map[string]bool{
 	"sim":      true,
 	"campaign": true,
 	"serve":    true,
+	// The ordered worker pool: its fold order decides certify verdicts
+	// and campaign reports.
+	"par": true,
 	// The constraints tables and the pressure table built from their
 	// averages: a float sum in map order would reach the schedule.
 	"spec":     true,

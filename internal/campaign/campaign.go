@@ -3,10 +3,10 @@ package campaign
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ftsched/internal/obs"
+	"ftsched/internal/par"
 	"ftsched/internal/sim"
 )
 
@@ -105,12 +105,6 @@ func normalizeMix(mix map[string]float64) ([numClasses]float64, error) {
 	return w, nil
 }
 
-// blockResult carries one finished block to the merger.
-type blockResult struct {
-	idx int64
-	agg *blockAgg
-}
-
 // Run executes the campaign and assembles the deterministic report.
 func Run(m *sim.Model, cfg Config) (*Report, error) {
 	if cfg.N <= 0 {
@@ -147,75 +141,65 @@ func Run(m *sim.Model, cfg Config) (*Report, error) {
 		faultBins = 2
 	}
 
-	numBlocks := (cfg.N + blockSize - 1) / blockSize
-	var nextBlock atomic.Int64
-	var canceled atomic.Bool
-	results := make(chan blockResult, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			track := fmt.Sprintf("campaign/w%d", w)
-			gen := newGenerator(m, cfg.Seed, cfg.Iterations, cfg.MaxFaults, cum)
-			runner := m.NewRunner()
-			runCfg := sim.RunConfig{Iterations: cfg.Iterations, Deadline: cfg.Deadline}
-			for {
-				b := nextBlock.Add(1) - 1
-				if b >= numBlocks || canceled.Load() {
-					return
-				}
-				span := cfg.Obs.StartSpan(track, "block")
-				agg := newBlockAgg(faultBins, cfg.Retain)
-				lo, hi := b*blockSize, (b+1)*blockSize
-				if hi > cfg.N {
-					hi = cfg.N
-				}
-				for i := lo; i < hi; i++ {
-					if cfg.Cancel != nil && cfg.Cancel.Load() {
-						canceled.Store(true)
-						span.End()
-						return
-					}
-					sc, class, faults := gen.scenario(i)
-					st := runner.RunStats(sc, runCfg)
-					agg.add(i, class, faults, cfg.K, &st, binWidth)
-				}
-				span.End()
-				ins.scenarios.Add(agg.total.Scenarios)
-				ins.iterations.Add(agg.total.Iterations)
-				ins.incomplete.Add(agg.total.IncompleteIterations)
-				ins.misses.Add(agg.total.DeadlineMisses)
-				results <- blockResult{idx: b, agg: agg}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Index-ordered merge through a reorder buffer: whatever order blocks
-	// arrive in, they fold in ascending block order, so float sums and
+	// Each worker keeps its own generator and Runner, built on its first
+	// block. Blocks fold in ascending block order, so float sums and
 	// offender retention are identical at any worker count.
+	type shard struct {
+		track  string
+		gen    *generator
+		runner *sim.Runner
+	}
+	shards := make([]shard, cfg.Workers)
+	runCfg := sim.RunConfig{Iterations: cfg.Iterations, Deadline: cfg.Deadline}
+	numBlocks := (cfg.N + blockSize - 1) / blockSize
 	total := newBlockAgg(faultBins, cfg.Retain)
-	pending := make(map[int64]*blockAgg)
-	var next, merged int64
-	for br := range results {
-		pending[br.idx] = br.agg
-		for { //ftlint:allow-nopoll drains at most len(pending) buffered blocks; workers already polled Cancel before producing each one
-			agg, ok := pending[next]
-			if !ok {
-				break
+	var nextBlock, merged int64
+	par.Ordered(cfg.Workers,
+		func() (int64, bool) {
+			if nextBlock >= numBlocks || (cfg.Cancel != nil && cfg.Cancel.Load()) {
+				return 0, false
 			}
-			delete(pending, next)
+			nextBlock++
+			return nextBlock - 1, true
+		},
+		func(w int, b int64) *blockAgg {
+			sh := &shards[w]
+			if sh.runner == nil {
+				sh.track = fmt.Sprintf("campaign/w%d", w)
+				sh.gen = newGenerator(m, cfg.Seed, cfg.Iterations, cfg.MaxFaults, cum)
+				sh.runner = m.NewRunner()
+			}
+			span := cfg.Obs.StartSpan(sh.track, "block")
+			defer span.End()
+			agg := newBlockAgg(faultBins, cfg.Retain)
+			lo, hi := b*blockSize, (b+1)*blockSize
+			if hi > cfg.N {
+				hi = cfg.N
+			}
+			for i := lo; i < hi; i++ {
+				if cfg.Cancel != nil && cfg.Cancel.Load() {
+					return nil
+				}
+				sc, class, faults := sh.gen.scenario(i)
+				st := sh.runner.RunStats(sc, runCfg)
+				agg.add(i, class, faults, cfg.K, &st, binWidth)
+			}
+			return agg
+		},
+		func(agg *blockAgg) bool {
+			if agg == nil {
+				return true // canceled mid-block
+			}
+			ins.scenarios.Add(agg.total.Scenarios)
+			ins.iterations.Add(agg.total.Iterations)
+			ins.incomplete.Add(agg.total.IncompleteIterations)
+			ins.misses.Add(agg.total.DeadlineMisses)
 			total.merge(agg)
-			next++
 			merged++
 			ins.blocks.Inc()
-		}
-	}
-	if canceled.Load() || (cfg.Cancel != nil && cfg.Cancel.Load()) {
+			return false
+		})
+	if cfg.Cancel != nil && cfg.Cancel.Load() {
 		return nil, sim.ErrCanceled
 	}
 	if merged != numBlocks {

@@ -11,7 +11,7 @@
 //
 // Determinism is the design center. Scenario i is derived solely from
 // (Seed, i); work is handed out in fixed index blocks; and every block's
-// partial aggregate is merged in block order through a reorder buffer, so
+// partial aggregate is folded in block order (par.Ordered), so
 // the report — including float sums and retained offenders — is
 // byte-identical at any worker count.
 package campaign

@@ -12,9 +12,9 @@
 //
 // The frontier is evaluated incrementally: one failure-free fixpoint is
 // computed per certificate, and each pattern re-propagates only the union of
-// the failed processors' impact cones (see cone.go). Patterns can be streamed
-// through a bounded worker pool (Options.Workers) with a deterministic merge,
-// so the verdict is bit-identical to the sequential engine.
+// the failed processors' impact cones (see cone.go). Patterns stream through
+// a bounded worker pool (Options.Workers, internal/par) and merge back in
+// enumeration order, so the verdict is bit-identical at any worker count.
 package certify
 
 import (
@@ -28,6 +28,7 @@ import (
 	"ftsched/internal/arch"
 	"ftsched/internal/graph"
 	"ftsched/internal/obs"
+	"ftsched/internal/par"
 	"ftsched/internal/sched"
 	"ftsched/internal/spec"
 )
@@ -91,10 +92,10 @@ type Counterexample struct {
 // resources.
 type Options struct {
 	// Workers bounds the worker pool streaming frontier patterns through
-	// the evaluator. 0 uses GOMAXPROCS; 1 evaluates sequentially. Workers
-	// only read shared model state; results are merged back in enumeration
-	// order, so the verdict (including WorstPattern and the counterexample)
-	// is identical to the sequential engine.
+	// the evaluator. 0 uses GOMAXPROCS; 1 evaluates on the caller's
+	// goroutine. Workers only read shared model state; results are merged
+	// back in enumeration order, so the verdict (including WorstPattern and
+	// the counterexample) is identical at any worker count.
 	Workers int
 	// Obs is an optional observability sink recording pattern enumeration
 	// and pruning counts, evaluation counts, cone sizes, fixpoint rounds,
@@ -204,9 +205,8 @@ func CertifyWith(s *sched.Schedule, g *graph.Graph, a *arch.Architecture, sp *sp
 }
 
 // patternResult is one frontier pattern's evaluation outcome, carried from
-// the evaluator (possibly a pool worker) to the deterministic merge.
+// the evaluator (possibly a pool worker) to the in-order merge.
 type patternResult struct {
-	idx       int
 	sub       []int32 // failed pids, ascending
 	completed bool
 	resp      float64 // transient worst-case response bound
@@ -215,9 +215,9 @@ type patternResult struct {
 
 // checkPattern evaluates one frontier pattern: the transient bound, and for
 // FT1 the steady-state bound with the failures detected.
-func (m *model) checkPattern(idx int, sub []int32) patternResult {
+func (m *model) checkPattern(sub []int32) patternResult {
 	r := m.evalIncr(sub, false)
-	pr := patternResult{idx: idx, sub: sub, completed: r.completed, resp: r.resp, steady: r.resp}
+	pr := patternResult{sub: sub, completed: r.completed, resp: r.resp, steady: r.resp}
 	if r.completed && m.c.Mode == sched.ModeFT1 {
 		pr.steady = m.evalIncr(sub, true).resp
 	}
@@ -244,34 +244,52 @@ func (v *Verdict) consume(m *model, pr patternResult) bool {
 }
 
 // frontier evaluates every size-`size` failure pattern in lexicographic
-// order and merges the results into v. It returns the first failing pattern
-// (as pids), or nil when every pattern tolerates the failures, or
-// ErrCanceled if opts.Cancel was raised before the enumeration finished.
+// order on opts.Workers workers and merges the results into v in that
+// order, so the verdict is the same at any worker count: the same first-wins
+// worst-bound tie-breaks, and on failure the lexicographically smallest
+// failing pattern. It returns that pattern (as pids), or nil when every
+// pattern tolerates the failures, or ErrCanceled if opts.Cancel was raised
+// before the enumeration reached a verdict. Workers only read shared model
+// state: the failure-free fixpoint, the cones and the indexes.
 func (m *model) frontier(v *Verdict, size int, opts Options) ([]int32, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 {
-		pr, err := m.frontierParallel(v, size, workers, opts.Cancel)
-		if err != nil || pr == nil {
-			return nil, err
-		}
-		return pr.sub, nil
-	}
+	m.ins.workers.Add(int64(workers))
+	tracks := make([]string, workers)
 	enum := newPatternEnum(v.Procs, size)
-	for idx := 0; ; idx++ {
-		if opts.canceled() {
-			return nil, ErrCanceled
-		}
-		sub := enum.next()
-		if sub == nil {
-			return nil, nil
-		}
-		if pr := m.checkPattern(idx, sub); v.consume(m, pr) {
-			return pr.sub, nil
-		}
+	var failing []int32
+	interrupted := false
+	par.Ordered(workers,
+		func() ([]int32, bool) {
+			if opts.canceled() {
+				interrupted = true
+				return nil, false
+			}
+			sub := enum.next()
+			return sub, sub != nil
+		},
+		func(w int, sub []int32) patternResult {
+			if tracks[w] == "" {
+				tracks[w] = fmt.Sprintf("certify/w%d", w)
+			}
+			span := m.obs.StartSpan(tracks[w], "pattern")
+			pr := m.checkPattern(sub)
+			span.End()
+			return pr
+		},
+		func(pr patternResult) bool {
+			if v.consume(m, pr) {
+				failing = pr.sub
+				return true
+			}
+			return false
+		})
+	if failing == nil && interrupted {
+		return nil, ErrCanceled
 	}
+	return failing, nil
 }
 
 // shrink greedily reduces a failing pattern to a minimal one: it keeps

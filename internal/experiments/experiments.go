@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ftsched/internal/core"
-	"ftsched/internal/faults"
 	"ftsched/internal/graph"
 	"ftsched/internal/paperex"
 	"ftsched/internal/report"
@@ -418,7 +417,7 @@ func TransientResponse() (string, error) {
 				return "", err
 			}
 			base := free.Iterations[0].ResponseTime
-			for _, sc := range faults.SingleSweep(in.Arch, 0, faults.CrashDates(sr.Schedule.Makespan(), 4)) {
+			for _, sc := range sim.SingleSweep(in.Arch, sr.Schedule.Makespan(), 4) {
 				res, err := sim.Simulate(sr.Schedule, in.Graph, in.Arch, in.Spec, sc, sim.Config{})
 				if err != nil {
 					return "", err

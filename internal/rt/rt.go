@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"ftsched/internal/arch"
-	"ftsched/internal/faults"
 	"ftsched/internal/graph"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
@@ -116,7 +115,7 @@ func analyze(s *sched.Schedule, a *arch.Architecture, k int, run func(sim.Scenar
 		}
 	}
 	for size := 2; size <= k; size++ {
-		for _, sub := range faults.Subsets(a, size) {
+		for _, sub := range subsets(a.ProcessorNames(), size) {
 			sc := sim.Scenario{}
 			for _, p := range sub {
 				sc.Failures = append(sc.Failures, sim.Failure{Proc: p, Iteration: 0, At: 0})
@@ -133,6 +132,24 @@ func analyze(s *sched.Schedule, a *arch.Architecture, k int, run func(sim.Scenar
 		res.WorstPermanent = res.FailureFree
 	}
 	return res, nil
+}
+
+// subsets returns every size-k subset of procs, in lexicographic order of
+// their positions in procs.
+func subsets(procs []string, k int) [][]string {
+	var out [][]string
+	var rec func(start int, cur []string)
+	rec = func(start int, cur []string) {
+		if len(cur) == k {
+			out = append(out, append([]string(nil), cur...))
+			return
+		}
+		for i := start; i < len(procs); i++ {
+			rec(i+1, append(cur, procs[i]))
+		}
+	}
+	rec(0, nil)
+	return out
 }
 
 // eventBoundaries collects the schedule's distinct activity start/end dates

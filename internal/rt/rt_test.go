@@ -244,3 +244,17 @@ func TestAnalyzeMatchesPerScenarioSimulate(t *testing.T) {
 		})
 	}
 }
+
+func TestSubsets(t *testing.T) {
+	procs := []string{"P1", "P2", "P3", "P4"}
+	want := [][]string{{"P1", "P2"}, {"P1", "P3"}, {"P1", "P4"}, {"P2", "P3"}, {"P2", "P4"}, {"P3", "P4"}}
+	if got := subsets(procs, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("k=2: %v, want %v", got, want)
+	}
+	if got := subsets(procs, 0); len(got) != 1 || len(got[0]) != 0 {
+		t.Errorf("k=0: %v", got)
+	}
+	if got := subsets(procs, 5); len(got) != 0 {
+		t.Errorf("k>n: %v", got)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"ftsched/internal/certify"
 	"ftsched/internal/core"
 	"ftsched/internal/obs"
+	"ftsched/internal/par"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 )
@@ -420,28 +421,6 @@ func (s *Server) clampWorkers(requested int) int {
 	return requested
 }
 
-// cancelFlag arms a cooperative cancel flag from ctx; the returned stop
-// function must be deferred.
-func cancelFlag(ctx context.Context) (*atomic.Bool, func()) {
-	flag := new(atomic.Bool)
-	if ctx.Err() != nil {
-		flag.Store(true)
-		return flag, func() {}
-	}
-	if ctx.Done() == nil {
-		return flag, func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select { //ftlint:allow-nondet watcher teardown race only decides whether a finished run sees the flag; a completed run is bit-identical either way
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-done:
-		}
-	}()
-	return flag, func() { close(done) }
-}
-
 // answer is the pipeline single and batch share. A body byte-identical to
 // one already answered for this kind is served from the raw index without
 // being decoded. Any other body is decoded by h and served through
@@ -552,7 +531,7 @@ func (s *Server) computeSchedule(ctx context.Context, req *ScheduleRequest, p *p
 		return nil, err
 	}
 	defer s.sem.Release(int64(workers))
-	flag, stop := cancelFlag(ctx)
+	flag, stop := par.Watch(ctx, nil)
 	defer stop()
 	span := s.sink.StartSpan("serve", "serve.schedule")
 	defer span.End()
@@ -727,7 +706,7 @@ func (s *Server) prepareCertify(body []byte) (*prepared, *httpError) {
 			return nil, err
 		}
 		defer s.sem.Release(int64(workers))
-		flag, stop := cancelFlag(ctx)
+		flag, stop := par.Watch(ctx, nil)
 		defer stop()
 		span := s.sink.StartSpan("serve", "serve.certify")
 		defer span.End()
@@ -788,7 +767,7 @@ func (s *Server) prepareSimulate(body []byte) (*prepared, *httpError) {
 			return nil, err
 		}
 		defer s.sem.Release(1)
-		flag, stop := cancelFlag(ctx)
+		flag, stop := par.Watch(ctx, nil)
 		defer stop()
 		span := s.sink.StartSpan("serve", "serve.simulate")
 		defer span.End()

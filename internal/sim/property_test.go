@@ -8,7 +8,6 @@ import (
 
 	"ftsched/internal/arch"
 	"ftsched/internal/core"
-	"ftsched/internal/faults"
 	"ftsched/internal/graph"
 	"ftsched/internal/paperex"
 	"ftsched/internal/sched"
@@ -155,7 +154,7 @@ func TestQuickFT1ToleratesAnySingleFailure(t *testing.T) {
 			return false
 		}
 		horizon := res.Schedule.Makespan()
-		for _, sc := range faults.SingleSweep(a, 0, faults.CrashDates(horizon, 6)) {
+		for _, sc := range sim.SingleSweep(a, horizon, 6) {
 			sr, err := sim.Simulate(res.Schedule, g, a, sp, sc, sim.Config{Iterations: 2})
 			if err != nil {
 				return false
@@ -188,7 +187,7 @@ func TestQuickFT2ToleratesAnySingleFailure(t *testing.T) {
 			return false
 		}
 		horizon := res.Schedule.Makespan()
-		for _, sc := range faults.SingleSweep(a, 0, faults.CrashDates(horizon, 6)) {
+		for _, sc := range sim.SingleSweep(a, horizon, 6) {
 			sr, err := sim.Simulate(res.Schedule, g, a, sp, sc, sim.Config{Iterations: 2})
 			if err != nil {
 				return false
@@ -209,6 +208,18 @@ func TestQuickFT2ToleratesAnySingleFailure(t *testing.T) {
 	}
 }
 
+// procPairs returns every pair of a's processors, in name-list order.
+func procPairs(a *arch.Architecture) [][2]string {
+	procs := a.ProcessorNames()
+	var out [][2]string
+	for i := range procs {
+		for _, q := range procs[i+1:] {
+			out = append(out, [2]string{procs[i], q})
+		}
+	}
+	return out
+}
+
 // TestQuickFT2ToleratesDoubleFailures exercises K=2 with every pair of
 // simultaneous failures on a 4-processor point-to-point architecture.
 func TestQuickFT2ToleratesDoubleFailures(t *testing.T) {
@@ -221,7 +232,9 @@ func TestQuickFT2ToleratesDoubleFailures(t *testing.T) {
 		}
 		horizon := res.Schedule.Makespan()
 		for _, at := range []float64{0, horizon / 2} {
-			for _, sc := range faults.SimultaneousSweep(a, 2, 0, at) {
+			for _, pair := range procPairs(a) {
+				sc := sim.Scenario{Failures: []sim.Failure{
+					{Proc: pair[0], At: at}, {Proc: pair[1], At: at}}}
 				sr, err := sim.Simulate(res.Schedule, g, a, sp, sc, sim.Config{Iterations: 2})
 				if err != nil {
 					return false
@@ -252,7 +265,9 @@ func TestQuickFT1ToleratesStaggeredDoubleFailures(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, sc := range faults.StaggeredSweep(a, 2, 0) {
+		for _, pair := range procPairs(a) {
+			sc := sim.Scenario{Failures: []sim.Failure{
+				{Proc: pair[0]}, {Proc: pair[1], Iteration: 1}}}
 			sr, err := sim.Simulate(res.Schedule, g, a, sp, sc, sim.Config{Iterations: 3})
 			if err != nil {
 				return false
@@ -280,7 +295,7 @@ func TestPaperInstanceExhaustiveSingleFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range faults.SingleSweep(bus.Arch, 0, faults.CrashDates(ft1.Schedule.Makespan(), 20)) {
+	for _, sc := range sim.SingleSweep(bus.Arch, ft1.Schedule.Makespan(), 20) {
 		res, err := sim.Simulate(ft1.Schedule, bus.Graph, bus.Arch, bus.Spec, sc, sim.Config{Iterations: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +311,7 @@ func TestPaperInstanceExhaustiveSingleFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range faults.SingleSweep(tri.Arch, 0, faults.CrashDates(ft2.Schedule.Makespan(), 20)) {
+	for _, sc := range sim.SingleSweep(tri.Arch, ft2.Schedule.Makespan(), 20) {
 		res, err := sim.Simulate(ft2.Schedule, tri.Graph, tri.Arch, tri.Spec, sc, sim.Config{Iterations: 2})
 		if err != nil {
 			t.Fatal(err)

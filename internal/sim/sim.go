@@ -125,6 +125,24 @@ func Single(proc string, iteration int, at float64) Scenario {
 	return Scenario{Failures: []Failure{{Proc: proc, Iteration: iteration, At: at}}}
 }
 
+// SingleSweep returns one single-failure scenario per processor of a and
+// crash date, processor-major: each processor fails alone in iteration 0 at
+// each of n evenly spaced dates spanning [0, horizon], both ends included
+// when n >= 2 (only date 0 when n is 1).
+func SingleSweep(a *arch.Architecture, horizon float64, n int) []Scenario {
+	var out []Scenario
+	for _, p := range a.ProcessorNames() {
+		for i := 0; i < n; i++ {
+			at := 0.0
+			if n > 1 {
+				at = horizon / float64(n-1) * float64(i)
+			}
+			out = append(out, Single(p, 0, at))
+		}
+	}
+	return out
+}
+
 // SingleLink returns a scenario with one permanent link outage.
 func SingleLink(link string, iteration int, at float64) Scenario {
 	return Scenario{Links: []LinkFailure{{Link: link, Iteration: iteration, At: at}}}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ftsched/internal/arch"
 	"ftsched/internal/core"
 	"ftsched/internal/paperex"
 	"ftsched/internal/sched"
@@ -341,5 +342,33 @@ func TestSingleHelper(t *testing.T) {
 	if len(sc.Failures) != 1 || sc.Failures[0].Proc != "P1" ||
 		sc.Failures[0].Iteration != 2 || sc.Failures[0].At != 3.5 {
 		t.Errorf("Single = %+v", sc)
+	}
+}
+
+func TestSingleSweep(t *testing.T) {
+	a := arch.New("a")
+	for _, p := range []string{"P1", "P2", "P3"} {
+		if err := a.AddProcessor(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.AddBus("bus", "P1", "P2", "P3"); err != nil {
+		t.Fatal(err)
+	}
+	scs := SingleSweep(a, 10, 5)
+	if len(scs) != 15 {
+		t.Fatalf("len = %d, want 15", len(scs))
+	}
+	for i, sc := range scs {
+		f := sc.Failures
+		if len(f) != 1 || f[0].Iteration != 0 || f[0].Proc != []string{"P1", "P2", "P3"}[i/5] || f[0].At != 2.5*float64(i%5) {
+			t.Errorf("scenario %d = %+v", i, sc)
+		}
+	}
+	if got := SingleSweep(a, 10, 1); len(got) != 3 || got[0].Failures[0].At != 0 {
+		t.Errorf("n=1: %+v", got)
+	}
+	if got := SingleSweep(a, 10, 0); got != nil {
+		t.Errorf("n=0: %+v", got)
 	}
 }
