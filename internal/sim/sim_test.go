@@ -361,11 +361,27 @@ func TestSingleSweep(t *testing.T) {
 	}
 	for i, sc := range scs {
 		f := sc.Failures
-		if len(f) != 1 || f[0].Iteration != 0 || f[0].Proc != []string{"P1", "P2", "P3"}[i/5] || f[0].At != 2.5*float64(i%5) {
+		if len(f) != 1 || f[0].Iteration != 0 || f[0].Proc != []string{"P1", "P2", "P3"}[i/5] {
 			t.Errorf("scenario %d = %+v", i, sc)
 		}
 	}
-	if got := SingleSweep(a, 10, 1); len(got) != 3 || got[0].Failures[0].At != 0 {
+}
+
+func TestSingleSweepCrashDates(t *testing.T) {
+	a := arch.New("a")
+	if err := a.AddProcessor("P1"); err != nil {
+		t.Fatal(err)
+	}
+	scs := SingleSweep(a, 10, 5)
+	if len(scs) != 5 {
+		t.Fatalf("len = %d, want 5", len(scs))
+	}
+	for i, sc := range scs {
+		if at := sc.Failures[0].At; at != 2.5*float64(i) {
+			t.Errorf("date %d = %v, want %v", i, at, 2.5*float64(i))
+		}
+	}
+	if got := SingleSweep(a, 10, 1); len(got) != 1 || got[0].Failures[0].At != 0 {
 		t.Errorf("n=1: %+v", got)
 	}
 	if got := SingleSweep(a, 10, 0); got != nil {
